@@ -428,9 +428,8 @@ rules! {
         "predicted materialized profile exceeds the memory budget",
         "profiling this many slices materializes per-slice BBVs and \
          projected rows beyond the configured budget; use larger slices \
-         to cut the slice count, or the streaming clustering path \
-         (`--kmeans-mode minibatch`) whose footprint is bounded by the \
-         batch size instead of the slice count"),
+         to cut the slice count (`--kmeans-mode minibatch` bounds only \
+         the k-means state, not the materialized profile)"),
 }
 
 impl fmt::Display for Rule {

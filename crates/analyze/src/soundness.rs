@@ -31,12 +31,11 @@ pub const WEIGHT_CONCENTRATION_BOUND: f64 = 0.5;
 
 /// Default memory budget for the materialized profile (`SA150`): 256 MiB,
 /// generous for every shipped benchmark at its default scale but crossed
-/// around a million slices — exactly where the streaming clustering path
-/// is the right tool.
+/// around a million slices.
 pub const DEFAULT_MATERIALIZED_BUDGET_BYTES: u64 = 256 << 20;
 
-/// Statically predicted bytes the profile→select stages materialize when
-/// run through the non-streaming path: one projected row (`8 * dim`
+/// Statically predicted bytes the profile→select stages materialize: one
+/// projected row (`8 * dim`
 /// bytes) plus BBV bookkeeping (conservatively 128 bytes of counts and
 /// headers) per slice. Shared by the `SA150` lint and the perf harness so
 /// the two can never disagree about what "materialized" means.
@@ -176,8 +175,7 @@ pub fn lint_soundness(input: &SoundnessInput<'_>) -> Report {
         }
     }
 
-    // SA150: the non-streaming profile path would materialize more than
-    // the memory budget. Independent of the strategy: the footprint is a
+    // SA150: the profile would materialize more than the memory budget. Independent of the strategy: the footprint is a
     // function of the slice count and the projection dimension alone.
     let footprint = materialized_bytes_estimate(n, input.simpoint.dim);
     if input.materialized_budget_bytes > 0 && footprint > input.materialized_budget_bytes {
@@ -186,8 +184,7 @@ pub fn lint_soundness(input: &SoundnessInput<'_>) -> Report {
             Location::config("slice_size"),
             format!(
                 "{n} slices materialize ~{} MiB of BBVs and projected rows \
-                 (budget {} MiB); the streaming path's footprint is \
-                 bounded by the batch size instead",
+                 (budget {} MiB)",
                 footprint >> 20,
                 input.materialized_budget_bytes >> 20
             ),

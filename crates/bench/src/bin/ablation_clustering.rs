@@ -4,6 +4,7 @@
 use sampsim_bench::Cli;
 use sampsim_core::bench_result::StudyConfig;
 use sampsim_core::Pipeline;
+use sampsim_exec::SERIAL;
 use sampsim_simpoint::bbv::Bbv;
 use sampsim_simpoint::kmeans::{kmeans_best_of, KmeansResult};
 use sampsim_simpoint::project::RandomProjection;
@@ -40,7 +41,7 @@ fn main() {
     let mut pp = config.pinpoints.clone();
     pp.profile_cache = None;
     let pipeline = Pipeline::new(pp.clone());
-    let (bbvs, _starts, _m) = pipeline.profile(&program);
+    let (bbvs, _starts, _m) = pipeline.profile_jobs(&program, SERIAL);
     let normalized: Vec<Bbv> = bbvs.iter().map(Bbv::normalized).collect();
     let k = 20;
 

@@ -11,7 +11,8 @@ use sampsim_bench::{unwrap_or_die, Cli};
 use sampsim_core::bench_result::StudyConfig;
 use sampsim_core::metrics::aggregate_weighted;
 use sampsim_core::runs::{self, WarmupMode};
-use sampsim_core::Pipeline;
+use sampsim_core::{Pipeline, RunOptions};
+use sampsim_exec::SERIAL;
 use sampsim_spec2017::{benchmark, BenchmarkId};
 use sampsim_uarch::CoreConfig;
 use sampsim_util::table::{fmt_f, fmt_pct, Table};
@@ -23,7 +24,7 @@ fn main() {
     let program = benchmark(id).scaled(cli.scale).build();
     let mut pp = config.pinpoints.clone();
     pp.profile_cache = None;
-    let result = unwrap_or_die(Pipeline::new(pp).run(&program));
+    let result = unwrap_or_die(Pipeline::new(pp).run(&program, &RunOptions::default()));
 
     let mut table = Table::new(vec![
         "Core model".into(),
@@ -42,12 +43,13 @@ fn main() {
     ] {
         let whole = runs::run_whole_timing(&program, core, config.timing_hierarchy);
         let whole_cpi = whole.timing.as_ref().expect("timing stats").cpi();
-        let regions = unwrap_or_die(runs::run_regions_timing(
+        let regions = unwrap_or_die(runs::run_regions_timing_jobs(
             &program,
             &result.regional,
             core,
             config.timing_hierarchy,
             WarmupMode::Checkpointed,
+            SERIAL,
         ));
         let sampled = aggregate_weighted(&regions).cpi.expect("timing stats");
         table.row(vec![

@@ -12,7 +12,8 @@ use sampsim_cache::{configs, HierarchyConfig, ReplacementPolicy};
 use sampsim_core::bench_result::StudyConfig;
 use sampsim_core::metrics::aggregate_weighted;
 use sampsim_core::runs::{self, WarmupMode};
-use sampsim_core::Pipeline;
+use sampsim_core::{Pipeline, RunOptions};
+use sampsim_exec::SERIAL;
 use sampsim_spec2017::{benchmark, BenchmarkId};
 use sampsim_util::table::{fmt_f, Table};
 
@@ -49,7 +50,7 @@ fn main() {
     let program = benchmark(id).scaled(cli.scale).build();
     let mut pp = config.pinpoints.clone();
     pp.profile_cache = None;
-    let result = unwrap_or_die(Pipeline::new(pp).run(&program));
+    let result = unwrap_or_die(Pipeline::new(pp).run(&program, &RunOptions::default()));
 
     let mut table = Table::new(vec![
         "Design".into(),
@@ -72,20 +73,22 @@ fn main() {
             .expect("cache stats")
             .l2
             .miss_rate_pct();
-        let cold = aggregate_weighted(&unwrap_or_die(runs::run_regions_functional(
+        let cold = aggregate_weighted(&unwrap_or_die(runs::run_regions_functional_jobs(
             &program,
             &result.regional,
             cfg,
             WarmupMode::None,
+            SERIAL,
         )))
         .miss_rates
         .expect("cache stats")
         .l2;
-        let warm = aggregate_weighted(&unwrap_or_die(runs::run_regions_functional(
+        let warm = aggregate_weighted(&unwrap_or_die(runs::run_regions_functional_jobs(
             &program,
             &result.regional,
             cfg,
             WarmupMode::Checkpointed,
+            SERIAL,
         )))
         .miss_rates
         .expect("cache stats")

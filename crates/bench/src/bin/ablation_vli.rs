@@ -6,7 +6,7 @@
 //! section cites.
 
 use sampsim_bench::{unwrap_or_die, Cli};
-use sampsim_core::Pipeline;
+use sampsim_core::{Pipeline, RunOptions};
 use sampsim_simpoint::vli::{coalesce, representative_intervals};
 use sampsim_spec2017::{benchmark, BenchmarkId};
 use sampsim_util::table::{fmt_f, Table};
@@ -33,7 +33,7 @@ fn main() {
         let program = benchmark(id).scaled(cli.scale).build();
         let mut pp = config.pinpoints.clone();
         pp.profile_cache = None;
-        let result = unwrap_or_die(Pipeline::new(pp).run(&program));
+        let result = unwrap_or_die(Pipeline::new(pp).run(&program, &RunOptions::default()));
         let assignments = &result.simpoints.assignments;
         let intervals = coalesce(assignments);
         let reps = representative_intervals(assignments, &result.simpoints.points);

@@ -6,7 +6,8 @@ use sampsim_bench::{unwrap_or_die, Cli};
 use sampsim_core::bench_result::StudyConfig;
 use sampsim_core::metrics::aggregate_weighted;
 use sampsim_core::runs::{self, WarmupMode};
-use sampsim_core::Pipeline;
+use sampsim_core::{Pipeline, RunOptions};
+use sampsim_exec::SERIAL;
 use sampsim_spec2017::{benchmark, BenchmarkId};
 use sampsim_util::table::{fmt_f, Table};
 
@@ -41,17 +42,18 @@ fn main() {
         pp.warmup_slices = warmup_slices;
         pp.profile_cache = None;
         let pipeline = Pipeline::new(pp.clone());
-        let result = unwrap_or_die(pipeline.run(&program));
+        let result = unwrap_or_die(pipeline.run(&program, &RunOptions::default()));
         let mode = if warmup_slices == 0 {
             WarmupMode::None
         } else {
             WarmupMode::Checkpointed
         };
-        let regions = unwrap_or_die(runs::run_regions_functional(
+        let regions = unwrap_or_die(runs::run_regions_functional_jobs(
             &program,
             &result.regional,
             config.pinpoints.profile_cache.expect("cache configured"),
             mode,
+            SERIAL,
         ));
         let l3 = aggregate_weighted(&regions)
             .miss_rates
@@ -73,13 +75,14 @@ fn main() {
         pp.warmup_slices = 0;
         pp.profile_cache = None;
         let pipeline = Pipeline::new(pp);
-        let result = unwrap_or_die(pipeline.run(&program));
+        let result = unwrap_or_die(pipeline.run(&program, &RunOptions::default()));
         for rounds in [1u32, 3] {
-            let regions = unwrap_or_die(runs::run_regions_functional(
+            let regions = unwrap_or_die(runs::run_regions_functional_jobs(
                 &program,
                 &result.regional,
                 config.pinpoints.profile_cache.expect("cache configured"),
                 WarmupMode::Replayed { rounds },
+                SERIAL,
             ));
             let l3 = aggregate_weighted(&regions)
                 .miss_rates

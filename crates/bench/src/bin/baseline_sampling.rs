@@ -8,7 +8,7 @@ use sampsim_bench::{unwrap_or_die, Cli};
 use sampsim_core::bench_result::StudyConfig;
 use sampsim_core::experiments::baseline_aggregate;
 use sampsim_core::metrics::AggregatedMetrics;
-use sampsim_core::{PinPointsConfig, Pipeline};
+use sampsim_core::{PinPointsConfig, Pipeline, RunOptions};
 use sampsim_simpoint::baselines;
 use sampsim_spec2017::{benchmark, BenchmarkId};
 use sampsim_util::table::{fmt_f, Table};
@@ -49,7 +49,7 @@ fn main() {
         let mut pp: PinPointsConfig = scaled.pinpoints.clone();
         pp.profile_cache = None;
         let pipeline = Pipeline::new(pp);
-        let result = unwrap_or_die(pipeline.run(&program));
+        let result = unwrap_or_die(pipeline.run(&program, &RunOptions::default()));
         let budget = result.regional.len();
         let num_slices = result.num_slices;
 

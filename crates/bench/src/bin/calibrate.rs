@@ -7,7 +7,8 @@
 //! scale because slice counts are preserved).
 
 use sampsim_core::pipeline::{PinPointsConfig, Pipeline};
-use sampsim_simpoint::{SimPointAnalysis, SimPointOptions};
+use sampsim_exec::SERIAL;
+use sampsim_simpoint::{SimPointOptions, SimPointStrategy};
 use sampsim_spec2017::{benchmark, BenchmarkId};
 use sampsim_util::scale::Scale;
 
@@ -33,7 +34,7 @@ fn main() {
             slice_size: scale.apply(10_000),
             ..Default::default()
         };
-        let (bbvs, _starts, _m) = Pipeline::new(pp.clone()).profile(&program);
+        let (bbvs, _starts, _m) = Pipeline::new(pp.clone()).profile_jobs(&program, SERIAL);
         print!(
             "{:<18} target {:>2}/{:>2} slices {:>6} ->",
             spec.name(),
@@ -46,8 +47,8 @@ fn main() {
                 bic_threshold: t,
                 ..pp.simpoint
             };
-            let r = SimPointAnalysis::new(opts)
-                .run(&bbvs, pp.slice_size)
+            let r = SimPointStrategy::new(opts)
+                .analyze(&bbvs, pp.slice_size, SERIAL)
                 .expect("non-empty profile");
             let n90 = sampsim_simpoint::select::count_at_percentile(&r.points, 0.9);
             print!("  t{t}: {}/{}", r.points.len(), n90);

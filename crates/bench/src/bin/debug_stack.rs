@@ -1,8 +1,9 @@
 //! Debug helper: CPI stack of whole vs regional timing runs.
 use sampsim_core::bench_result::StudyConfig;
 use sampsim_core::metrics::aggregate_weighted;
-use sampsim_core::pipeline::Pipeline;
+use sampsim_core::pipeline::{Pipeline, RunOptions};
 use sampsim_core::runs::{self, WarmupMode};
+use sampsim_exec::SERIAL;
 use sampsim_spec2017::{benchmark, BenchmarkId};
 use sampsim_util::scale::Scale;
 
@@ -25,7 +26,7 @@ fn main() {
     cfg.pinpoints.warmup_slices = warmup;
     let program = benchmark(id).scaled(scale).build();
     let pipeline = Pipeline::new(cfg.pinpoints.clone());
-    let result = pipeline.run(&program).unwrap();
+    let result = pipeline.run(&program, &RunOptions::default()).unwrap();
     let whole = runs::run_whole_timing(&program, cfg.core, cfg.timing_hierarchy);
     let wt = whole.timing.unwrap();
     let wn = wt.instructions as f64;
@@ -41,12 +42,13 @@ fn main() {
         wt.branches.mispredict_rate_pct()
     );
     {
-        let regions = runs::run_regions_timing(
+        let regions = runs::run_regions_timing_jobs(
             &program,
             &result.regional,
             cfg.core,
             cfg.timing_hierarchy,
             WarmupMode::Checkpointed,
+            SERIAL,
         )
         .unwrap();
         for ((m, w), pb) in regions.iter().zip(&result.regional) {
@@ -63,12 +65,13 @@ fn main() {
         ("warm", WarmupMode::Checkpointed),
         ("rply", WarmupMode::Replayed { rounds: 2 }),
     ] {
-        let regions = runs::run_regions_timing(
+        let regions = runs::run_regions_timing_jobs(
             &program,
             &result.regional,
             cfg.core,
             cfg.timing_hierarchy,
             mode,
+            SERIAL,
         )
         .unwrap();
         let agg = aggregate_weighted(&regions);

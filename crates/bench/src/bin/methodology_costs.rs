@@ -12,7 +12,8 @@ use sampsim_cache::configs;
 use sampsim_core::bench_result::StudyConfig;
 use sampsim_core::pipeline::Pipeline;
 use sampsim_core::runs::{self, WarmupMode};
-use sampsim_simpoint::SimPointAnalysis;
+use sampsim_exec::SERIAL;
+use sampsim_simpoint::SimPointStrategy;
 use sampsim_spec2017::{benchmark, BenchmarkId};
 use sampsim_util::table::{fmt_f, fmt_x, Table};
 use sampsim_workload::Executor;
@@ -40,24 +41,25 @@ fn main() {
     pp.profile_cache = Some(configs::allcache_table1());
     let pipeline = Pipeline::new(pp.clone());
     let t = Instant::now();
-    let (bbvs, starts, _metrics) = pipeline.profile(&program);
+    let (bbvs, starts, _metrics) = pipeline.profile_jobs(&program, SERIAL);
     let logging = t.elapsed().as_secs_f64();
 
     // 3. Clustering.
     let t = Instant::now();
-    let simpoints = SimPointAnalysis::new(pp.simpoint)
-        .run(&bbvs, pp.slice_size)
+    let simpoints = SimPointStrategy::new(pp.simpoint)
+        .analyze(&bbvs, pp.slice_size, SERIAL)
         .expect("non-empty profile");
     let clustering = t.elapsed().as_secs_f64();
     let regional = pipeline.regionals_for(&program, &simpoints, &starts);
 
     // 4. Regional replay (all points, with warmup).
     let t = Instant::now();
-    let metrics = runs::run_regions_functional(
+    let metrics = runs::run_regions_functional_jobs(
         &program,
         &regional,
         configs::allcache_table1(),
         WarmupMode::Checkpointed,
+        SERIAL,
     )
     .expect("replay");
     let replay = t.elapsed().as_secs_f64();

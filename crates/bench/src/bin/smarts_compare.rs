@@ -10,7 +10,8 @@ use sampsim_bench::{unwrap_or_die, Cli};
 use sampsim_core::bench_result::StudyConfig;
 use sampsim_core::metrics::aggregate_weighted;
 use sampsim_core::runs::{self, WarmupMode};
-use sampsim_core::Pipeline;
+use sampsim_core::{Pipeline, RunOptions};
+use sampsim_exec::SERIAL;
 use sampsim_pin::engine;
 use sampsim_pin::tools::LdStMix;
 use sampsim_simpoint::smarts;
@@ -37,13 +38,15 @@ fn main() {
     // SimPoint side.
     let mut pp = config.pinpoints.clone();
     pp.profile_cache = None;
-    let pipeline_result = unwrap_or_die(Pipeline::new(pp.clone()).run(&program));
-    let sp_regions = unwrap_or_die(runs::run_regions_timing(
+    let pipeline_result =
+        unwrap_or_die(Pipeline::new(pp.clone()).run(&program, &RunOptions::default()));
+    let sp_regions = unwrap_or_die(runs::run_regions_timing_jobs(
         &program,
         &pipeline_result.regional,
         config.core,
         config.timing_hierarchy,
         WarmupMode::Checkpointed,
+        SERIAL,
     ));
     let sp_agg = aggregate_weighted(&sp_regions);
     let sp_budget: u64 = pipeline_result.regional.len() as u64 * pp.slice_size;

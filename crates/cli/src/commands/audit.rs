@@ -82,7 +82,8 @@ fn dynamic_differential(
             with_commas(program.total_insts()),
             bounds.num_slices()
         );
-        let (bbvs, cursors, _) = Pipeline::new(config.clone()).profile(&program);
+        let (bbvs, cursors, _) =
+            Pipeline::new(config.clone()).profile_jobs(&program, sampsim_exec::SERIAL);
         report.merge(audit_bbvs_static(&program, &bounds, &bbvs));
         report.merge(audit_cursors(&program, config.slice_size, &cursors));
     }

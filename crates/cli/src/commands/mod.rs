@@ -19,7 +19,7 @@ pub use serve::{request, serve};
 use crate::args::Options;
 use sampsim_cache::configs;
 use sampsim_core::metrics::{aggregate_weighted, whole_as_aggregate, AggregatedMetrics};
-use sampsim_core::pipeline::{PinPointsConfig, Pipeline};
+use sampsim_core::pipeline::{PinPointsConfig, Pipeline, RunOptions};
 use sampsim_core::runs::{self, WarmupMode};
 use sampsim_core::stage_cache::NoCache;
 use sampsim_pinball::store;
@@ -197,7 +197,7 @@ pub fn simpoints(bench: &str, out: Option<&str>, options: &Options) -> CmdResult
         config.slice_size,
         config.simpoint.max_k
     );
-    let result = Pipeline::new(config).run(&program)?;
+    let result = Pipeline::new(config).run(&program, &RunOptions::default())?;
     let mut table = Table::new(vec![
         "Slice".into(),
         "Cluster".into(),
@@ -276,7 +276,13 @@ pub fn report(bench: &str, options: &Options) -> CmdResult {
     let mut pp = config;
     pp.profile_cache = Some(configs::allcache_table1());
     let pipeline = Pipeline::new(pp.clone());
-    let result = pipeline.run_jobs(&program, options.jobs)?;
+    let result = pipeline.run(
+        &program,
+        &RunOptions {
+            jobs: options.jobs,
+            ..Default::default()
+        },
+    )?;
     let whole = whole_as_aggregate(&result.whole_metrics);
     let runs_spec: [(&str, WarmupMode); 2] = [
         ("Regional (cold)", WarmupMode::None),

@@ -10,8 +10,10 @@ use crate::metrics::{aggregate_weighted, AggregatedMetrics, RunMetrics};
 use crate::pipeline::{PinPointsConfig, Pipeline};
 use crate::runs::{self, WarmupMode};
 use sampsim_cache::{configs, HierarchyConfig};
+use sampsim_exec::SERIAL;
 use sampsim_simpoint::select::{reduce_to_percentile, SimPoint};
 use sampsim_simpoint::variance::variance_sweep;
+use sampsim_simpoint::SimPointStrategy;
 use sampsim_spec2017::BenchmarkSpec;
 use sampsim_uarch::{native, CoreConfig, NativeConfig, PerfCounters};
 use sampsim_util::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
@@ -132,9 +134,12 @@ impl BenchResult {
         let pipeline = Pipeline::new(config.pinpoints.clone());
 
         // One profiling pass: BBVs, slice checkpoints, ldstmix + allcache.
-        let (bbvs, starts, whole) = pipeline.profile(&program);
-        let simpoints = sampsim_simpoint::SimPointAnalysis::new(config.pinpoints.simpoint)
-            .run(&bbvs, config.pinpoints.slice_size)?;
+        let (bbvs, starts, whole) = pipeline.profile_jobs(&program, SERIAL);
+        let simpoints = SimPointStrategy::new(config.pinpoints.simpoint).analyze(
+            &bbvs,
+            config.pinpoints.slice_size,
+            SERIAL,
+        )?;
         let regional = pipeline.regionals_for(&program, &simpoints, &starts);
 
         // Fig. 4 variance sweep on a subsample of the same BBVs.

@@ -12,7 +12,8 @@ use crate::metrics::{aggregate_weighted, AggregatedMetrics, MissRates, RunMetric
 use crate::pipeline::Pipeline;
 use crate::runs::{self, WarmupMode};
 use sampsim_cache::configs;
-use sampsim_simpoint::{SimPointAnalysis, SimPointOptions};
+use sampsim_exec::SERIAL;
+use sampsim_simpoint::{SimPointOptions, SimPointStrategy};
 use sampsim_spec2017::{benchmark, BenchmarkId};
 use sampsim_util::hash::Fnv64;
 use sampsim_util::scale::Scale;
@@ -156,7 +157,7 @@ pub fn maxk_sweep(
     let mut pp = config.pinpoints.clone();
     pp.profile_cache = Some(configs::allcache_table1());
     let pipeline = Pipeline::new(pp.clone());
-    let (bbvs, starts, whole) = pipeline.profile(&program);
+    let (bbvs, starts, whole) = pipeline.profile_jobs(&program, SERIAL);
     let whole_agg = crate::metrics::whole_as_aggregate(&whole);
     let mut rows = Vec::with_capacity(maxks.len());
     for &maxk in maxks {
@@ -164,13 +165,14 @@ pub fn maxk_sweep(
             max_k: maxk,
             ..pp.simpoint
         };
-        let simpoints = SimPointAnalysis::new(opts).run(&bbvs, pp.slice_size)?;
+        let simpoints = SimPointStrategy::new(opts).analyze(&bbvs, pp.slice_size, SERIAL)?;
         let regional = pipeline.regionals_for(&program, &simpoints, &starts);
-        let region_metrics = runs::run_regions_functional(
+        let region_metrics = runs::run_regions_functional_jobs(
             &program,
             &regional,
             configs::allcache_table1(),
             WarmupMode::None,
+            SERIAL,
         )?;
         let agg = aggregate_weighted(&region_metrics);
         rows.push(SweepRow {
@@ -211,14 +213,15 @@ pub fn slice_sweep(
         pp.slice_size = slice;
         pp.profile_cache = None;
         let pipeline = Pipeline::new(pp.clone());
-        let (bbvs, starts, _metrics) = pipeline.profile(&program);
-        let simpoints = SimPointAnalysis::new(pp.simpoint).run(&bbvs, slice)?;
+        let (bbvs, starts, _metrics) = pipeline.profile_jobs(&program, SERIAL);
+        let simpoints = SimPointStrategy::new(pp.simpoint).analyze(&bbvs, slice, SERIAL)?;
         let regional = pipeline.regionals_for(&program, &simpoints, &starts);
-        let region_metrics = runs::run_regions_functional(
+        let region_metrics = runs::run_regions_functional_jobs(
             &program,
             &regional,
             configs::allcache_table1(),
             WarmupMode::None,
+            SERIAL,
         )?;
         let agg = aggregate_weighted(&region_metrics);
         rows.push(SweepRow {
@@ -326,7 +329,7 @@ pub fn baseline_aggregate(
     let mut pp = config.pinpoints.clone();
     pp.profile_cache = Some(configs::allcache_table1());
     let pipeline = Pipeline::new(pp.clone());
-    let (_bbvs, starts, whole) = pipeline.profile(&program);
+    let (_bbvs, starts, whole) = pipeline.profile_jobs(&program, SERIAL);
     let fake = sampsim_simpoint::SimPointsResult {
         k: points.len(),
         slice_size: pp.slice_size,
@@ -336,11 +339,12 @@ pub fn baseline_aggregate(
         avg_variance: 0.0,
     };
     let regional = pipeline.regionals_for(&program, &fake, &starts);
-    let metrics = runs::run_regions_functional(
+    let metrics = runs::run_regions_functional_jobs(
         &program,
         &regional,
         configs::allcache_table1(),
         WarmupMode::None,
+        SERIAL,
     )?;
     Ok((
         aggregate_weighted(&metrics),

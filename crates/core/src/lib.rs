@@ -33,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use sampsim_core::{PinPointsConfig, Pipeline};
+//! use sampsim_core::{PinPointsConfig, Pipeline, RunOptions};
 //! use sampsim_workload::spec::{PhaseSpec, WorkloadSpec};
 //!
 //! let program = WorkloadSpec::builder("demo", 3)
@@ -45,7 +45,9 @@
 //! let mut config = PinPointsConfig::default();
 //! config.slice_size = 1_000;
 //! config.simpoint.max_k = 10;
-//! let result = Pipeline::new(config).run(&program).unwrap();
+//! let result = Pipeline::new(config)
+//!     .run(&program, &RunOptions::default())
+//!     .unwrap();
 //! assert!(result.regional.len() >= 2);
 //! ```
 
@@ -66,7 +68,7 @@ pub mod stage_cache;
 pub use bench_result::BenchResult;
 pub use error::CoreError;
 pub use metrics::{AggregatedMetrics, RunMetrics};
-pub use pipeline::{PinPointsConfig, Pipeline, PipelineResult, Preflight};
+pub use pipeline::{PinPointsConfig, Pipeline, PipelineResult, Preflight, RunOptions};
 pub use plan::{plan_strategy, PlanReport};
 pub use runs::WarmupMode;
 pub use stage_cache::{MemoryStageCache, NoCache, StageCache};

@@ -3,6 +3,7 @@
 
 use crate::error::CoreError;
 use crate::metrics::RunMetrics;
+use crate::stage_cache::{profile_stage_key, NoCache, ProfileStage, StageCache};
 use sampsim_analyze::{
     lint_sampling_config, lint_soundness, Report, SamplingConfig, SoundnessInput,
 };
@@ -12,9 +13,7 @@ use sampsim_pin::engine;
 use sampsim_pin::tools::{BbvTool, CacheSim, LdStMix, MixCounts};
 use sampsim_pinball::{RegionalPinball, WarmupRecord, WholePinball};
 use sampsim_simpoint::bbv::Bbv;
-use sampsim_simpoint::{
-    RandomProjection, SimPoint, SimPointOptions, SimPointsResult, StrategyInput, StrategySpec,
-};
+use sampsim_simpoint::{SimPoint, SimPointOptions, SimPointsResult, StrategyInput, StrategySpec};
 use sampsim_workload::{Cursor, Executor, Program};
 use std::time::Instant;
 
@@ -112,6 +111,30 @@ impl Preflight {
     }
 }
 
+/// How [`Pipeline::run`] executes: worker count, profiling-stage cache and
+/// an optional already-computed preflight. The default is serial, uncached
+/// and self-linting.
+#[derive(Clone, Copy)]
+pub struct RunOptions<'a> {
+    /// Workers for the profiling pass and the k-means restarts.
+    pub jobs: Jobs,
+    /// Memoizes the profiling stage; [`NoCache`] disables caching.
+    pub stage_cache: &'a dyn StageCache,
+    /// A token from [`Pipeline::preflight_checked`] to skip the second
+    /// lint pass; `None` (or a token for other inputs) lints here.
+    pub preflight: Option<&'a Preflight>,
+}
+
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        Self {
+            jobs: sampsim_exec::SERIAL,
+            stage_cache: &NoCache,
+            preflight: None,
+        }
+    }
+}
+
 /// Runs the PinPoints flow over a program.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -131,75 +154,42 @@ impl Pipeline {
 
     /// Executes the profiling pass, clustering and checkpoint creation.
     ///
+    /// `options.jobs` shards the profiling pass and the k-means restarts;
+    /// the result is bit-identical for every job count (see
+    /// `docs/parallelism.md` for the argument and
+    /// `tests/parallel_differential.rs` for the proof).
+    ///
+    /// `options.stage_cache` memoizes the profiling stage (see
+    /// [`crate::stage_cache`]). On a hit the whole-program execution is
+    /// skipped and the stored BBVs, slice cursors and metrics are reused;
+    /// undecodable or mismatched entries fall back to a full recompute, so
+    /// a corrupt cache can cost time but never correctness.
+    ///
+    /// `options.preflight` reuses an already-computed [`Preflight`]: callers
+    /// that already ran the full lint pass to validate a request (the serve
+    /// daemon) hand the result back instead of paying for a second
+    /// identical pass. `None`, or a token minted for a *different* program
+    /// or configuration (detected by its key), runs the preflight here — a
+    /// stale token can cost time but never skip validation.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::Config`] when the configuration fails its lint
     /// pass (error-severity diagnostics only — warnings do not block the
     /// run), or [`CoreError::SimPoint`] when the program is too short to
     /// produce a single slice.
-    pub fn run(&self, program: &Program) -> Result<PipelineResult, CoreError> {
-        self.run_jobs(program, sampsim_exec::SERIAL)
-    }
-
-    /// [`Pipeline::run`] with the profiling pass sharded over `jobs`
-    /// workers. The result is bit-identical to the serial run for every
-    /// job count (see `docs/parallelism.md` for the argument and
-    /// `tests/parallel_differential.rs` for the proof).
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Pipeline::run`].
-    pub fn run_jobs(&self, program: &Program, jobs: Jobs) -> Result<PipelineResult, CoreError> {
-        self.run_jobs_cached(program, jobs, &crate::stage_cache::NoCache)
-    }
-
-    /// [`Pipeline::run_jobs`] with the profiling stage memoized through
-    /// `cache` (see [`crate::stage_cache`]). On a hit the whole-program
-    /// execution is skipped and the stored BBVs, slice cursors and metrics
-    /// are reused; undecodable or mismatched entries fall back to a full
-    /// recompute, so a corrupt cache can cost time but never correctness.
-    /// Every output is bit-identical to the uncached run.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Pipeline::run`].
-    pub fn run_jobs_cached(
+    pub fn run(
         &self,
         program: &Program,
-        jobs: Jobs,
-        cache: &dyn crate::stage_cache::StageCache,
+        options: &RunOptions<'_>,
     ) -> Result<PipelineResult, CoreError> {
-        let preflight = self.preflight_checked(program);
-        self.run_jobs_cached_preflighted(program, jobs, cache, &preflight)
-    }
-
-    /// [`Pipeline::run_jobs_cached`] reusing an already-computed
-    /// [`Preflight`]. This is the analysis-deduplication entry: callers
-    /// that already ran the full lint pass to validate a request (the
-    /// serve daemon, the CLI `run` path) hand the result back instead of
-    /// paying for a second identical pass inside the pipeline. A token
-    /// minted for a *different* program or configuration is detected by
-    /// its key and the preflight silently re-runs — a stale token can
-    /// cost time but never skip validation.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Pipeline::run`].
-    pub fn run_jobs_cached_preflighted(
-        &self,
-        program: &Program,
-        jobs: Jobs,
-        cache: &dyn crate::stage_cache::StageCache,
-        preflight: &Preflight,
-    ) -> Result<PipelineResult, CoreError> {
-        use crate::stage_cache::{profile_stage_key, ProfileStage};
-
         let fresh;
-        let preflight = if preflight.key == self.preflight_key(program) {
-            preflight
-        } else {
-            fresh = self.preflight_checked(program);
-            &fresh
+        let preflight = match options.preflight {
+            Some(token) if token.key == self.preflight_key(program) => token,
+            _ => {
+                fresh = self.preflight_checked(program);
+                &fresh
+            }
         };
         if preflight.report.has_errors() {
             return Err(CoreError::Config(
@@ -207,7 +197,8 @@ impl Pipeline {
             ));
         }
         let key = profile_stage_key(program, &self.config);
-        let cached = cache
+        let cached = options
+            .stage_cache
             .get(key)
             .filter(|bytes| ProfileStage::peek_matches(bytes, program, &self.config))
             .and_then(|bytes| ProfileStage::from_bytes(&bytes).ok())
@@ -215,35 +206,34 @@ impl Pipeline {
         let (bbvs, starts, whole_metrics) = match cached {
             Some(stage) => (stage.bbvs, stage.starts, stage.metrics),
             None => {
-                let (bbvs, starts, metrics) = self.profile_jobs(program, jobs);
+                let (bbvs, starts, metrics) = self.profile_jobs(program, options.jobs);
                 let stage = ProfileStage {
                     bbvs,
                     starts,
                     metrics,
                 };
-                cache.put(key, &stage.to_bytes());
+                options.stage_cache.put(key, &stage.to_bytes());
                 (stage.bbvs, stage.starts, stage.metrics)
             }
         };
         let num_slices = bbvs.len() as u64;
 
         // -- Region selection through the strategy trait. The `simpoint`
-        // strategy runs the exact code `SimPointAnalysis::run_jobs` always
-        // ran (k-means restarts fan out over the same workers); the
-        // differential suite pins this dispatch bit-identical to the
-        // pre-trait path.
+        // strategy runs `SimPointStrategy::analyze` (k-means restarts fan
+        // out over the same workers); the differential suite pins this
+        // dispatch bit-identical to calling `analyze` directly.
         let strategy = self.config.strategy.build(&self.config.simpoint);
         let selection = strategy.select(
             &StrategyInput {
                 bbvs: &bbvs,
                 slice_size: self.config.slice_size,
             },
-            jobs,
+            options.jobs,
         )?;
         let (simpoints, replicates) = selection.into_parts(self.config.slice_size);
 
         // -- Regional pinballs.
-        let regional = self.make_regionals(program, &simpoints, &starts);
+        let regional = self.regionals_for(program, &simpoints, &starts);
 
         Ok(PipelineResult {
             whole: WholePinball::capture(program),
@@ -290,7 +280,7 @@ impl Pipeline {
 
     /// Runs [`Pipeline::preflight`] and binds the result to this
     /// (program, configuration) pair. The returned token is what
-    /// [`Pipeline::run_jobs_cached_preflighted`] accepts; it cannot be
+    /// [`RunOptions::preflight`] accepts; it cannot be
     /// constructed any other way, so holding one proves the full lint
     /// pass ran.
     pub fn preflight_checked(&self, program: &Program) -> Preflight {
@@ -308,7 +298,13 @@ impl Pipeline {
         crate::stage_cache::response_key(program, &self.config)
     }
 
-    fn make_regionals(
+    /// Derives the regional pinballs for `simpoints`: one checkpoint per
+    /// point, with its weight and warmup records. [`Pipeline::run`] calls
+    /// this for its own selection; callers re-cluster a stored profile
+    /// (e.g. a different `MaxK`) and pass its result here without
+    /// re-running the profiling pass. `starts` must come from the same
+    /// program and slice size.
+    pub fn regionals_for(
         &self,
         program: &Program,
         simpoints: &SimPointsResult,
@@ -344,27 +340,11 @@ impl Pipeline {
             .collect()
     }
 
-    /// Re-derives regional pinballs for a different analysis result (e.g. a
-    /// different `MaxK`) without re-running the profiling pass. `starts`
-    /// must come from the same program and slice size.
-    pub fn regionals_for(
-        &self,
-        program: &Program,
-        simpoints: &SimPointsResult,
-        starts: &[Cursor],
-    ) -> Vec<RegionalPinball> {
-        self.make_regionals(program, simpoints, starts)
-    }
-
     /// Runs only the profiling pass — a single whole execution collecting
     /// per-slice BBVs, slice-boundary checkpoints, the `ldstmix` profile
-    /// and (when `profile_cache` is set) `allcache` statistics. The design
-    /// sweeps re-cluster this profile many ways without re-executing.
-    pub fn profile(&self, program: &Program) -> (Vec<Bbv>, Vec<Cursor>, RunMetrics) {
-        self.profile_jobs(program, sampsim_exec::SERIAL)
-    }
-
-    /// [`Pipeline::profile`] sharded over `jobs` workers.
+    /// and (when `profile_cache` is set) `allcache` statistics — sharded
+    /// over `jobs` workers. The design sweeps re-cluster this profile many
+    /// ways without re-executing.
     ///
     /// The slice range is split into one contiguous shard per worker. A
     /// serial prologue fast-forwards an untooled executor to capture each
@@ -409,13 +389,13 @@ impl Pipeline {
             tasks.push(ProfileTask::Cache);
         }
         let mut exec = Executor::new(program);
-        for (i, shard) in shards.iter().enumerate() {
+        for (i, &slices) in shards.iter().enumerate() {
             tasks.push(ProfileTask::Shard {
                 start: exec.cursor(),
-                slices: shard.count,
+                slices,
             });
             if i + 1 < shards.len() {
-                exec.skip(shard.count * slice);
+                exec.skip(slices * slice);
             }
         }
 
@@ -482,159 +462,6 @@ impl Pipeline {
         (bbvs, starts, metrics)
     }
 
-    /// The streaming profile: one profiling pass that projects each
-    /// slice's BBV to `simpoint.dim` dimensions *as it is harvested* and
-    /// discards the sparse BBV immediately, returning the flat row-major
-    /// projected matrix instead of the BBV set. Peak memory is
-    /// `O(num_slices * dim + distinct_blocks * dim)` — the full BBV set
-    /// (which dominates at large slice counts) is never materialized.
-    ///
-    /// The rows are **bit-identical** to
-    /// `RandomProjection::project_all_normalized(profile())`: each shard
-    /// worker owns a [`sampsim_simpoint::StreamingProjector`] (projection
-    /// matrix rows are a pure function of `(seed, block)`, so per-shard
-    /// row caches cannot diverge), per-BBV accumulation order is
-    /// unchanged, and shard outputs concatenate in slice order. The
-    /// differential suite pins this across seeds, benchmarks and job
-    /// counts.
-    pub fn profile_projected(&self, program: &Program) -> (Vec<f64>, Vec<Cursor>, RunMetrics) {
-        self.profile_projected_jobs(program, sampsim_exec::SERIAL)
-    }
-
-    /// [`Pipeline::profile_projected`] sharded over `jobs` workers; same
-    /// sharding scheme as [`Pipeline::profile_jobs`].
-    pub fn profile_projected_jobs(
-        &self,
-        program: &Program,
-        jobs: Jobs,
-    ) -> (Vec<f64>, Vec<Cursor>, RunMetrics) {
-        let slice = self.config.slice_size;
-        assert!(slice > 0, "slice size must be positive");
-        let started = Instant::now();
-        let o = &self.config.simpoint;
-        let projection = RandomProjection::new(o.dim, o.seed);
-        let num_slices = program.total_insts().div_ceil(slice);
-        let workers = jobs.get();
-        let shard_workers = if self.config.profile_cache.is_some() {
-            workers.saturating_sub(1).max(1)
-        } else {
-            workers
-        };
-        let num_shards = (shard_workers as u64).min(num_slices).max(1);
-        if workers <= 1 || num_shards <= 1 {
-            return self.profile_projected_serial(program, &projection, started);
-        }
-
-        let shards = shard_plan(num_slices, num_shards);
-        let mut tasks: Vec<ProfileTask> = Vec::with_capacity(shards.len() + 1);
-        if self.config.profile_cache.is_some() {
-            tasks.push(ProfileTask::Cache);
-        }
-        let mut exec = Executor::new(program);
-        for (i, shard) in shards.iter().enumerate() {
-            tasks.push(ProfileTask::Shard {
-                start: exec.cursor(),
-                slices: shard.count,
-            });
-            if i + 1 < shards.len() {
-                exec.skip(shard.count * slice);
-            }
-        }
-
-        let outputs = sampsim_exec::parallel_map(jobs, &tasks, |_, task| match task {
-            ProfileTask::Cache => {
-                let config = self
-                    .config
-                    .profile_cache
-                    .expect("cache task implies config");
-                let mut cs = CacheSim::new(config);
-                let mut exec = Executor::new(program);
-                engine::run_one(&mut exec, u64::MAX, &mut cs);
-                ProjectedOutput::Cache(cs.stats())
-            }
-            ProfileTask::Shard { start, slices } => {
-                let mut exec = Executor::with_cursor(program, start.clone());
-                let mut tools = (BbvTool::new(program.blocks().len()), LdStMix::new());
-                let mut projector = projection.streaming();
-                let mut starts = Vec::with_capacity(*slices as usize);
-                let ran =
-                    engine::run_slices(&mut exec, slice, *slices, &mut tools, |t, start, _| {
-                        starts.push(start);
-                        // Project-and-drop: the sparse BBV lives only for
-                        // this call.
-                        projector.push_normalized(&Bbv::from_counts(t.0.harvest()));
-                    });
-                ProjectedOutput::Shard {
-                    rows: projector.into_rows(),
-                    starts,
-                    mix: *tools.1.counts(),
-                    ran,
-                }
-            }
-        });
-
-        let mut rows = Vec::with_capacity(num_slices as usize * o.dim);
-        let mut starts = Vec::with_capacity(num_slices as usize);
-        let mut mix_total = MixCounts::new();
-        let mut instructions = 0u64;
-        let mut cache_stats: Option<HierarchyStats> = None;
-        for out in outputs {
-            match out {
-                ProjectedOutput::Cache(stats) => cache_stats = Some(stats),
-                ProjectedOutput::Shard {
-                    rows: r,
-                    starts: s,
-                    mix,
-                    ran,
-                } => {
-                    rows.extend_from_slice(&r);
-                    starts.extend(s);
-                    mix_total.merge(&mix);
-                    instructions += ran;
-                }
-            }
-        }
-        let metrics = RunMetrics {
-            instructions,
-            mix: mix_total,
-            cache: cache_stats,
-            timing: None,
-            wall_seconds: started.elapsed().as_secs_f64(),
-        };
-        (rows, starts, metrics)
-    }
-
-    /// Single-threaded streaming profile (the reference semantics of
-    /// [`Pipeline::profile_projected_jobs`]).
-    fn profile_projected_serial(
-        &self,
-        program: &Program,
-        projection: &RandomProjection,
-        started: Instant,
-    ) -> (Vec<f64>, Vec<Cursor>, RunMetrics) {
-        let slice = self.config.slice_size;
-        let mut exec = Executor::new(program);
-        let mut tools = (
-            BbvTool::new(program.blocks().len()),
-            LdStMix::new(),
-            self.config.profile_cache.map(CacheSim::new),
-        );
-        let mut projector = projection.streaming();
-        let mut starts = Vec::new();
-        engine::run_slices(&mut exec, slice, u64::MAX, &mut tools, |t, start, _| {
-            starts.push(start);
-            projector.push_normalized(&Bbv::from_counts(t.0.harvest()));
-        });
-        let metrics = RunMetrics {
-            instructions: exec.retired(),
-            mix: *tools.1.counts(),
-            cache: tools.2.map(|c| c.stats()),
-            timing: None,
-            wall_seconds: started.elapsed().as_secs_f64(),
-        };
-        (projector.into_rows(), starts, metrics)
-    }
-
     /// The single-threaded profiling pass (the reference semantics every
     /// sharded run must reproduce bit-for-bit).
     fn profile_serial(
@@ -686,34 +513,15 @@ enum ProfileOutput {
     },
 }
 
-/// The result of one [`ProfileTask`] on the streaming projected path:
-/// projected rows instead of retained BBVs.
-enum ProjectedOutput {
-    Cache(HierarchyStats),
-    Shard {
-        rows: Vec<f64>,
-        starts: Vec<Cursor>,
-        mix: MixCounts,
-        ran: u64,
-    },
-}
-
-/// A contiguous range of slices owned by one shard.
-struct Shard {
-    count: u64,
-}
-
 /// Splits `num_slices` into `num_shards` contiguous, non-empty, nearly
-/// equal ranges (the first `num_slices % num_shards` shards take one
-/// extra slice).
-fn shard_plan(num_slices: u64, num_shards: u64) -> Vec<Shard> {
+/// equal ranges and returns each range's slice count (the first
+/// `num_slices % num_shards` shards take one extra slice).
+fn shard_plan(num_slices: u64, num_shards: u64) -> Vec<u64> {
     debug_assert!(num_shards >= 1 && num_shards <= num_slices);
     let base = num_slices / num_shards;
     let extra = num_slices % num_shards;
     (0..num_shards)
-        .map(|i| Shard {
-            count: base + u64::from(i < extra),
-        })
+        .map(|i| base + u64::from(i < extra))
         .collect()
 }
 
@@ -814,7 +622,9 @@ mod tests {
     #[test]
     fn pipeline_end_to_end() {
         let p = program();
-        let r = Pipeline::new(config()).run(&p).unwrap();
+        let r = Pipeline::new(config())
+            .run(&p, &RunOptions::default())
+            .unwrap();
         assert_eq!(r.num_slices, p.total_insts().div_ceil(1_000));
         assert_eq!(r.whole_metrics.instructions, p.total_insts());
         assert_eq!(r.whole.length, p.total_insts());
@@ -832,7 +642,9 @@ mod tests {
     #[test]
     fn warmup_chunks_attached_except_at_program_start() {
         let p = program();
-        let r = Pipeline::new(config()).run(&p).unwrap();
+        let r = Pipeline::new(config())
+            .run(&p, &RunOptions::default())
+            .unwrap();
         for pb in &r.regional {
             if pb.slice_index == 0 {
                 assert!(pb.warmup.is_empty(), "slice 0 has no predecessors");
@@ -866,7 +678,7 @@ mod tests {
         let p = program();
         let mut cfg = config();
         cfg.profile_cache = Some(configs::allcache_table1());
-        let r = Pipeline::new(cfg).run(&p).unwrap();
+        let r = Pipeline::new(cfg).run(&p, &RunOptions::default()).unwrap();
         let cache = r.whole_metrics.cache.unwrap();
         assert_eq!(cache.l1i.accesses, p.total_insts());
         assert!(cache.l1d.accesses > 0);
@@ -876,7 +688,7 @@ mod tests {
     fn profile_matches_run_bbv_count() {
         let p = program();
         let pipe = Pipeline::new(config());
-        let (bbvs, starts, metrics) = pipe.profile(&p);
+        let (bbvs, starts, metrics) = pipe.profile_jobs(&p, sampsim_exec::SERIAL);
         let expected = p.total_insts().div_ceil(1_000) as usize;
         assert_eq!(bbvs.len(), expected);
         assert_eq!(starts.len(), expected);
@@ -888,33 +700,14 @@ mod tests {
     }
 
     #[test]
-    fn projected_profile_matches_materialized_path_bitwise() {
-        let p = program();
-        let pipe = Pipeline::new(config());
-        let (bbvs, starts, metrics) = pipe.profile(&p);
-        let o = pipe.config().simpoint;
-        let oracle = RandomProjection::new(o.dim, o.seed).project_all_normalized(&bbvs);
-        for jobs in [
-            sampsim_exec::SERIAL,
-            Jobs::new(2).unwrap(),
-            Jobs::new(3).unwrap(),
-        ] {
-            let (rows, s2, m2) = pipe.profile_projected_jobs(&p, jobs);
-            assert_eq!(rows.len(), oracle.len(), "jobs={jobs}");
-            for (i, (a, b)) in rows.iter().zip(&oracle).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "jobs={jobs} value {i}");
-            }
-            assert_eq!(s2, starts, "jobs={jobs}");
-            assert_eq!(m2.instructions, metrics.instructions, "jobs={jobs}");
-            assert_eq!(m2.mix, metrics.mix, "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn deterministic_pipeline() {
         let p = program();
-        let a = Pipeline::new(config()).run(&p).unwrap();
-        let b = Pipeline::new(config()).run(&p).unwrap();
+        let a = Pipeline::new(config())
+            .run(&p, &RunOptions::default())
+            .unwrap();
+        let b = Pipeline::new(config())
+            .run(&p, &RunOptions::default())
+            .unwrap();
         assert_eq!(a.simpoints, b.simpoints);
         assert_eq!(a.regional, b.regional);
     }
@@ -938,7 +731,7 @@ mod tests {
             profile_cache: None,
             strategy: StrategySpec::SimPoint,
         };
-        let r = Pipeline::new(cfg).run(&p).unwrap();
+        let r = Pipeline::new(cfg).run(&p, &RunOptions::default()).unwrap();
         assert_eq!(r.num_slices, 1);
         assert_eq!(r.regional.len(), 1);
         let pb = &r.regional[0];
@@ -971,16 +764,20 @@ mod tests {
         cfg.strategy =
             StrategySpec::parse_spec("rss:set_size=30,replicates=1").expect("valid spec");
         let pipe = Pipeline::new(cfg);
-        assert!(matches!(pipe.run(&p), Err(CoreError::Config(_))));
+        assert!(matches!(
+            pipe.run(&p, &RunOptions::default()),
+            Err(CoreError::Config(_))
+        ));
         let forged = Preflight {
             report: Report::new(),
             key: pipe.preflight_key(&p),
         };
-        let r = pipe.run_jobs_cached_preflighted(
+        let r = pipe.run(
             &p,
-            sampsim_exec::SERIAL,
-            &crate::stage_cache::NoCache,
-            &forged,
+            &RunOptions {
+                preflight: Some(&forged),
+                ..Default::default()
+            },
         );
         assert!(r.is_ok(), "{:?}", r.err());
     }
@@ -996,11 +793,12 @@ mod tests {
         let mut bad_cfg = config();
         bad_cfg.simpoint.bic_threshold = 1.5;
         let bad = Pipeline::new(bad_cfg);
-        let r = bad.run_jobs_cached_preflighted(
+        let r = bad.run(
             &p,
-            sampsim_exec::SERIAL,
-            &crate::stage_cache::NoCache,
-            &token,
+            &RunOptions {
+                preflight: Some(&token),
+                ..Default::default()
+            },
         );
         assert!(matches!(r, Err(CoreError::Config(_))));
     }
@@ -1016,7 +814,7 @@ mod tests {
         let pipe = Pipeline::new(cfg);
         let report = pipe.preflight(&p);
         assert!(report.fired(Rule::InsufficientReplicates));
-        match pipe.run(&p) {
+        match pipe.run(&p, &RunOptions::default()) {
             Err(CoreError::Config(diags)) => {
                 assert!(diags.iter().any(|d| d.rule == Rule::InsufficientReplicates));
             }
@@ -1027,14 +825,14 @@ mod tests {
         cfg.strategy = StrategySpec::parse_spec("rss:set_size=30,replicates=2").unwrap();
         let pipe = Pipeline::new(cfg);
         assert!(!pipe.preflight(&p).fired(Rule::InsufficientReplicates));
-        assert!(pipe.run(&p).is_ok());
+        assert!(pipe.run(&p, &RunOptions::default()).is_ok());
         // Warning-severity soundness findings surface in the report but
         // do not block: MaxK 10 yields 10 < 30 samples (SA140).
         let pipe = Pipeline::new(config());
         let report = pipe.preflight(&p);
         assert!(report.fired(Rule::SampleBelowClt));
         assert!(!report.has_errors());
-        assert!(pipe.run(&p).is_ok());
+        assert!(pipe.run(&p, &RunOptions::default()).is_ok());
     }
 
     #[test]
@@ -1044,7 +842,7 @@ mod tests {
         // warmup records and still replay under every warmup mode.
         let p = program();
         let pipe = Pipeline::new(config());
-        let (bbvs, starts, _) = pipe.profile(&p);
+        let (bbvs, starts, _) = pipe.profile_jobs(&p, sampsim_exec::SERIAL);
         let n = bbvs.len();
         assert!(warmup_chunks(0, 0, &vec![0; n], &starts, 1_000, 3).is_empty());
         let simpoints = SimPointsResult {

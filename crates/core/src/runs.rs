@@ -99,22 +99,8 @@ pub fn run_region_functional(
 }
 
 /// Replays every regional pinball individually (fresh state per region,
-/// exactly as the paper executes them) and pairs each result with its
-/// weight.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Pinball`] on a program mismatch.
-pub fn run_regions_functional(
-    program: &Program,
-    pinballs: &[RegionalPinball],
-    cache: HierarchyConfig,
-    warmup: WarmupMode,
-) -> Result<Vec<(RunMetrics, f64)>, CoreError> {
-    run_regions_functional_jobs(program, pinballs, cache, warmup, sampsim_exec::SERIAL)
-}
-
-/// [`run_regions_functional`] fanned out over `jobs` workers.
+/// exactly as the paper executes them) over `jobs` workers and pairs each
+/// result with its weight.
 ///
 /// Regions are mutually independent — each replay builds a private cache
 /// hierarchy from its own pinball — so this is bit-identical to the
@@ -201,30 +187,9 @@ pub fn run_region_timing(
     })
 }
 
-/// Replays every regional pinball inside the timing model.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Pinball`] on a program mismatch.
-pub fn run_regions_timing(
-    program: &Program,
-    pinballs: &[RegionalPinball],
-    core: CoreConfig,
-    hierarchy: HierarchyConfig,
-    warmup: WarmupMode,
-) -> Result<Vec<(RunMetrics, f64)>, CoreError> {
-    run_regions_timing_jobs(
-        program,
-        pinballs,
-        core,
-        hierarchy,
-        warmup,
-        sampsim_exec::SERIAL,
-    )
-}
-
-/// [`run_regions_timing`] fanned out over `jobs` workers; see
-/// [`run_regions_functional_jobs`] for the determinism argument.
+/// Replays every regional pinball inside the timing model over `jobs`
+/// workers; see [`run_regions_functional_jobs`] for the determinism
+/// argument.
 ///
 /// # Errors
 ///
@@ -249,7 +214,7 @@ pub fn run_regions_timing_jobs(
 mod tests {
     use super::*;
     use crate::metrics::aggregate_weighted;
-    use crate::pipeline::{PinPointsConfig, Pipeline};
+    use crate::pipeline::{PinPointsConfig, Pipeline, RunOptions};
     use sampsim_cache::configs;
     use sampsim_simpoint::SimPointOptions;
     use sampsim_workload::spec::{InterleaveSpec, PhaseSpec, WorkloadSpec};
@@ -279,7 +244,7 @@ mod tests {
             profile_cache: None,
             ..Default::default()
         })
-        .run(p)
+        .run(p, &RunOptions::default())
         .unwrap()
     }
 
@@ -288,11 +253,12 @@ mod tests {
         let p = program();
         let r = pipeline_result(&p);
         let whole = run_whole_functional(&p, configs::allcache_table1());
-        let regions = run_regions_functional(
+        let regions = run_regions_functional_jobs(
             &p,
             &r.regional,
             configs::allcache_table1(),
             WarmupMode::None,
+            sampsim_exec::SERIAL,
         )
         .unwrap();
         let agg = aggregate_weighted(&regions);
@@ -310,18 +276,20 @@ mod tests {
         let r = pipeline_result(&p);
         let whole = run_whole_functional(&p, configs::allcache_table1());
         let whole_l3 = whole.cache.as_ref().unwrap().l3.miss_rate_pct();
-        let cold = run_regions_functional(
+        let cold = run_regions_functional_jobs(
             &p,
             &r.regional,
             configs::allcache_table1(),
             WarmupMode::None,
+            sampsim_exec::SERIAL,
         )
         .unwrap();
-        let warm = run_regions_functional(
+        let warm = run_regions_functional_jobs(
             &p,
             &r.regional,
             configs::allcache_table1(),
             WarmupMode::Checkpointed,
+            sampsim_exec::SERIAL,
         )
         .unwrap();
         let cold_l3 = aggregate_weighted(&cold).miss_rates.unwrap().l3;
@@ -366,15 +334,16 @@ mod tests {
             profile_cache: None,
             ..Default::default()
         })
-        .run(&p)
+        .run(&p, &RunOptions::default())
         .unwrap();
         let whole = run_whole_timing(&p, CoreConfig::table3(), configs::i7_table3());
-        let regions = run_regions_timing(
+        let regions = run_regions_timing_jobs(
             &p,
             &r.regional,
             CoreConfig::table3(),
             configs::i7_table3(),
             WarmupMode::Checkpointed,
+            sampsim_exec::SERIAL,
         )
         .unwrap();
         let agg = aggregate_weighted(&regions);
@@ -387,12 +356,13 @@ mod tests {
         );
         // And warmup must beat cold regions.
         let cold = aggregate_weighted(
-            &run_regions_timing(
+            &run_regions_timing_jobs(
                 &p,
                 &r.regional,
                 CoreConfig::table3(),
                 configs::i7_table3(),
                 WarmupMode::None,
+                sampsim_exec::SERIAL,
             )
             .unwrap(),
         );

@@ -177,7 +177,7 @@ fn write_profile_inputs(h: &mut Fnv64, program: &Program, config: &PinPointsConf
 
 /// Cache key for the profiling stage of `program` under `config`.
 ///
-/// Covers everything `Pipeline::profile` reads — and deliberately nothing
+/// Covers everything `Pipeline::profile_jobs` reads — and deliberately nothing
 /// more, so clustering-only config changes still hit.
 pub fn profile_stage_key(program: &Program, config: &PinPointsConfig) -> u64 {
     let mut h = Fnv64::new();
@@ -282,7 +282,7 @@ impl ProfileStage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Pipeline;
+    use crate::pipeline::{Pipeline, RunOptions};
     use sampsim_cache::configs;
     use sampsim_simpoint::SimPointOptions;
     use sampsim_workload::spec::{PhaseSpec, WorkloadSpec};
@@ -312,7 +312,8 @@ mod tests {
     #[test]
     fn profile_stage_roundtrip() {
         let p = program();
-        let (bbvs, starts, metrics) = Pipeline::new(config()).profile(&p);
+        let (bbvs, starts, metrics) =
+            Pipeline::new(config()).profile_jobs(&p, sampsim_exec::SERIAL);
         let stage = ProfileStage {
             bbvs,
             starts,
@@ -343,7 +344,8 @@ mod tests {
         assert!(ProfileStage::from_bytes(b"not a profile stage").is_err());
         // Truncation.
         let p = program();
-        let (bbvs, starts, metrics) = Pipeline::new(config()).profile(&p);
+        let (bbvs, starts, metrics) =
+            Pipeline::new(config()).profile_jobs(&p, sampsim_exec::SERIAL);
         let bytes = ProfileStage {
             bbvs,
             starts,
@@ -442,23 +444,35 @@ mod tests {
 
     #[test]
     fn cached_run_is_deterministically_equal_to_cold_run() {
+        // Every combination of the three `RunOptions` fields: job count,
+        // stage cache (cold then warm) and a preflight token.
         let p = program();
-        let cache = MemoryStageCache::new();
         let pipe = Pipeline::new(config());
-        let cold = pipe
-            .run_jobs_cached(&p, sampsim_exec::SERIAL, &cache)
-            .unwrap();
-        assert_eq!(cache.hits(), 0);
-        let warm = pipe
-            .run_jobs_cached(&p, sampsim_exec::SERIAL, &cache)
-            .unwrap();
-        assert_eq!(cache.hits(), 1);
-        let plain = pipe.run(&p).unwrap();
-        for r in [&warm, &plain] {
-            assert!(cold.whole_metrics.deterministic_eq(&r.whole_metrics));
-            assert_eq!(cold.simpoints, r.simpoints);
-            assert_eq!(cold.regional, r.regional);
-            assert_eq!(cold.num_slices, r.num_slices);
+        let plain = pipe.run(&p, &RunOptions::default()).unwrap();
+        let token = pipe.preflight_checked(&p);
+        for jobs in [sampsim_exec::SERIAL, sampsim_exec::Jobs::new(2).unwrap()] {
+            for preflight in [None, Some(&token)] {
+                let cache = MemoryStageCache::new();
+                let options = RunOptions {
+                    jobs,
+                    stage_cache: &cache,
+                    preflight,
+                };
+                let cold = pipe.run(&p, &options).unwrap();
+                assert_eq!(cache.hits(), 0);
+                let warm = pipe.run(&p, &options).unwrap();
+                assert_eq!(cache.hits(), 1);
+                for r in [&cold, &warm] {
+                    let case = format!("jobs={jobs} preflight={}", preflight.is_some());
+                    assert!(
+                        plain.whole_metrics.deterministic_eq(&r.whole_metrics),
+                        "{case}"
+                    );
+                    assert_eq!(plain.simpoints, r.simpoints, "{case}");
+                    assert_eq!(plain.regional, r.regional, "{case}");
+                    assert_eq!(plain.num_slices, r.num_slices, "{case}");
+                }
+            }
         }
     }
 }

@@ -15,8 +15,8 @@
 //! pre-optimization [`sampsim_cache::ReferenceCache`]
 //! (`cache_access_rw_reference`), with hit counters asserted identical.
 //! And a *scaling* section sweeps a synthetic slices × MaxK grid (up to
-//! a million slices) through the streaming projection + mini-batch
-//! clustering path, asserting along the way that the streamed footprint
+//! a million slices) through row-by-row projection into the mini-batch
+//! clustering kernel, asserting along the way that the streamed footprint
 //! stays bounded by the batch size — peak-RSS deltas are measured from
 //! `/proc/self/status` and must not approach what the materialized path
 //! would need ([`sampsim_analyze::materialized_bytes_estimate`]).
@@ -271,7 +271,7 @@ pub fn prepare_input(options: &PerfOptions) -> Result<PerfInput, PerfError> {
         slice_size: options.scale.apply(full_slice).max(1),
         ..PinPointsConfig::default()
     };
-    let (bbvs, _, _) = Pipeline::new(config).profile(&program);
+    let (bbvs, _, _) = Pipeline::new(config).profile_jobs(&program, sampsim_exec::SERIAL);
     let sp = SimPointOptions::default();
     // Quick mode sweeps a few small k's as a smoke test; measurement mode
     // runs the restart sweep at MaxK itself, where the paper's pipeline

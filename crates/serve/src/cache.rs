@@ -138,7 +138,9 @@ impl TieredCache {
                     ));
                 }
                 Ok(_) => {}
-                Err(_) => fs::write(&stamp, stamp_contents())?,
+                // Through temp file + rename, so a concurrent opener reads
+                // no stamp or the whole stamp — never a partial one.
+                Err(_) => write_atomic(dir, STAMP_FILE, stamp_contents().as_bytes())?,
             }
         }
         Ok(Self {
@@ -173,8 +175,7 @@ impl TieredCache {
             .unwrap()
             .put(key, SharedBytes::from(bytes));
         if let Some(dir) = &self.disk {
-            let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
-            let _ = write_entry(dir, key, bytes, seq);
+            let _ = write_entry(dir, key, bytes);
         }
     }
 
@@ -199,18 +200,30 @@ impl StageCache for TieredCache {
 }
 
 fn entry_path(dir: &Path, key: u64) -> PathBuf {
-    dir.join(format!("{key:016x}.bin"))
+    dir.join(entry_name(key))
 }
 
-fn write_entry(dir: &Path, key: u64, bytes: &[u8], seq: u64) -> std::io::Result<()> {
+fn entry_name(key: u64) -> String {
+    format!("{key:016x}.bin")
+}
+
+fn write_entry(dir: &Path, key: u64, bytes: &[u8]) -> std::io::Result<()> {
     let mut enc = Encoder::with_header(ENTRY_MAGIC, ENTRY_VERSION);
     enc.put_u64(key);
     enc.put_u64(bytes.len() as u64);
     enc.put_bytes(bytes);
     enc.put_u64(fnv64(bytes));
-    let tmp = dir.join(format!(".{key:016x}.{}.{seq}.tmp", std::process::id()));
-    fs::write(&tmp, enc.into_bytes())?;
-    let result = fs::rename(&tmp, entry_path(dir, key));
+    write_atomic(dir, &entry_name(key), &enc.into_bytes())
+}
+
+/// Writes `dir/name` through a uniquely named temp file and a rename, so
+/// readers see the previous file or the complete new one, never a torn
+/// write.
+fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{name}.{}.{seq}.tmp", std::process::id()));
+    fs::write(&tmp, bytes)?;
+    let result = fs::rename(&tmp, dir.join(name));
     if result.is_err() {
         let _ = fs::remove_file(&tmp);
     }

@@ -10,7 +10,7 @@ use crate::protocol;
 use sampsim_analyze::Diagnostic;
 use sampsim_cache::configs;
 use sampsim_core::metrics::{aggregate_weighted, whole_as_aggregate, AggregatedMetrics};
-use sampsim_core::pipeline::{PinPointsConfig, Pipeline, PipelineResult, Preflight};
+use sampsim_core::pipeline::{PinPointsConfig, Pipeline, PipelineResult, Preflight, RunOptions};
 use sampsim_core::runs::{self, WarmupMode};
 use sampsim_core::stage_cache::{response_key, StageCache};
 use sampsim_core::CoreError;
@@ -261,11 +261,13 @@ pub fn execute_prepared(
     jobs: Jobs,
     cache: &dyn StageCache,
 ) -> Result<String, ServiceError> {
-    let result = Pipeline::new(prepared.config.clone()).run_jobs_cached_preflighted(
+    let result = Pipeline::new(prepared.config.clone()).run(
         &prepared.program,
-        jobs,
-        cache,
-        &prepared.preflight,
+        &RunOptions {
+            jobs,
+            stage_cache: cache,
+            preflight: Some(&prepared.preflight),
+        },
     )?;
     let regions = runs::run_regions_functional_jobs(
         &prepared.program,

@@ -1,11 +1,9 @@
-//! The end-to-end SimPoint analysis driver.
+//! SimPoint analysis options, errors and results. The algorithm itself is
+//! [`crate::SimPointStrategy::analyze`].
 
-use crate::bbv::Bbv;
 use crate::kmeans::{KmeansError, KmeansMode};
 use crate::project::DEFAULT_DIM;
 use crate::select::SimPoint;
-use crate::strategy::SimPointStrategy;
-use sampsim_exec::{Jobs, SERIAL};
 use std::fmt;
 
 /// Tuning knobs of the analysis.
@@ -30,7 +28,7 @@ pub struct SimPointOptions {
     pub sample_size: usize,
     /// Clustering kernel: full Lloyd (default, bit-identical to the
     /// reference oracle) or deterministic mini-batch (tolerance-pinned,
-    /// streaming working set).
+    /// k-means state bounded by the batch size).
     pub kmeans_mode: KmeansMode,
 }
 
@@ -108,59 +106,16 @@ impl SimPointsResult {
     }
 }
 
-/// Runs projection → per-`k` clustering → BIC selection → representative
-/// selection.
-#[derive(Debug, Clone)]
-pub struct SimPointAnalysis {
-    options: SimPointOptions,
-}
-
-impl SimPointAnalysis {
-    /// Creates an analysis with the given options.
-    pub fn new(options: SimPointOptions) -> Self {
-        Self { options }
-    }
-
-    /// The options in use.
-    pub fn options(&self) -> &SimPointOptions {
-        &self.options
-    }
-
-    /// Analyzes one program's slice BBVs (raw counts; normalization happens
-    /// internally). `slice_size` is recorded for provenance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimPointError::NoSlices`] when `bbvs` is empty.
-    pub fn run(&self, bbvs: &[Bbv], slice_size: u64) -> Result<SimPointsResult, SimPointError> {
-        self.run_jobs(bbvs, slice_size, SERIAL)
-    }
-
-    /// [`SimPointAnalysis::run`] with the k-means restarts fanned out over
-    /// `jobs` workers. The job count changes wall-clock time only — the
-    /// restart winner is selected deterministically, so the result is
-    /// bit-identical to the serial run.
-    ///
-    /// This is a thin wrapper over [`SimPointStrategy::analyze`], where the
-    /// algorithm lives since the strategy refactor; the differential suite
-    /// pins the two entry points bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimPointError::NoSlices`] when `bbvs` is empty.
-    pub fn run_jobs(
-        &self,
-        bbvs: &[Bbv],
-        slice_size: u64,
-        jobs: Jobs,
-    ) -> Result<SimPointsResult, SimPointError> {
-        SimPointStrategy::new(self.options).analyze(bbvs, slice_size, jobs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bbv::Bbv;
+    use crate::strategy::SimPointStrategy;
+    use sampsim_exec::SERIAL;
+
+    fn analyze(opts: SimPointOptions, bbvs: &[Bbv]) -> Result<SimPointsResult, SimPointError> {
+        SimPointStrategy::new(opts).analyze(bbvs, 1000, SERIAL)
+    }
 
     /// `n_phases` behaviours, `per` slices each, interleaved round-robin,
     /// with mild per-slice noise.
@@ -184,9 +139,7 @@ mod tests {
     #[test]
     fn recovers_phase_count() {
         let bbvs = synthetic_bbvs(5, 40);
-        let r = SimPointAnalysis::new(SimPointOptions::default())
-            .run(&bbvs, 1000)
-            .unwrap();
+        let r = analyze(SimPointOptions::default(), &bbvs).unwrap();
         // BIC creeps up slowly past the true phase count (noise gets
         // subdivided), so the threshold rule may land a few clusters above
         // 5 — exactly like the real SimPoint tool. Assert the chosen k is
@@ -219,9 +172,7 @@ mod tests {
             let phase = if i % 3 < 2 { 0u32 } else { 40 };
             bbvs.push(Bbv::from_counts(vec![(phase, 1000), (phase + 1, 100)]));
         }
-        let r = SimPointAnalysis::new(SimPointOptions::default())
-            .run(&bbvs, 1000)
-            .unwrap();
+        let r = analyze(SimPointOptions::default(), &bbvs).unwrap();
         assert_eq!(r.k, 2, "scores {:?}", r.bic_scores);
         let max_w = r
             .points
@@ -233,9 +184,7 @@ mod tests {
 
     #[test]
     fn empty_input_errors() {
-        let err = SimPointAnalysis::new(SimPointOptions::default())
-            .run(&[], 1000)
-            .unwrap_err();
+        let err = analyze(SimPointOptions::default(), &[]).unwrap_err();
         assert_eq!(err, SimPointError::NoSlices);
         assert!(!err.to_string().is_empty());
     }
@@ -243,9 +192,7 @@ mod tests {
     #[test]
     fn single_slice_is_one_point() {
         let bbvs = vec![Bbv::from_counts(vec![(0, 100)])];
-        let r = SimPointAnalysis::new(SimPointOptions::default())
-            .run(&bbvs, 1000)
-            .unwrap();
+        let r = analyze(SimPointOptions::default(), &bbvs).unwrap();
         assert_eq!(r.k, 1);
         assert_eq!(r.points.len(), 1);
         assert_eq!(r.points[0].weight, 1.0);
@@ -258,25 +205,19 @@ mod tests {
             max_k: 3,
             ..Default::default()
         };
-        let r = SimPointAnalysis::new(opts).run(&bbvs, 1000).unwrap();
+        let r = analyze(opts, &bbvs).unwrap();
         assert!(r.k <= 3);
         // Forcing too few clusters raises the intra-cluster variance
         // (Fig. 4's phenomenon).
-        let full = SimPointAnalysis::new(SimPointOptions::default())
-            .run(&bbvs, 1000)
-            .unwrap();
+        let full = analyze(SimPointOptions::default(), &bbvs).unwrap();
         assert!(r.avg_variance > full.avg_variance);
     }
 
     #[test]
     fn deterministic() {
         let bbvs = synthetic_bbvs(4, 30);
-        let a = SimPointAnalysis::new(SimPointOptions::default())
-            .run(&bbvs, 1000)
-            .unwrap();
-        let b = SimPointAnalysis::new(SimPointOptions::default())
-            .run(&bbvs, 1000)
-            .unwrap();
+        let a = analyze(SimPointOptions::default(), &bbvs).unwrap();
+        let b = analyze(SimPointOptions::default(), &bbvs).unwrap();
         assert_eq!(a, b);
     }
 
@@ -287,7 +228,7 @@ mod tests {
             sample_size: 200,
             ..Default::default()
         };
-        let r = SimPointAnalysis::new(opts).run(&bbvs, 1000).unwrap();
+        let r = analyze(opts, &bbvs).unwrap();
         assert!((3..=9).contains(&r.k), "k = {}", r.k);
         assert_eq!(r.assignments.len(), 900, "final clustering uses all slices");
     }

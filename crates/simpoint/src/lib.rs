@@ -18,7 +18,7 @@
 //!    percentile](select::reduce_to_percentile) (the paper's "Reduced
 //!    Regional Run" keeps the 90th percentile).
 //!
-//! [`SimPointAnalysis`] runs steps 2–5 end-to-end; [`variance`] provides
+//! [`SimPointStrategy::analyze`] runs steps 2–5 end-to-end; [`variance`] provides
 //! the per-`k` intra-cluster variance sweep behind Fig. 4, and
 //! [`baselines`] implements periodic/random samplers used as comparison
 //! points in the ablation benches.
@@ -26,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use sampsim_simpoint::{bbv::Bbv, SimPointAnalysis, SimPointOptions};
+//! use sampsim_simpoint::{bbv::Bbv, SimPointOptions, SimPointStrategy};
 //!
 //! // Two obviously different behaviours, five slices each.
 //! let mut bbvs = Vec::new();
@@ -34,8 +34,8 @@
 //!     let block = if i % 2 == 0 { 0 } else { 50 };
 //!     bbvs.push(Bbv::from_counts(vec![(block, 100)]));
 //! }
-//! let result = SimPointAnalysis::new(SimPointOptions::default())
-//!     .run(&bbvs, 100)
+//! let result = SimPointStrategy::new(SimPointOptions::default())
+//!     .analyze(&bbvs, 100, sampsim_exec::SERIAL)
 //!     .unwrap();
 //! assert_eq!(result.k, 2);
 //! let total_weight: f64 = result.points.iter().map(|p| p.weight).sum();
@@ -58,13 +58,13 @@ pub mod vli;
 
 mod analysis;
 
-pub use analysis::{SimPointAnalysis, SimPointError, SimPointOptions, SimPointsResult};
+pub use analysis::{SimPointError, SimPointOptions, SimPointsResult};
 pub use kmeans::{
     kmeans, kmeans_best_of, kmeans_best_of_jobs, kmeans_best_of_reference, kmeans_minibatch,
     kmeans_reference, KmeansError, KmeansMode, KmeansResult, MiniBatchKmeans, MINIBATCH_BATCH,
     MINIBATCH_PASSES,
 };
-pub use project::{RandomProjection, StreamingProjector};
+pub use project::RandomProjection;
 pub use select::SimPoint;
 pub use strategy::{
     Rss, RssOptions, SamplePlan, SamplingStrategy, Selection, SimPointStrategy, StrategyInput,

@@ -138,16 +138,6 @@ impl RandomProjection {
         out
     }
 
-    /// Creates a streaming projector sharing this projection's matrix.
-    pub fn streaming(&self) -> StreamingProjector {
-        StreamingProjector {
-            projection: self.clone(),
-            cache: RowCache::new(self.dim),
-            rows: Vec::new(),
-            count: 0,
-        }
-    }
-
     /// Dense-walk reference projection for one BBV: materializes the full
     /// dense vector up to `num_blocks` and multiplies every block —
     /// present or not — through the matrix. The zero blocks contribute
@@ -171,94 +161,6 @@ impl RandomProjection {
             }
         }
         out
-    }
-}
-
-/// Streaming counterpart of [`RandomProjection::project_all_normalized`]:
-/// BBVs are pushed one at a time — as a profiling shard produces them —
-/// and only their `dim`-dimensional projections are retained, so peak
-/// memory is `O(slices * dim + distinct_blocks * dim)` instead of holding
-/// every sparse BBV alive until a batch call.
-///
-/// Bit-identity: `push_normalized` performs exactly the per-BBV operations
-/// of the batch path — the same `value / norm` then `out[j] += value *
-/// row[j]` accumulation in entry order, with matrix rows that are a pure
-/// function of `(seed, block)` — so the concatenated rows equal
-/// [`RandomProjection::project_all_normalized`] bit-for-bit regardless of
-/// how BBVs are split across projectors (see the pipeline differential
-/// tests).
-#[derive(Debug)]
-pub struct StreamingProjector {
-    projection: RandomProjection,
-    cache: RowCache,
-    rows: Vec<f64>,
-    count: usize,
-}
-
-impl StreamingProjector {
-    /// Output dimensionality.
-    pub fn dim(&self) -> usize {
-        self.projection.dim
-    }
-
-    /// BBVs pushed so far.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True if nothing has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Projects one raw (un-normalized) BBV and appends its row.
-    pub fn push(&mut self, bbv: &Bbv) {
-        self.push_inner(bbv, false);
-    }
-
-    /// Projects one BBV after on-the-fly L1 normalization and appends its
-    /// row — the streaming form of
-    /// [`RandomProjection::project_all_normalized`].
-    pub fn push_normalized(&mut self, bbv: &Bbv) {
-        self.push_inner(bbv, true);
-    }
-
-    fn push_inner(&mut self, bbv: &Bbv, normalize: bool) {
-        let dim = self.projection.dim;
-        let start = self.rows.len();
-        self.rows.resize(start + dim, 0.0);
-        let slot = &mut self.rows[start..start + dim];
-        let norm = if normalize { bbv.l1_norm() } else { 0.0 };
-        let scale = normalize && norm != 0.0;
-        for &(block, value) in bbv.entries() {
-            let value = if scale { value / norm } else { value };
-            let row = self.cache.row(&self.projection, block);
-            for (o, &r) in slot.iter_mut().zip(row) {
-                *o += value * r;
-            }
-        }
-        self.count += 1;
-    }
-
-    /// Projected rows so far (flat row-major, `len() * dim` values).
-    pub fn rows(&self) -> &[f64] {
-        &self.rows
-    }
-
-    /// Consumes the projector, returning the flat row-major matrix.
-    pub fn into_rows(self) -> Vec<f64> {
-        self.rows
-    }
-
-    /// Appends another projector's rows (shard concatenation, in shard
-    /// order). Panics if the dimensions differ.
-    pub fn absorb(&mut self, other: StreamingProjector) {
-        assert_eq!(
-            self.projection.dim, other.projection.dim,
-            "cannot absorb a projector of different dimension"
-        );
-        self.rows.extend_from_slice(&other.rows);
-        self.count += other.count;
     }
 }
 
@@ -362,71 +264,5 @@ mod tests {
     #[should_panic(expected = "dimension must be positive")]
     fn zero_dim_panics() {
         RandomProjection::new(0, 1);
-    }
-
-    fn mixed_bbvs() -> Vec<Bbv> {
-        (0..25)
-            .map(|i| {
-                if i % 7 == 0 {
-                    Bbv::from_counts(vec![])
-                } else {
-                    Bbv::from_counts(vec![(0, i + 1), (7, 3), (i + 50, 2 * i + 1)])
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn streaming_matches_batch_bitwise() {
-        let p = RandomProjection::new(15, 99);
-        let bbvs = mixed_bbvs();
-        let batch = p.project_all_normalized(&bbvs);
-        let mut s = p.streaming();
-        assert!(s.is_empty());
-        for bbv in &bbvs {
-            s.push_normalized(bbv);
-        }
-        assert_eq!(s.len(), bbvs.len());
-        assert_eq!(s.rows().len(), batch.len());
-        for (i, (a, b)) in s.rows().iter().zip(&batch).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "value {i}");
-        }
-    }
-
-    #[test]
-    fn sharded_streaming_concatenation_matches_batch_bitwise() {
-        // Split the BBV stream across per-shard projectors (each with its
-        // own row cache) and absorb in shard order: identical to one
-        // projector seeing the whole stream, because matrix rows depend
-        // only on (seed, block) and rows never interact.
-        let p = RandomProjection::new(15, 31);
-        let bbvs = mixed_bbvs();
-        let batch = p.project_all_normalized(&bbvs);
-        let mut combined = p.streaming();
-        for shard in bbvs.chunks(7) {
-            let mut worker = p.streaming();
-            for bbv in shard {
-                worker.push_normalized(bbv);
-            }
-            combined.absorb(worker);
-        }
-        for (i, (a, b)) in combined.rows().iter().zip(&batch).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "value {i}");
-        }
-        assert_eq!(combined.into_rows().len(), batch.len());
-    }
-
-    #[test]
-    fn streaming_raw_push_matches_project_all() {
-        let p = RandomProjection::new(8, 12);
-        let bbvs = mixed_bbvs();
-        let batch = p.project_all(&bbvs);
-        let mut s = p.streaming();
-        for bbv in &bbvs {
-            s.push(bbv);
-        }
-        for (a, b) in s.rows().iter().zip(&batch) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 }

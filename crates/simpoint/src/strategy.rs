@@ -8,9 +8,9 @@
 //! estimators:
 //!
 //! * [`SimPointStrategy`] — the paper's method (projection → k-means →
-//!   BIC), ported onto the trait with zero behavioral drift.
-//!   [`crate::SimPointAnalysis`] is now a thin wrapper around it;
-//!   `tests/parallel_differential.rs` pins the port bit-for-bit.
+//!   BIC), ported onto the trait with zero behavioral drift;
+//!   `tests/parallel_differential.rs` pins [`SamplingStrategy::select`]
+//!   bit-for-bit to [`SimPointStrategy::analyze`].
 //! * [`Stratified2p`] — two-phase stratified sampling (after Ekman's
 //!   NVIDIA method): slices are binned into phase strata by quantiles of
 //!   a scalar phase statistic (the first principal component of a seeded
@@ -157,9 +157,8 @@ pub fn bbv_norm_score(bbv: &Bbv) -> f64 {
 // SimPoint through the trait.
 // ---------------------------------------------------------------------------
 
-/// The paper's SimPoint selector behind the trait. Holds the algorithm
-/// that used to live in `SimPointAnalysis::run_jobs`; the legacy entry
-/// points delegate here, so there is exactly one implementation.
+/// The paper's SimPoint selector behind the trait. [`Self::analyze`] is
+/// the one SimPoint implementation; [`SamplingStrategy::select`] wraps it.
 #[derive(Debug, Clone)]
 pub struct SimPointStrategy {
     options: SimPointOptions,
@@ -177,8 +176,9 @@ impl SimPointStrategy {
     }
 
     /// Projection → per-`k` clustering → BIC selection → representative
-    /// selection. This is the reference SimPoint implementation; see
-    /// [`crate::SimPointAnalysis::run_jobs`] for the public wrapper.
+    /// selection. This is the reference SimPoint implementation. The k-means
+    /// restarts fan out over `jobs` workers; the restart winner is chosen
+    /// deterministically, so the job count changes wall-clock time only.
     ///
     /// # Errors
     ///
@@ -1022,20 +1022,20 @@ mod tests {
     }
 
     #[test]
-    fn simpoint_strategy_matches_legacy_entry_point() {
+    fn simpoint_select_matches_analyze() {
         let bbvs = synthetic_bbvs(4, 30);
         let opts = SimPointOptions {
             max_k: 8,
             ..Default::default()
         };
-        let legacy = crate::SimPointAnalysis::new(opts)
-            .run(&bbvs, 1_000)
+        let direct = SimPointStrategy::new(opts)
+            .analyze(&bbvs, 1_000, sampsim_exec::SERIAL)
             .unwrap();
         let (via_trait, reps) = SimPointStrategy::new(opts)
             .select(&input(&bbvs), sampsim_exec::SERIAL)
             .unwrap()
             .into_parts(1_000);
-        assert_eq!(via_trait, legacy);
+        assert_eq!(via_trait, direct);
         assert!(reps.is_empty());
     }
 

@@ -7,8 +7,9 @@
 
 use sampsim::cache::configs;
 use sampsim::core::metrics::aggregate_weighted;
-use sampsim::core::runs::{run_regions_timing, run_whole_timing, WarmupMode};
-use sampsim::core::{PinPointsConfig, Pipeline};
+use sampsim::core::runs::{run_regions_timing_jobs, run_whole_timing, WarmupMode};
+use sampsim::core::{PinPointsConfig, Pipeline, RunOptions};
+use sampsim::exec::SERIAL;
 use sampsim::spec2017::{benchmark, BenchmarkId};
 use sampsim::uarch::{run_native, CoreConfig, NativeConfig};
 use sampsim::util::scale::Scale;
@@ -23,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         slice_size: scale.apply(10_000),
         ..PinPointsConfig::default()
     };
-    let pipeline = Pipeline::new(config).run(&program)?;
+    let pipeline = Pipeline::new(config).run(&program, &RunOptions::default())?;
 
     // "Native hardware": whole program on the modelled i7-3770 with perf
     // counters (three runs to show run-to-run nondeterminism).
@@ -48,12 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let whole_cpi = whole.timing.as_ref().expect("timing stats").cpi();
 
     // Sniper on the simulation points, weighted.
-    let regions = run_regions_timing(
+    let regions = run_regions_timing_jobs(
         &program,
         &pipeline.regional,
         CoreConfig::table3(),
         configs::i7_table3(),
         WarmupMode::Checkpointed,
+        SERIAL,
     )?;
     let sampled = aggregate_weighted(&regions);
     let sampled_cpi = sampled.cpi.expect("timing stats");

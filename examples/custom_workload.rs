@@ -11,8 +11,9 @@
 
 use sampsim::cache::configs;
 use sampsim::core::metrics::{aggregate_weighted, whole_as_aggregate};
-use sampsim::core::runs::{run_regions_functional, run_whole_functional, WarmupMode};
-use sampsim::core::{PinPointsConfig, Pipeline};
+use sampsim::core::runs::{run_regions_functional_jobs, run_whole_functional, WarmupMode};
+use sampsim::core::{PinPointsConfig, Pipeline, RunOptions};
+use sampsim::exec::SERIAL;
 use sampsim::pin::{engine, Pintool};
 use sampsim::pinball::Logger;
 use sampsim::simpoint::baselines;
@@ -104,14 +105,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         slice_size: 10_000,
         ..PinPointsConfig::default()
     };
-    let pipeline = Pipeline::new(config.clone()).run(&program)?;
+    let pipeline = Pipeline::new(config.clone()).run(&program, &RunOptions::default())?;
     let budget = pipeline.regional.len();
     let num_slices = pipeline.num_slices;
     let whole = run_whole_functional(&program, configs::allcache_table1());
     let reference = whole_as_aggregate(&whole);
 
     let pipe = Pipeline::new(config);
-    let (_bbvs, starts, _m) = pipe.profile(&program);
+    let (_bbvs, starts, _m) = pipe.profile_jobs(&program, SERIAL);
     let report = |label: &str, points: Vec<sampsim::simpoint::SimPoint>| {
         let fake = sampsim::simpoint::SimPointsResult {
             k: points.len(),
@@ -122,11 +123,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             avg_variance: 0.0,
         };
         let regional = pipe.regionals_for(&program, &fake, &starts);
-        let metrics = run_regions_functional(
+        let metrics = run_regions_functional_jobs(
             &program,
             &regional,
             configs::allcache_table1(),
             WarmupMode::None,
+            SERIAL,
         )
         .expect("replay");
         let agg = aggregate_weighted(&metrics);

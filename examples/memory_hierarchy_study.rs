@@ -12,8 +12,9 @@
 
 use sampsim::cache::{configs, CacheConfig, HierarchyConfig};
 use sampsim::core::metrics::aggregate_weighted;
-use sampsim::core::runs::{run_regions_functional, run_whole_functional, WarmupMode};
-use sampsim::core::{PinPointsConfig, Pipeline};
+use sampsim::core::runs::{run_regions_functional_jobs, run_whole_functional, WarmupMode};
+use sampsim::core::{PinPointsConfig, Pipeline, RunOptions};
+use sampsim::exec::SERIAL;
 use sampsim::spec2017::{benchmark, BenchmarkId};
 use sampsim::util::scale::Scale;
 
@@ -32,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         slice_size: scale.apply(10_000),
         ..PinPointsConfig::default()
     };
-    let pipeline = Pipeline::new(config).run(&program)?;
+    let pipeline = Pipeline::new(config).run(&program, &RunOptions::default())?;
     println!(
         "{}: {} simulation points over {} slices\n",
         spec.name(),
@@ -52,17 +53,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     for (label, cfg) in designs {
         let whole = run_whole_functional(&program, cfg);
-        let cold = aggregate_weighted(&run_regions_functional(
+        let cold = aggregate_weighted(&run_regions_functional_jobs(
             &program,
             &pipeline.regional,
             cfg,
             WarmupMode::None,
+            SERIAL,
         )?);
-        let warm = aggregate_weighted(&run_regions_functional(
+        let warm = aggregate_weighted(&run_regions_functional_jobs(
             &program,
             &pipeline.regional,
             cfg,
             WarmupMode::Checkpointed,
+            SERIAL,
         )?);
         let whole_l3 = whole
             .cache

@@ -7,8 +7,9 @@
 
 use sampsim::cache::configs;
 use sampsim::core::metrics::{aggregate_weighted, whole_as_aggregate};
-use sampsim::core::runs::{run_regions_functional, run_whole_functional, WarmupMode};
-use sampsim::core::{PinPointsConfig, Pipeline};
+use sampsim::core::runs::{run_regions_functional_jobs, run_whole_functional, WarmupMode};
+use sampsim::core::{PinPointsConfig, Pipeline, RunOptions};
+use sampsim::exec::SERIAL;
 use sampsim::spec2017::{benchmark, BenchmarkId};
 use sampsim::util::scale::Scale;
 
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         slice_size: scale.apply(10_000),
         ..PinPointsConfig::default()
     };
-    let result = Pipeline::new(config).run(&program)?;
+    let result = Pipeline::new(config).run(&program, &RunOptions::default())?;
     println!(
         "pipeline: {} slices -> {} simulation points (k = {})",
         result.num_slices,
@@ -52,11 +53,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Compare the sampled run against the whole run on the instruction
     //    mix and cache miss rates (Table I hierarchy).
     let whole = run_whole_functional(&program, configs::allcache_table1());
-    let regions = run_regions_functional(
+    let regions = run_regions_functional_jobs(
         &program,
         &result.regional,
         configs::allcache_table1(),
         WarmupMode::None,
+        SERIAL,
     )?;
     let sampled = aggregate_weighted(&regions);
     let reference = whole_as_aggregate(&whole);

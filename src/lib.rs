@@ -15,7 +15,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use sampsim::core::{PinPointsConfig, Pipeline};
+//! use sampsim::core::{PinPointsConfig, Pipeline, RunOptions};
 //! use sampsim::spec2017::{self, BenchmarkId};
 //! use sampsim::util::scale::Scale;
 //!
@@ -26,7 +26,9 @@
 //! let mut config = PinPointsConfig::default();
 //! config.slice_size = 1_000; // coarser slices keep the doctest quick
 //! config.simpoint.max_k = 8;
-//! let result = Pipeline::new(config).run(&program).unwrap();
+//! let result = Pipeline::new(config)
+//!     .run(&program, &RunOptions::default())
+//!     .unwrap();
 //! assert!(!result.simpoints.points.is_empty());
 //! ```
 

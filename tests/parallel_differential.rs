@@ -17,11 +17,10 @@
 use sampsim::cache::configs;
 use sampsim::core::metrics::{aggregate_weighted, RunMetrics};
 use sampsim::core::runs::{run_regions_functional_jobs, run_regions_timing_jobs, WarmupMode};
-use sampsim::core::{PinPointsConfig, Pipeline};
-use sampsim::exec::Jobs;
+use sampsim::core::{PinPointsConfig, Pipeline, RunOptions};
+use sampsim::exec::{Jobs, SERIAL};
 use sampsim::simpoint::{
-    SamplingStrategy, SimPointAnalysis, SimPointOptions, SimPointStrategy, StrategyInput,
-    StrategySpec,
+    SamplingStrategy, SimPointOptions, SimPointStrategy, StrategyInput, StrategySpec,
 };
 use sampsim::spec2017::{benchmark, BenchmarkId};
 use sampsim::uarch::CoreConfig;
@@ -88,7 +87,7 @@ fn assert_f64_bits(a: f64, b: f64, what: &str) {
 /// (mix + cache counters) must be bit-identical for every job count.
 fn check_profile(program: &Program, profile_cache: bool, label: &str) {
     let pipeline = Pipeline::new(config(profile_cache));
-    let (ref_bbvs, ref_starts, ref_metrics) = pipeline.profile(program);
+    let (ref_bbvs, ref_starts, ref_metrics) = pipeline.profile_jobs(program, SERIAL);
     assert!(!ref_bbvs.is_empty());
     for jobs in job_grid() {
         let (bbvs, starts, metrics) = pipeline.profile_jobs(program, jobs);
@@ -106,9 +105,17 @@ fn check_profile(program: &Program, profile_cache: bool, label: &str) {
 /// scores, weights) and the regional pinballs must be identical.
 fn check_pipeline(program: &Program, profile_cache: bool, label: &str) {
     let pipeline = Pipeline::new(config(profile_cache));
-    let reference = pipeline.run(program).unwrap();
+    let reference = pipeline.run(program, &RunOptions::default()).unwrap();
     for jobs in job_grid() {
-        let result = pipeline.run_jobs(program, jobs).unwrap();
+        let result = pipeline
+            .run(
+                program,
+                &RunOptions {
+                    jobs,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         assert_eq!(
             result.simpoints, reference.simpoints,
             "{label}: simpoint selection (jobs = {jobs})"
@@ -138,14 +145,14 @@ fn check_pipeline(program: &Program, profile_cache: bool, label: &str) {
 /// weighted aggregate must be bit-identical.
 fn check_functional_replay(program: &Program, label: &str) {
     let pipeline = Pipeline::new(config(false));
-    let result = pipeline.run(program).unwrap();
+    let result = pipeline.run(program, &RunOptions::default()).unwrap();
     for warmup in [WarmupMode::None, WarmupMode::Checkpointed] {
         let reference = run_regions_functional_jobs(
             program,
             &result.regional,
             configs::allcache_table1(),
             warmup,
-            sampsim::exec::SERIAL,
+            SERIAL,
         )
         .unwrap();
         for jobs in job_grid() {
@@ -189,14 +196,14 @@ fn check_functional_replay(program: &Program, label: &str) {
 /// order-sensitive output in the system — must be bit-identical.
 fn check_timing_replay(program: &Program, label: &str) {
     let pipeline = Pipeline::new(config(false));
-    let result = pipeline.run(program).unwrap();
+    let result = pipeline.run(program, &RunOptions::default()).unwrap();
     let reference = run_regions_timing_jobs(
         program,
         &result.regional,
         CoreConfig::table3(),
         configs::i7_table3(),
         WarmupMode::Checkpointed,
-        sampsim::exec::SERIAL,
+        SERIAL,
     )
     .unwrap();
     let ref_cpi = aggregate_weighted(&reference).cpi.unwrap();
@@ -285,7 +292,7 @@ fn kmeans_restarts_are_bit_identical_across_job_counts() {
 
     let program = synthetic(77);
     let pipeline = Pipeline::new(config(false));
-    let (bbvs, _, _) = pipeline.profile(&program);
+    let (bbvs, _, _) = pipeline.profile_jobs(&program, SERIAL);
     let projection = RandomProjection::new(15, 0x51AB_0DD5);
     let data = projection.project_all_normalized(&bbvs);
     let n = bbvs.len();
@@ -312,8 +319,8 @@ fn kmeans_restarts_are_bit_identical_across_job_counts() {
 #[test]
 fn simpoint_through_trait_is_bit_identical_to_legacy() {
     // The strategy refactor's zero-drift guarantee: SimPoint dispatched
-    // through the `SamplingStrategy` trait must reproduce the legacy
-    // `SimPointAnalysis` entry point bit for bit — selection, weights,
+    // through the `SamplingStrategy` trait must reproduce a direct
+    // `SimPointStrategy::analyze` call bit for bit — selection, weights,
     // assignments, BIC scores, and the regional pinballs (cursors,
     // warmup records) derived from them — across seeds × benchmarks ×
     // job counts.
@@ -329,11 +336,11 @@ fn simpoint_through_trait_is_bit_identical_to_legacy() {
         .collect();
     for (label, program) in &suite {
         let pipeline = Pipeline::new(config(false));
-        let (bbvs, starts, _) = pipeline.profile(program);
+        let (bbvs, starts, _) = pipeline.profile_jobs(program, SERIAL);
         let opts = config(false).simpoint;
         for jobs in [Jobs::new(1).unwrap(), Jobs::new(2).unwrap(), Jobs::Auto] {
-            let legacy = SimPointAnalysis::new(opts)
-                .run_jobs(&bbvs, 1_000, jobs)
+            let direct = SimPointStrategy::new(opts)
+                .analyze(&bbvs, 1_000, jobs)
                 .unwrap();
             let selection = SimPointStrategy::new(opts)
                 .select(
@@ -345,30 +352,30 @@ fn simpoint_through_trait_is_bit_identical_to_legacy() {
                 )
                 .unwrap();
             let (via_trait, replicates) = selection.into_parts(1_000);
-            assert_eq!(via_trait, legacy, "{label}: selection (jobs = {jobs})");
+            assert_eq!(via_trait, direct, "{label}: selection (jobs = {jobs})");
             assert!(replicates.is_empty(), "{label}: simpoint has no replicates");
-            for (a, b) in via_trait.points.iter().zip(&legacy.points) {
+            for (a, b) in via_trait.points.iter().zip(&direct.points) {
                 assert_f64_bits(a.weight, b.weight, &format!("{label}: weight bits"));
             }
-            for (a, b) in via_trait.bic_scores.iter().zip(&legacy.bic_scores) {
+            for (a, b) in via_trait.bic_scores.iter().zip(&direct.bic_scores) {
                 assert_eq!(a.0, b.0, "{label}: BIC k");
                 assert_f64_bits(a.1, b.1, &format!("{label}: BIC score bits"));
             }
             // Downstream checkpoints (cursors + warmup) match too.
             let regional_trait = pipeline.regionals_for(program, &via_trait, &starts);
-            let regional_legacy = pipeline.regionals_for(program, &legacy, &starts);
+            let regional_direct = pipeline.regionals_for(program, &direct, &starts);
             assert_eq!(
-                regional_trait, regional_legacy,
+                regional_trait, regional_direct,
                 "{label}: regional pinballs (jobs = {jobs})"
             );
         }
         // The full pipeline (which now always dispatches through the
-        // trait) agrees with the legacy analysis run serially.
-        let result = pipeline.run(program).unwrap();
-        let legacy = SimPointAnalysis::new(opts)
-            .run_jobs(&bbvs, 1_000, sampsim::exec::SERIAL)
+        // trait) agrees with the direct analysis run serially.
+        let result = pipeline.run(program, &RunOptions::default()).unwrap();
+        let direct = SimPointStrategy::new(opts)
+            .analyze(&bbvs, 1_000, SERIAL)
             .unwrap();
-        assert_eq!(result.simpoints, legacy, "{label}: pipeline selection");
+        assert_eq!(result.simpoints, direct, "{label}: pipeline selection");
         assert!(result.replicates.is_empty());
     }
 }
@@ -384,12 +391,20 @@ fn new_strategies_are_bit_identical_across_job_counts() {
         let mut cfg = config(false);
         cfg.strategy = StrategySpec::parse(name).unwrap();
         let pipeline = Pipeline::new(cfg);
-        let reference = pipeline.run(&program).unwrap();
+        let reference = pipeline.run(&program, &RunOptions::default()).unwrap();
         assert!(!reference.regional.is_empty(), "{name}");
         let weight: f64 = reference.regional.iter().map(|pb| pb.weight).sum();
         assert!((weight - 1.0).abs() < 1e-9, "{name}: weights sum {weight}");
         for jobs in job_grid() {
-            let result = pipeline.run_jobs(&program, jobs).unwrap();
+            let result = pipeline
+                .run(
+                    &program,
+                    &RunOptions {
+                        jobs,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
             assert_eq!(
                 result.simpoints, reference.simpoints,
                 "{name}: selection (jobs = {jobs})"

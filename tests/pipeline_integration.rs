@@ -12,9 +12,10 @@ use sampsim::cache::configs;
 use sampsim::core::metrics::{aggregate_weighted, whole_as_aggregate, RunMetrics};
 use sampsim::core::pipeline::PipelineResult;
 use sampsim::core::runs::{
-    run_region_functional, run_regions_functional, run_whole_functional, WarmupMode,
+    run_region_functional, run_regions_functional_jobs, run_whole_functional, WarmupMode,
 };
-use sampsim::core::{PinPointsConfig, Pipeline};
+use sampsim::core::{PinPointsConfig, Pipeline, RunOptions};
+use sampsim::exec::SERIAL;
 use sampsim::pin::engine;
 use sampsim::pin::tools::TraceRecorder;
 use sampsim::simpoint::SimPointOptions;
@@ -64,13 +65,16 @@ fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let program = small_program();
-        let result = Pipeline::new(small_config()).run(&program).unwrap();
+        let result = Pipeline::new(small_config())
+            .run(&program, &RunOptions::default())
+            .unwrap();
         let whole = run_whole_functional(&program, configs::allcache_table1());
-        let cold = run_regions_functional(
+        let cold = run_regions_functional_jobs(
             &program,
             &result.regional,
             configs::allcache_table1(),
             WarmupMode::None,
+            SERIAL,
         )
         .unwrap();
         Fixture {
@@ -120,11 +124,12 @@ fn cold_regions_inflate_llc_misses_and_warmup_helps() {
     let fx = fixture();
     let whole_l3 = fx.whole.cache.as_ref().unwrap().l3.miss_rate_pct();
     let cold_l3 = aggregate_weighted(&fx.cold).miss_rates.unwrap().l3;
-    let warm = run_regions_functional(
+    let warm = run_regions_functional_jobs(
         &fx.program,
         &fx.result.regional,
         configs::allcache_table1(),
         WarmupMode::Checkpointed,
+        SERIAL,
     )
     .unwrap();
     let warm_l3 = aggregate_weighted(&warm).miss_rates.unwrap().l3;
@@ -171,7 +176,9 @@ fn suite_benchmark_end_to_end_at_test_scale() {
         ..PinPointsConfig::default()
     };
     config.simpoint.max_k = 25;
-    let result = Pipeline::new(config).run(&program).unwrap();
+    let result = Pipeline::new(config)
+        .run(&program, &RunOptions::default())
+        .unwrap();
     assert!(
         result.regional.len() >= 5,
         "found {}",
@@ -197,7 +204,9 @@ fn invalid_config_is_rejected_before_profiling() {
     let mut config = small_config();
     config.slice_size = 0; // would previously panic inside profile()
     config.simpoint.dim = 0;
-    let err = Pipeline::new(config).run(&program).unwrap_err();
+    let err = Pipeline::new(config)
+        .run(&program, &RunOptions::default())
+        .unwrap_err();
     match err {
         CoreError::Config(diags) => {
             let codes: Vec<&str> = diags.iter().map(|d| d.rule.code()).collect();
@@ -212,7 +221,9 @@ fn invalid_config_is_rejected_before_profiling() {
 fn deterministic_across_identical_pipelines() {
     // A fresh pipeline run must reproduce the fixture's run exactly.
     let fx = fixture();
-    let b = Pipeline::new(small_config()).run(&fx.program).unwrap();
+    let b = Pipeline::new(small_config())
+        .run(&fx.program, &RunOptions::default())
+        .unwrap();
     assert_eq!(fx.result.simpoints, b.simpoints);
     assert_eq!(fx.result.regional, b.regional);
     assert_eq!(fx.result.whole_metrics.mix, b.whole_metrics.mix);

@@ -14,6 +14,7 @@ use sampsim::cache::{CacheStats, HierarchyStats};
 use sampsim::core::metrics::{aggregate_weighted, RunMetrics};
 use sampsim::core::plan::plan_strategy;
 use sampsim::core::PinPointsConfig;
+use sampsim::exec::SERIAL;
 use sampsim::pin::tools::MixCounts;
 use sampsim::pinball::{Logger, RegionalPinball};
 use sampsim::simpoint::bbv::Bbv;
@@ -380,7 +381,7 @@ fn aggregation_bounds() {
 /// (the precondition `aggregate_weighted` asserts).
 #[test]
 fn pipeline_weights_sum_to_one() {
-    use sampsim::core::{PinPointsConfig, Pipeline};
+    use sampsim::core::{PinPointsConfig, Pipeline, RunOptions};
     use sampsim::simpoint::SimPointOptions;
     run_cases("pipeline-weights", 6, |g| {
         let program = program_for(g.u64_in(0..500));
@@ -394,7 +395,7 @@ fn pipeline_weights_sum_to_one() {
             profile_cache: None,
             ..Default::default()
         })
-        .run(&program)
+        .run(&program, &RunOptions::default())
         .unwrap();
         let total: f64 = result.regional.iter().map(|pb| pb.weight).sum();
         assert!((total - 1.0).abs() < 1e-9, "weights sum to {total}");
@@ -550,7 +551,7 @@ fn strategy_selections_are_valid_distributions() {
         };
         for spec in StrategySpec::registry() {
             let strategy = spec.build(&options);
-            let selection = strategy.select(&input, sampsim::exec::SERIAL).unwrap();
+            let selection = strategy.select(&input, SERIAL).unwrap();
             let mut sets: Vec<&[sampsim::simpoint::select::SimPoint]> = vec![&selection.points];
             sets.extend(selection.replicates.iter().map(Vec::as_slice));
             for points in sets {
@@ -651,7 +652,7 @@ fn rss_error_bars_shrink_with_replicates() {
                 seed: 0x00C0_FFEE ^ seed,
                 ..Default::default()
             })
-            .select(&input, sampsim::exec::SERIAL)
+            .select(&input, SERIAL)
             .unwrap();
             assert_eq!(selection.replicates.len(), reps);
             let mut estimates = Summary::new();
