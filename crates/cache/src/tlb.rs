@@ -63,27 +63,88 @@ impl TlbStats {
     }
 }
 
-/// A fully associative, LRU translation lookaside buffer.
+/// A fully associative, exact-LRU translation lookaside buffer.
+///
+/// Recency is one rank per slot — a permutation of `0..entries`, rank 0
+/// the most recently used. A probe compares every resident page at once
+/// into a hit mask, then moves the hit slot (or, on a miss, the rank
+/// `entries - 1` victim) to rank 0 and ages every slot that was more
+/// recent, all in branchless passes over 64-slot blocks. A repeat
+/// translation of the most recent page stops before any of that. Hits
+/// and misses of an LRU TLB depend only on recency order, and the ranks
+/// hold exactly the order the stamp scan of
+/// [`crate::reference::ReferenceTlb`] keeps, so every result and counter
+/// equals its (checked access by access in `tests/differential.rs`).
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    pages: Vec<u64>,
-    stamps: Vec<u64>,
-    clock: u64,
+    /// Resident page per slot; `INVALID` until the slot is first filled
+    /// and in the padding past the last entry.
+    pages: Vec<[u64; BLOCK]>,
+    /// Per block, the bits of the slots that exist.
+    live: Vec<u64>,
+    /// Recency rank per slot (0 = most recent, `entries - 1` = the
+    /// victim). Padding slots hold `u32::MAX`, above every live rank, so
+    /// they are never aged, promoted or chosen.
+    ranks: Vec<[u32; BLOCK]>,
+    /// The page in the rank-0 slot.
+    mru_page: u64,
     stats: TlbStats,
     page_shift: u32,
 }
 
 const INVALID: u64 = u64::MAX;
 
+/// Slots per block; one hit-mask word covers a block.
+const BLOCK: usize = 64;
+
+/// Bit `i` is set where `block[i] == x`: the branchless compare of a
+/// whole block.
+#[inline]
+fn eq_mask<T: Copy + PartialEq>(block: &[T; BLOCK], x: T) -> u64 {
+    let mut mask = 0u64;
+    for (i, &v) in block.iter().enumerate() {
+        mask |= u64::from(v == x) << i;
+    }
+    mask
+}
+
+/// The lowest slot whose bit `mask_of` sets — the slot a front-to-back
+/// scan would stop at.
+#[inline]
+fn first_slot<T>(
+    blocks: &[[T; BLOCK]],
+    mut mask_of: impl FnMut(usize, &[T; BLOCK]) -> u64,
+) -> Option<usize> {
+    blocks.iter().enumerate().find_map(|(b, block)| {
+        let mask = mask_of(b, block);
+        (mask != 0).then(|| b * BLOCK + mask.trailing_zeros() as usize)
+    })
+}
+
 impl Tlb {
     /// Creates an empty TLB.
     pub fn new(config: TlbConfig) -> Self {
+        let entries = config.entries as usize;
+        let blocks = entries.div_ceil(BLOCK);
+        // Slot 0 starts least recent, so an empty TLB fills slots 0, 1,
+        // 2, … — the stamp scan's lowest-index tie-break among never-used
+        // entries.
+        let mut ranks = vec![[u32::MAX; BLOCK]; blocks];
+        for slot in 0..entries {
+            ranks[slot / BLOCK][slot % BLOCK] = config.entries - 1 - slot as u32;
+        }
         Self {
             config,
-            pages: vec![INVALID; config.entries as usize],
-            stamps: vec![0; config.entries as usize],
-            clock: 0,
+            pages: vec![[INVALID; BLOCK]; blocks],
+            live: (0..blocks)
+                .map(|b| match entries - b * BLOCK {
+                    n if n >= BLOCK => u64::MAX,
+                    n => (1u64 << n) - 1,
+                })
+                .collect(),
+            ranks,
+            mru_page: INVALID,
             stats: TlbStats::default(),
             page_shift: config.page_bytes.trailing_zeros(),
         }
@@ -109,28 +170,41 @@ impl Tlb {
     #[inline]
     pub fn access(&mut self, addr: u64, count: bool) -> bool {
         let page = addr >> self.page_shift;
-        self.clock += 1;
-        if count {
-            self.stats.accesses += 1;
+        self.stats.accesses += u64::from(count);
+        // The rank-0 slot already holds `mru_page`: nothing to reorder.
+        // `INVALID` takes the full probe, which hits the lowest-index
+        // empty slot as the stamp scan did.
+        if page == self.mru_page && page != INVALID {
+            return true;
         }
-        let mut victim = 0usize;
-        let mut victim_stamp = u64::MAX;
-        for (i, &p) in self.pages.iter().enumerate() {
-            if p == page {
-                self.stamps[i] = self.clock;
-                return true;
+        self.probe(page, count)
+    }
+
+    /// The full lookup: hit mask, then move-to-front of the hit slot or,
+    /// on a miss, of the least recent slot, which takes the page.
+    fn probe(&mut self, page: u64, count: bool) -> bool {
+        let hit = first_slot(&self.pages, |b, block| eq_mask(block, page) & self.live[b]);
+        let slot = hit.unwrap_or_else(|| {
+            let lru = self.config.entries - 1;
+            first_slot(&self.ranks, |_, block| eq_mask(block, lru))
+                .expect("ranks are a permutation")
+        });
+        let old = self.ranks[slot / BLOCK][slot % BLOCK];
+        for block in &mut self.ranks {
+            for r in block.iter_mut() {
+                *r = if *r == old {
+                    0
+                } else {
+                    *r + u32::from(*r < old)
+                };
             }
-            if self.stamps[i] < victim_stamp {
-                victim_stamp = self.stamps[i];
-                victim = i;
-            }
         }
-        if count {
-            self.stats.misses += 1;
+        if hit.is_none() {
+            self.pages[slot / BLOCK][slot % BLOCK] = page;
+            self.stats.misses += u64::from(count);
         }
-        self.pages[victim] = page;
-        self.stamps[victim] = self.clock;
-        false
+        self.mru_page = page;
+        hit.is_some()
     }
 }
 

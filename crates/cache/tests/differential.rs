@@ -3,10 +3,14 @@
 //! ([`ReferenceCache`]) — per-access hit/miss results, counters,
 //! write-backs and residency (`peek`) — across policies, geometries and
 //! seeded access mixes. Replacement stamps vs. packed recency words are
-//! internal representation; everything observable is contractual.
+//! internal representation; everything observable is contractual. The
+//! rank-LRU [`Tlb`] is held to the frozen stamp scan ([`ReferenceTlb`])
+//! the same way.
 
 use sampsim_cache::policy::ReplacementPolicy;
-use sampsim_cache::{Cache, CacheConfig, CacheStats, ReferenceCache};
+use sampsim_cache::{
+    Cache, CacheConfig, CacheStats, ReferenceCache, ReferenceTlb, Tlb, TlbConfig, TlbStats,
+};
 use sampsim_util::rng::SplitMix64;
 
 /// Drives both models through an identical seeded stream of reads,
@@ -107,5 +111,84 @@ fn hit_heavy_stream_matches() {
     for policy in POLICIES {
         let config = CacheConfig::new(8 << 10, 8, 64, 1).with_policy(policy);
         drive(config, 0xA11_517, 40_000, 4 << 10);
+    }
+}
+
+/// Drives both TLBs through one seeded page stream — runs on the same
+/// page (the MRU short-circuit), reuse of recent pages, and fresh pages
+/// from a pool twice the capacity (evictions) — with every 13th access a
+/// warmup one and a stat reset halfway, asserting the hit/miss result of
+/// every access and the final counters.
+fn drive_tlb(config: TlbConfig, seed: u64, accesses: usize) -> TlbStats {
+    let mut fast = Tlb::new(config);
+    let mut reference = ReferenceTlb::new(config);
+    let mut rng = SplitMix64::new(seed);
+    let pool = 2 * u64::from(config.entries) + 3;
+    let mut page = 0u64;
+    for i in 0..accesses {
+        match rng.next_u64() % 4 {
+            0 => {}
+            1 => page = (page + 1) % pool,
+            _ => page = rng.next_u64() % pool,
+        }
+        let addr = page * config.page_bytes + rng.next_u64() % config.page_bytes;
+        let count = i % 13 != 0;
+        assert_eq!(
+            fast.access(addr, count),
+            reference.access(addr, count),
+            "access #{i} diverged ({} entries, addr {addr:#x})",
+            config.entries
+        );
+        if i == accesses / 2 {
+            fast.reset_stats();
+            reference.reset_stats();
+        }
+    }
+    assert_eq!(
+        fast.stats(),
+        reference.stats(),
+        "{} entries",
+        config.entries
+    );
+    fast.stats()
+}
+
+#[test]
+fn tlb_matches_reference_across_entry_counts() {
+    // Ranks and hit masks work in 64-slot blocks: 64 fills one, 65 and
+    // 200 pad a partial block after full ones.
+    for entries in [1, 2, 8, 64, 65, 200] {
+        let config = TlbConfig::new(entries, 4096);
+        let stats = drive_tlb(config, 0x71B ^ u64::from(entries), 20_000);
+        assert!(
+            stats.misses > 0 && stats.misses < stats.accesses,
+            "{stats:?}"
+        );
+    }
+}
+
+#[test]
+fn tlb_matches_reference_on_the_all_ones_page() {
+    // With 1-byte pages the address u64::MAX is page u64::MAX, the value
+    // both models use to mark an empty slot. The stamp scan hits the
+    // lowest-index empty slot for it; the rank LRU must do exactly the
+    // same, before and after the TLB fills.
+    for entries in [1, 4, 64] {
+        let config = TlbConfig::new(entries, 1);
+        let mut fast = Tlb::new(config);
+        let mut reference = ReferenceTlb::new(config);
+        let mut rng = SplitMix64::new(u64::from(entries));
+        for i in 0..5_000 {
+            let addr = match rng.next_u64() % 5 {
+                0 => u64::MAX,
+                _ => rng.next_u64() % (3 * u64::from(entries)),
+            };
+            assert_eq!(
+                fast.access(addr, true),
+                reference.access(addr, true),
+                "access #{i} diverged ({entries} entries, addr {addr:#x})"
+            );
+        }
+        assert_eq!(fast.stats(), reference.stats());
     }
 }

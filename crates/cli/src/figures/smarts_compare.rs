@@ -62,25 +62,28 @@ pub(super) fn render(args: &FigureArgs) -> CmdResult {
     let mut read_samples = Vec::with_capacity(picks.len());
     let mut cpi_samples = Vec::with_capacity(picks.len());
     let mut exec = Executor::new(&program);
-    let mut sim = Sniper::new(config.core, config.timing_hierarchy);
+    let mut tools = (
+        LdStMix::new(),
+        Sniper::new(config.core, config.timing_hierarchy),
+    );
     for &u in &picks {
         let target = u * unit;
         if exec.retired() > target {
             continue; // overlapping strata at tiny scales
         }
         // Functional warming up to the unit.
-        sim.set_warming(true);
+        tools.1.set_warming(true);
         let to_warm = target - exec.retired();
-        engine::run_one(&mut exec, to_warm, &mut sim);
-        sim.set_warming(false);
+        engine::run_one(&mut exec, to_warm, &mut tools.1);
+        tools.1.set_warming(false);
         // Detailed measurement of the unit.
-        sim.reset_stats();
-        let mut mix = LdStMix::new();
-        engine::run(&mut exec, unit, &mut [&mut mix, &mut sim]);
-        let stats = sim.stats();
+        tools.1.reset_stats();
+        tools.0 = LdStMix::new();
+        engine::run_one(&mut exec, unit, &mut tools);
+        let stats = tools.1.stats();
         if stats.instructions > 0 {
             cpi_samples.push(stats.cpi());
-            read_samples.push(mix.counts().distribution_pct()[1]);
+            read_samples.push(tools.0.counts().distribution_pct()[1]);
         }
     }
     let read_est = smarts::estimate(&read_samples, 0.95);

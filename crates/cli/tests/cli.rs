@@ -626,6 +626,7 @@ fn compare_output_is_golden_byte_stable_and_validates() {
     // the job count.
     let file = std::fs::read(&path).unwrap();
     assert_eq!(file, serial, "-o file diverged from stdout");
+    assert_eq!(serial, capture(Some("2"), None), "--jobs 2 diverged");
     assert_eq!(serial, capture(Some("3"), None), "--jobs 3 diverged");
     assert_eq!(serial, capture(None, None), "default jobs diverged");
 
@@ -715,6 +716,7 @@ fn plan_output_is_golden_byte_stable_and_validates() {
     // depends on the job count, but the contract is still asserted.
     let file = std::fs::read(&path).unwrap();
     assert_eq!(file, serial, "-o file diverged from stdout");
+    assert_eq!(serial, capture(Some("2"), None), "--jobs 2 diverged");
     assert_eq!(serial, capture(Some("3"), None), "--jobs 3 diverged");
     assert_eq!(serial, capture(None, None), "default jobs diverged");
 

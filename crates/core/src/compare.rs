@@ -1,10 +1,14 @@
 //! The cross-strategy efficacy study: every registered sampling strategy
 //! versus whole-program truth, with error bars.
 //!
-//! This is the engine behind `sampsim compare`. It profiles the program
-//! **once** (the strategy-agnostic BBV pass, exactly what the stage cache
-//! shares across strategies), measures whole-program truth in the timing
-//! model, then evaluates each strategy in [`STRATEGY_NAMES`] order:
+//! This is the engine behind `sampsim compare`. Whole-program truth is one
+//! sequential walk of the full execution through the timing model; its
+//! state carries across the whole run, so it cannot shard. It runs on a
+//! reserved worker ([`sampsim_exec::join`]) while the other workers
+//! produce the sampled side, and the two meet only where the estimates
+//! are formed. The sampled side profiles the program **once** (the
+//! strategy-agnostic BBV pass, exactly what the stage cache shares across
+//! strategies), then evaluates each strategy in [`STRATEGY_NAMES`] order:
 //!
 //! 1. Build `replicates` independent selections. Single-shot strategies
 //!    (simpoint, stratified2p) are seed-resampled — replicate `r` shifts
@@ -15,9 +19,10 @@
 //!    share one warmup policy — the plain preceding-window warmup that
 //!    synthetic point sets get — so strategies are compared like for
 //!    like.
-//! 3. Report each metric as mean over replicates, a normal-theory 95%
-//!    confidence half-width (`1.96·s/√R`), and the relative error of the
-//!    mean against truth.
+//!
+//! With truth in hand, each metric is reported as mean over replicates, a
+//! normal-theory 95% confidence half-width (`1.96·s/√R`), and the
+//! relative error of the mean against truth.
 //!
 //! The report is schema-versioned single-line JSON ([`SCHEMA`]); floats
 //! render via `{:?}` (shortest exact representation), and every stage is
@@ -126,10 +131,10 @@ pub struct CompareReport {
     pub strategies: Vec<StrategyReport>,
 }
 
-/// Runs the study: one shared profile, whole-program truth, then every
-/// registered strategy × `replicates` selections through the timing
-/// model. Deterministic per job count — the report bytes never depend on
-/// `jobs`.
+/// Runs the study: whole-program truth on a reserved worker, beside one
+/// shared profile and every registered strategy × `replicates` selections
+/// through the timing model. Deterministic per job count — the report
+/// bytes never depend on `jobs`.
 ///
 /// # Errors
 ///
@@ -146,6 +151,69 @@ pub fn compare_strategies(
     if preflight.has_errors() {
         return Err(CoreError::Config(preflight.into_diagnostics()));
     }
+    let reps = replicates.max(1);
+    let (truth, sampled) = sampsim_exec::join(
+        jobs,
+        || {
+            whole_as_aggregate(&run_whole_timing(
+                program,
+                CoreConfig::table3(),
+                configs::i7_table3(),
+            ))
+        },
+        |jobs| sample_strategies(&pipeline, program, reps, jobs),
+    );
+    let (slices, sampled) = sampled?;
+    let truth_cpi = truth.cpi.expect("timing truth carries CPI");
+    let truth_mr = truth.miss_rates.expect("timing truth carries miss rates");
+    let strategies = sampled
+        .into_iter()
+        .map(|s| {
+            let [cpi, l1i, l1d, l2, l3] = &s.columns;
+            StrategyReport {
+                strategy: s.strategy.to_string(),
+                regions: s.regions,
+                replicates: cpi.len(),
+                cpi: Estimate::from_samples(cpi, truth_cpi),
+                miss_rates: MissRateEstimates {
+                    l1i: Estimate::from_samples(l1i, truth_mr.l1i),
+                    l1d: Estimate::from_samples(l1d, truth_mr.l1d),
+                    l2: Estimate::from_samples(l2, truth_mr.l2),
+                    l3: Estimate::from_samples(l3, truth_mr.l3),
+                },
+            }
+        })
+        .collect();
+    Ok(CompareReport {
+        bench: program.name().to_string(),
+        slices,
+        slice_size: config.slice_size,
+        replicates: reps,
+        truth,
+        strategies,
+    })
+}
+
+/// One strategy's replicate measurements, before truth is known.
+struct StrategySamples {
+    strategy: &'static str,
+    /// Regions the primary (replicate 0) selection chose.
+    regions: usize,
+    /// Per replicate: CPI, then the L1I, L1D, L2 and L3 miss rates.
+    columns: [Vec<f64>; 5],
+}
+
+/// The sampled side of the study: one profile, then every registered
+/// strategy's `reps` selections replayed through the timing model.
+/// Returns the profile's slice count and one entry per strategy, in
+/// [`STRATEGY_NAMES`] order.
+fn sample_strategies(
+    pipeline: &Pipeline,
+    program: &Program,
+    reps: usize,
+    jobs: Jobs,
+) -> Result<(u64, Vec<StrategySamples>), CoreError> {
+    let config = pipeline.config();
     // One strategy-agnostic profiling pass shared by every strategy and
     // replicate — the amortization the stage cache already exploits.
     let (bbvs, starts, _) = pipeline.profile_jobs(program, jobs);
@@ -153,15 +221,6 @@ pub fn compare_strategies(
         bbvs: &bbvs,
         slice_size: config.slice_size,
     };
-    let truth = whole_as_aggregate(&run_whole_timing(
-        program,
-        CoreConfig::table3(),
-        configs::i7_table3(),
-    ));
-    let truth_cpi = truth.cpi.expect("timing truth carries CPI");
-    let truth_mr = truth.miss_rates.expect("timing truth carries miss rates");
-    let reps = replicates.max(1);
-
     let mut strategies = Vec::with_capacity(STRATEGY_NAMES.len());
     for spec in StrategySpec::registry() {
         // Replicate selections: native for rss, seed-resampled otherwise.
@@ -188,11 +247,7 @@ pub fn compare_strategies(
             }
         };
 
-        let mut cpi = Vec::with_capacity(point_sets.len());
-        let mut l1i = Vec::with_capacity(point_sets.len());
-        let mut l1d = Vec::with_capacity(point_sets.len());
-        let mut l2 = Vec::with_capacity(point_sets.len());
-        let mut l3 = Vec::with_capacity(point_sets.len());
+        let mut columns: [Vec<f64>; 5] = Default::default();
         for points in &point_sets {
             // Synthetic result: empty assignments give every replicate of
             // every strategy the same plain preceding-window warmup.
@@ -214,34 +269,19 @@ pub fn compare_strategies(
                 jobs,
             )?;
             let agg = aggregate_weighted(&measured);
-            cpi.push(agg.cpi.expect("timing replay carries CPI"));
+            let cpi = agg.cpi.expect("timing replay carries CPI");
             let mr = agg.miss_rates.expect("timing replay carries miss rates");
-            l1i.push(mr.l1i);
-            l1d.push(mr.l1d);
-            l2.push(mr.l2);
-            l3.push(mr.l3);
+            for (column, value) in columns.iter_mut().zip([cpi, mr.l1i, mr.l1d, mr.l2, mr.l3]) {
+                column.push(value);
+            }
         }
-        strategies.push(StrategyReport {
-            strategy: spec.name().to_string(),
+        strategies.push(StrategySamples {
+            strategy: spec.name(),
             regions: point_sets[0].len(),
-            replicates: point_sets.len(),
-            cpi: Estimate::from_samples(&cpi, truth_cpi),
-            miss_rates: MissRateEstimates {
-                l1i: Estimate::from_samples(&l1i, truth_mr.l1i),
-                l1d: Estimate::from_samples(&l1d, truth_mr.l1d),
-                l2: Estimate::from_samples(&l2, truth_mr.l2),
-                l3: Estimate::from_samples(&l3, truth_mr.l3),
-            },
+            columns,
         });
     }
-    Ok(CompareReport {
-        bench: program.name().to_string(),
-        slices: bbvs.len() as u64,
-        slice_size: config.slice_size,
-        replicates: reps,
-        truth,
-        strategies,
-    })
+    Ok((bbvs.len() as u64, strategies))
 }
 
 impl CompareReport {

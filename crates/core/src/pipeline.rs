@@ -7,7 +7,7 @@ use crate::stage_cache::{profile_stage_key, NoCache, ProfileStage, StageCache};
 use sampsim_analyze::{
     lint_sampling_config, lint_soundness, Report, SamplingConfig, SoundnessInput,
 };
-use sampsim_cache::{HierarchyConfig, HierarchyStats};
+use sampsim_cache::HierarchyConfig;
 use sampsim_exec::Jobs;
 use sampsim_pin::engine;
 use sampsim_pin::tools::{BbvTool, CacheSim, LdStMix, MixCounts};
@@ -354,8 +354,9 @@ impl Pipeline {
     /// concurrently and the per-shard BBVs, slice cursors and mix counts
     /// are stitched back together in slice order. The cache simulator has
     /// sequentially-dependent state across the whole run, so when
-    /// `profile_cache` is set a dedicated task walks the full program
-    /// with only the cache tool, overlapped with the BBV shards.
+    /// `profile_cache` is set it walks the full program with only the
+    /// cache tool on a reserved worker ([`sampsim_exec::join`]) beside the
+    /// BBV shards.
     ///
     /// Every output except `wall_seconds` is bit-identical to the serial
     /// pass for every job count.
@@ -368,7 +369,7 @@ impl Pipeline {
         assert!(slice > 0, "slice size must be positive");
         let started = Instant::now();
         let num_slices = program.total_insts().div_ceil(slice);
-        // One shard per worker; with the whole-run cache task present,
+        // One shard per worker; with the whole-run cache walk present,
         // reserve a worker for it. Below two slices (or one worker)
         // sharding cannot help.
         let workers = jobs.get();
@@ -382,35 +383,18 @@ impl Pipeline {
             return self.profile_serial(program, started);
         }
 
-        let shards = shard_plan(num_slices, num_shards);
         // Serial prologue: fast-forward (untooled) to each shard start.
-        let mut tasks: Vec<ProfileTask> = Vec::with_capacity(shards.len() + 1);
-        if self.config.profile_cache.is_some() {
-            tasks.push(ProfileTask::Cache);
-        }
+        let shards = shard_plan(num_slices, num_shards);
         let mut exec = Executor::new(program);
+        let mut tasks: Vec<(Cursor, u64)> = Vec::with_capacity(shards.len());
         for (i, &slices) in shards.iter().enumerate() {
-            tasks.push(ProfileTask::Shard {
-                start: exec.cursor(),
-                slices,
-            });
+            tasks.push((exec.cursor(), slices));
             if i + 1 < shards.len() {
                 exec.skip(slices * slice);
             }
         }
-
-        let outputs = sampsim_exec::parallel_map(jobs, &tasks, |_, task| match task {
-            ProfileTask::Cache => {
-                let config = self
-                    .config
-                    .profile_cache
-                    .expect("cache task implies config");
-                let mut cs = CacheSim::new(config);
-                let mut exec = Executor::new(program);
-                engine::run_one(&mut exec, u64::MAX, &mut cs);
-                ProfileOutput::Cache(cs.stats())
-            }
-            ProfileTask::Shard { start, slices } => {
+        let profile_shards = |jobs| {
+            sampsim_exec::parallel_map(jobs, &tasks, |_, (start, slices)| {
                 let mut exec = Executor::with_cursor(program, start.clone());
                 let mut tools = (BbvTool::new(program.blocks().len()), LdStMix::new());
                 let mut bbvs = Vec::with_capacity(*slices as usize);
@@ -420,42 +404,41 @@ impl Pipeline {
                         starts.push(start);
                         bbvs.push(Bbv::from_counts(t.0.harvest()));
                     });
-                ProfileOutput::Shard {
-                    bbvs,
-                    starts,
-                    mix: *tools.1.counts(),
-                    ran,
-                }
+                (bbvs, starts, *tools.1.counts(), ran)
+            })
+        };
+        let (cache, outputs) = match self.config.profile_cache {
+            Some(config) => {
+                let (stats, outputs) = sampsim_exec::join(
+                    jobs,
+                    || {
+                        let mut cs = CacheSim::new(config);
+                        engine::run_one(&mut Executor::new(program), u64::MAX, &mut cs);
+                        cs.stats()
+                    },
+                    profile_shards,
+                );
+                (Some(stats), outputs)
             }
-        });
+            None => (None, profile_shards(jobs)),
+        };
 
         // Deterministic reduction: shard outputs are concatenated in
         // slice order (the task list is ordered by shard start).
         let mut bbvs = Vec::with_capacity(num_slices as usize);
         let mut starts = Vec::with_capacity(num_slices as usize);
-        let mut mix_total = MixCounts::new();
+        let mut mix = MixCounts::new();
         let mut instructions = 0u64;
-        let mut cache_stats: Option<HierarchyStats> = None;
-        for out in outputs {
-            match out {
-                ProfileOutput::Cache(stats) => cache_stats = Some(stats),
-                ProfileOutput::Shard {
-                    bbvs: b,
-                    starts: s,
-                    mix,
-                    ran,
-                } => {
-                    bbvs.extend(b);
-                    starts.extend(s);
-                    mix_total.merge(&mix);
-                    instructions += ran;
-                }
-            }
+        for (b, s, m, ran) in outputs {
+            bbvs.extend(b);
+            starts.extend(s);
+            mix.merge(&m);
+            instructions += ran;
         }
         let metrics = RunMetrics {
             instructions,
-            mix: mix_total,
-            cache: cache_stats,
+            mix,
+            cache,
             timing: None,
             wall_seconds: started.elapsed().as_secs_f64(),
         };
@@ -491,26 +474,6 @@ impl Pipeline {
         };
         (bbvs, starts, metrics)
     }
-}
-
-/// One unit of parallel profiling work.
-enum ProfileTask {
-    /// Walk the whole program with the cache simulator only (its state is
-    /// sequentially dependent and cannot shard).
-    Cache,
-    /// Profile `slices` slices starting from the checkpoint `start`.
-    Shard { start: Cursor, slices: u64 },
-}
-
-/// The result of one [`ProfileTask`].
-enum ProfileOutput {
-    Cache(HierarchyStats),
-    Shard {
-        bbvs: Vec<Bbv>,
-        starts: Vec<Cursor>,
-        mix: MixCounts,
-        ran: u64,
-    },
 }
 
 /// Splits `num_slices` into `num_shards` contiguous, non-empty, nearly

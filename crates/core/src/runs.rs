@@ -45,13 +45,12 @@ pub enum WarmupMode {
 pub fn run_whole_functional(program: &Program, cache: HierarchyConfig) -> RunMetrics {
     let started = Instant::now();
     let mut exec = Executor::new(program);
-    let mut mix = LdStMix::new();
-    let mut cs = CacheSim::new(cache);
-    engine::run(&mut exec, u64::MAX, &mut [&mut mix, &mut cs]);
+    let mut tools = (LdStMix::new(), CacheSim::new(cache));
+    engine::run_one(&mut exec, u64::MAX, &mut tools);
     RunMetrics {
         instructions: exec.retired(),
-        mix: *mix.counts(),
-        cache: Some(cs.stats()),
+        mix: *tools.0.counts(),
+        cache: Some(tools.1.stats()),
         timing: None,
         wall_seconds: started.elapsed().as_secs_f64(),
     }
@@ -87,12 +86,12 @@ pub fn run_region_functional(
         }
         cs.hierarchy_mut().set_warmup(false);
     }
-    let mut mix = LdStMix::new();
-    let ran = engine::run(&mut exec, pinball.length, &mut [&mut mix, &mut cs]);
+    let mut tools = (LdStMix::new(), cs);
+    let ran = engine::run_one(&mut exec, pinball.length, &mut tools);
     Ok(RunMetrics {
         instructions: ran,
-        mix: *mix.counts(),
-        cache: Some(cs.stats()),
+        mix: *tools.0.counts(),
+        cache: Some(tools.1.stats()),
         timing: None,
         wall_seconds: started.elapsed().as_secs_f64(),
     })
@@ -134,14 +133,13 @@ pub fn run_whole_timing(
 ) -> RunMetrics {
     let started = Instant::now();
     let mut exec = Executor::new(program);
-    let mut mix = LdStMix::new();
-    let mut sim = Sniper::new(core, hierarchy);
-    engine::run(&mut exec, u64::MAX, &mut [&mut mix, &mut sim]);
+    let mut tools = (LdStMix::new(), Sniper::new(core, hierarchy));
+    engine::run_one(&mut exec, u64::MAX, &mut tools);
     RunMetrics {
         instructions: exec.retired(),
-        mix: *mix.counts(),
-        cache: Some(sim.cache_stats()),
-        timing: Some(sim.stats()),
+        mix: *tools.0.counts(),
+        cache: Some(tools.1.cache_stats()),
+        timing: Some(tools.1.stats()),
         wall_seconds: started.elapsed().as_secs_f64(),
     }
 }
@@ -176,13 +174,13 @@ pub fn run_region_timing(
         }
         sim.set_warming(false);
     }
-    let mut mix = LdStMix::new();
-    let ran = engine::run(&mut exec, pinball.length, &mut [&mut mix, &mut sim]);
+    let mut tools = (LdStMix::new(), sim);
+    let ran = engine::run_one(&mut exec, pinball.length, &mut tools);
     Ok(RunMetrics {
         instructions: ran,
-        mix: *mix.counts(),
-        cache: Some(sim.cache_stats()),
-        timing: Some(sim.stats()),
+        mix: *tools.0.counts(),
+        cache: Some(tools.1.cache_stats()),
+        timing: Some(tools.1.stats()),
         wall_seconds: started.elapsed().as_secs_f64(),
     })
 }

@@ -235,6 +235,46 @@ where
     });
 }
 
+/// Runs `walk`, one sequential whole-run task, on a reserved worker beside
+/// `rest`, which gets the other `jobs - 1` workers, and returns both
+/// results.
+///
+/// This is the shape of every pass that pairs a walk whose state carries
+/// across the whole run in order (a cache simulator, the timing model)
+/// with work that shards: the walk cannot be split, so it takes a worker
+/// to itself and everything else shares the rest. `walk` runs on a scoped
+/// thread and `rest` on the caller's, so busy threads never exceed
+/// `jobs`. With one worker both run in turn on the caller's thread,
+/// `walk` first, and `rest` receives [`SERIAL`].
+///
+/// # Panics
+///
+/// Propagates a panic from either side, with its payload, once both
+/// sides have stopped; when both panic, `rest`'s payload wins.
+pub fn join<A, B>(
+    jobs: Jobs,
+    walk: impl FnOnce() -> A + Send,
+    rest: impl FnOnce(Jobs) -> B,
+) -> (A, B)
+where
+    A: Send,
+{
+    let Some(others) = NonZeroUsize::new(jobs.get() - 1) else {
+        let a = walk();
+        return (a, rest(SERIAL));
+    };
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(walk);
+        // A panic in `rest` unwinds out of this closure; the scope still
+        // waits for `walk` before resuming it.
+        let b = rest(Jobs::N(others));
+        match handle.join() {
+            Ok(a) => (a, b),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
 /// Fallible [`parallel_map`]: maps `f` over `items` and returns either
 /// every success (in input order) or the error belonging to the
 /// *lowest-indexed* failing item — the same error a serial loop would
@@ -378,6 +418,119 @@ mod tests {
         assert_eq!(ok.unwrap(), items);
     }
 
+    /// The message of a panic payload (`&'static str` or `String`).
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&'static str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn join_is_sequential_on_one_worker() {
+        let main = std::thread::current().id();
+        let order = std::sync::Mutex::new(Vec::new());
+        let (a, b) = join(
+            SERIAL,
+            || {
+                order.lock().unwrap().push("walk");
+                std::thread::current().id()
+            },
+            |jobs| {
+                order.lock().unwrap().push("rest");
+                (jobs, std::thread::current().id())
+            },
+        );
+        assert_eq!(*order.lock().unwrap(), ["walk", "rest"]);
+        assert_eq!(a, main);
+        assert_eq!(b, (SERIAL, main));
+    }
+
+    #[test]
+    fn join_returns_results_in_position_and_gives_rest_the_other_workers() {
+        for n in [2, 3, 7] {
+            let jobs = Jobs::new(n).unwrap();
+            let (a, (rest_jobs, b)) = join(
+                jobs,
+                || (0..1000u64).sum::<u64>(),
+                |rest_jobs| (rest_jobs, "rest"),
+            );
+            assert_eq!(a, 499_500, "jobs = {n}");
+            assert_eq!(b, "rest");
+            assert_eq!(rest_jobs, Jobs::new(n - 1).unwrap());
+        }
+        // Two workers: the walk runs beside the caller, not on it.
+        let main = std::thread::current().id();
+        let (walker, _) = join(
+            Jobs::new(2).unwrap(),
+            || std::thread::current().id(),
+            |_| (),
+        );
+        assert_ne!(walker, main);
+    }
+
+    #[test]
+    fn join_propagates_either_sides_panic_after_both_stop() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicBool;
+        let two = Jobs::new(2).unwrap();
+
+        // The walk panics while the rest still runs: the rest finishes
+        // only after the walk's last message, and the walk's payload
+        // surfaces after that.
+        let (tx, rx) = mpsc::channel();
+        let rest_done = AtomicBool::new(false);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            join(
+                two,
+                move || -> u32 {
+                    tx.send(()).unwrap();
+                    panic!("walk exploded")
+                },
+                |_| {
+                    rx.recv().unwrap();
+                    rest_done.store(true, Ordering::SeqCst);
+                },
+            )
+        }));
+        let msg = panic_message(&*caught.unwrap_err());
+        assert!(msg.contains("walk exploded"), "{msg}");
+        assert!(rest_done.load(Ordering::SeqCst), "rest stopped early");
+
+        // The mirror image: the rest panics while the walk still runs.
+        let (tx, rx) = mpsc::channel();
+        let walk_done = AtomicBool::new(false);
+        let done = &walk_done;
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            join(
+                two,
+                move || {
+                    rx.recv().unwrap();
+                    done.store(true, Ordering::SeqCst);
+                },
+                move |_| -> u32 {
+                    tx.send(()).unwrap();
+                    panic!("rest exploded: {}", 7)
+                },
+            )
+        }));
+        let msg = panic_message(&*caught.unwrap_err());
+        assert!(msg.contains("rest exploded: 7"), "{msg}");
+        assert!(walk_done.load(Ordering::SeqCst), "walk stopped early");
+
+        // One worker: the walk's panic surfaces before the rest starts.
+        let caught = catch_unwind(|| {
+            join(
+                SERIAL,
+                || -> u32 { panic!("walk exploded") },
+                |_| unreachable!("the rest runs after the walk"),
+            )
+        });
+        let msg = panic_message(&*caught.unwrap_err());
+        assert!(msg.contains("walk exploded"), "{msg}");
+    }
+
     #[test]
     fn worker_panic_propagates_with_payload() {
         let items: Vec<u32> = (0..20).collect();
@@ -387,14 +540,9 @@ mod tests {
                 x
             })
         });
-        let payload = caught.unwrap_err();
         // A format-less assert! panics with &'static str; formatted ones
         // with String. Accept either.
-        let msg = payload
-            .downcast_ref::<&'static str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let msg = panic_message(&*caught.unwrap_err());
         assert!(msg.contains("item eleven exploded"), "{msg}");
     }
 }

@@ -16,32 +16,6 @@ pub trait Pintool {
     fn on_run_end(&mut self) {}
 }
 
-/// Runs `exec` for up to `limit` instructions, feeding every retired
-/// instruction to each tool in order. Returns the number of instructions
-/// actually retired (less than `limit` only at program end).
-///
-/// # Example
-///
-/// See the crate-level example.
-pub fn run(exec: &mut Executor<'_>, limit: u64, tools: &mut [&mut dyn Pintool]) -> u64 {
-    let mut done = 0u64;
-    while done < limit {
-        match exec.next_inst() {
-            Some(inst) => {
-                for tool in tools.iter_mut() {
-                    tool.on_inst(&inst);
-                }
-                done += 1;
-            }
-            None => break,
-        }
-    }
-    for tool in tools.iter_mut() {
-        tool.on_run_end();
-    }
-    done
-}
-
 /// The no-op tool: lets slice walks run untooled (e.g. a fast-forward
 /// pass that only captures cursors).
 impl Pintool for () {
@@ -101,7 +75,7 @@ impl<A: Pintool, B: Pintool, C: Pintool> Pintool for (A, B, C) {
 /// start of each slice — before any of its instructions retire — the
 /// slice-start [`Cursor`] is captured; after the slice's instructions
 /// have been dispatched (and `on_run_end` has fired, matching a
-/// per-slice [`run`] loop), `on_slice(tool, start, ran)` is invoked with
+/// per-slice [`run_one`] loop), `on_slice(tool, start, ran)` is invoked with
 /// the tool handed back so per-slice state (a BBV accumulator, say) can
 /// be harvested between slices.
 ///
@@ -145,8 +119,18 @@ pub fn run_slices<T: Pintool>(
     total
 }
 
-/// Monomorphized single-tool variant of [`run`] for hot loops (avoids the
-/// dynamic dispatch per instruction).
+/// Runs `exec` for up to `limit` instructions, feeding every retired
+/// instruction to `tool`, then fires its `on_run_end`. Returns the number
+/// of instructions actually retired (less than `limit` only at program
+/// end).
+///
+/// The tool type is static, so the per-instruction dispatch inlines; a
+/// stack of tools is one tuple (`(LdStMix::new(), CacheSim::new(..))`),
+/// dispatched in order.
+///
+/// # Example
+///
+/// See the crate-level example.
 pub fn run_one<T: Pintool>(exec: &mut Executor<'_>, limit: u64, tool: &mut T) -> u64 {
     let mut done = 0u64;
     while done < limit {
@@ -195,7 +179,7 @@ mod tests {
         let p = program();
         let mut exec = Executor::new(&p);
         let mut c = Counter { n: 0, ended: false };
-        let ran = run(&mut exec, 1000, &mut [&mut c]);
+        let ran = run_one(&mut exec, 1000, &mut c);
         assert_eq!(ran, 1000);
         assert_eq!(c.n, 1000);
         assert!(c.ended);
@@ -206,7 +190,7 @@ mod tests {
         let p = program();
         let mut exec = Executor::new(&p);
         let mut c = Counter { n: 0, ended: false };
-        let ran = run(&mut exec, u64::MAX, &mut [&mut c]);
+        let ran = run_one(&mut exec, u64::MAX, &mut c);
         assert_eq!(ran, p.total_insts());
     }
 
@@ -214,10 +198,14 @@ mod tests {
     fn multiple_tools_see_same_stream() {
         let p = program();
         let mut exec = Executor::new(&p);
-        let mut a = Counter { n: 0, ended: false };
-        let mut b = Counter { n: 0, ended: false };
-        run(&mut exec, 2_000, &mut [&mut a, &mut b]);
-        assert_eq!(a.n, b.n);
+        let mut tools = (
+            Counter { n: 0, ended: false },
+            Counter { n: 0, ended: false },
+        );
+        run_one(&mut exec, 2_000, &mut tools);
+        assert_eq!(tools.0.n, 2_000);
+        assert_eq!(tools.0.n, tools.1.n);
+        assert!(tools.0.ended && tools.1.ended);
     }
 
     #[test]
@@ -227,7 +215,7 @@ mod tests {
         let mut sliced = Executor::new(&p);
         let mut a = Counter { n: 0, ended: false };
         let mut b = Counter { n: 0, ended: false };
-        run(&mut whole, u64::MAX, &mut [&mut a]);
+        run_one(&mut whole, u64::MAX, &mut a);
         let mut boundaries = Vec::new();
         let total = run_slices(&mut sliced, 1_500, u64::MAX, &mut b, |_, start, ran| {
             boundaries.push((start.retired, ran));
@@ -282,15 +270,15 @@ mod tests {
 
     #[test]
     fn run_one_matches_run() {
+        // The engine loop retires exactly what the executor's own `run`
+        // helper does, and leaves the executor at the same point.
         let p = program();
         let mut e1 = Executor::new(&p);
         let mut e2 = Executor::new(&p);
         let mut a = Counter { n: 0, ended: false };
-        let mut b = Counter { n: 0, ended: false };
-        assert_eq!(
-            run(&mut e1, 1234, &mut [&mut a]),
-            run_one(&mut e2, 1234, &mut b)
-        );
-        assert_eq!(a.n, b.n);
+        let mut b = 0u64;
+        assert_eq!(run_one(&mut e1, 1234, &mut a), e2.run(1234, |_| b += 1));
+        assert_eq!(a.n, b);
+        assert_eq!(e1.cursor(), e2.cursor());
     }
 }

@@ -14,8 +14,9 @@
 //! * [`tools::TraceRecorder`] — bounded execution-trace logger used in
 //!   replay-equivalence tests.
 //!
-//! Tools implement the [`Pintool`] trait and are driven by [`engine::run`]
-//! (or the monomorphized [`engine::run_one`] for single-tool hot loops).
+//! Tools implement the [`Pintool`] trait and are driven by
+//! [`engine::run_one`] (or slice by slice by [`engine::run_slices`]); a
+//! tuple of tools is itself a tool, so a stack dispatches statically.
 //!
 //! # Example
 //!
@@ -29,11 +30,10 @@
 //!     .build()
 //!     .build();
 //! let mut exec = sampsim_workload::Executor::new(&program);
-//! let mut count = InsCount::default();
-//! let mut mix = LdStMix::default();
-//! engine::run(&mut exec, u64::MAX, &mut [&mut count, &mut mix]);
-//! assert_eq!(count.total(), program.total_insts());
-//! assert_eq!(mix.counts().total(), program.total_insts());
+//! let mut tools = (InsCount::default(), LdStMix::default());
+//! engine::run_one(&mut exec, u64::MAX, &mut tools);
+//! assert_eq!(tools.0.total(), program.total_insts());
+//! assert_eq!(tools.1.counts().total(), program.total_insts());
 //! ```
 
 #![forbid(unsafe_code)]

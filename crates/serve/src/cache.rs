@@ -366,15 +366,21 @@ mod tests {
                 p
             })
             .collect();
+        let (first_put, landed) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             for payload in &payloads {
                 let dir = dir.clone();
+                let first_put = first_put.clone();
                 s.spawn(move || {
                     // mem_entries 0: every put is a pure disk write,
                     // every get a fresh disk read.
                     let cache = TieredCache::new(0, Some(&dir)).unwrap();
-                    for _ in 0..ROUNDS {
+                    for round in 0..ROUNDS {
                         cache.put(KEY, payload);
+                        if round == 0 {
+                            // The reader may already be done and gone.
+                            let _ = first_put.send(());
+                        }
                     }
                 });
             }
@@ -382,6 +388,9 @@ mod tests {
             let payloads = &payloads;
             s.spawn(move || {
                 let cache = TieredCache::new(0, Some(&dir)).unwrap();
+                // Start once a write has landed, so the reads race the
+                // remaining writes however the threads are scheduled.
+                landed.recv().unwrap();
                 let mut seen = 0;
                 for _ in 0..ROUNDS * 4 {
                     if let Some((bytes, _)) = cache.get(KEY) {
@@ -393,7 +402,8 @@ mod tests {
                         );
                     }
                 }
-                // The race window is tiny; most reads must succeed.
+                // An entry exists from the first read on; a rename never
+                // leaves the key without a file.
                 assert!(seen > 0, "reader never saw a valid entry");
             });
         });

@@ -134,10 +134,16 @@ echo "==> sampsim compare smoke (all strategies vs whole-program truth)"
 # Quick-scale cross-strategy study on one benchmark, then validate the
 # report against the sampsim-compare/v1 schema AND the strategy registry
 # (the validator fails when a registered strategy is missing a row).
+# The --jobs 2 report, where truth has one worker and everything else
+# the other, must be byte-identical to the serial one.
 compare_report="$serve_dir/compare.json"
-"$sampsim_bin" compare omnetpp_s --scale 0.002 --maxk 6 --reps 2 \
+"$sampsim_bin" compare omnetpp_s --scale 0.002 --maxk 6 --reps 2 --jobs 1 \
     -o "$compare_report" > /dev/null 2> /dev/null
 "$sampsim_bin" compare --validate "$compare_report"
+"$sampsim_bin" compare omnetpp_s --scale 0.002 --maxk 6 --reps 2 --jobs 2 \
+    -o "$serve_dir/compare_jobs2.json" > /dev/null 2> /dev/null
+cmp "$compare_report" "$serve_dir/compare_jobs2.json" \
+    || { echo "compare smoke: --jobs 2 report != --jobs 1 report" >&2; exit 1; }
 # Belt and braces against registry drift: every strategy the CLI itself
 # advertises in its usage text must have a row in the report, so adding a
 # strategy to the CLI without teaching `compare` about it fails loudly.

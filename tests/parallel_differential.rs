@@ -15,6 +15,7 @@
 //! the dedicated cache-task path regardless of the host's core count.
 
 use sampsim::cache::configs;
+use sampsim::core::compare::compare_strategies;
 use sampsim::core::metrics::{aggregate_weighted, RunMetrics};
 use sampsim::core::runs::{run_regions_functional_jobs, run_regions_timing_jobs, WarmupMode};
 use sampsim::core::{PinPointsConfig, Pipeline, RunOptions};
@@ -434,4 +435,38 @@ fn single_slice_program_profiles_identically() {
         .build()
         .build();
     check_profile(&program, true, "single slice");
+}
+
+#[test]
+fn compare_reports_are_bit_identical_across_job_counts() {
+    // compare_strategies walks whole-program truth on a reserved worker
+    // beside the profile, the selections and the regional replays. At
+    // jobs = 2 everything but truth runs on exactly one worker; at 4,
+    // with a profiled cache, the profile reserves a second worker for its
+    // allcache walk inside the first reservation.
+    for (label, program) in [
+        ("synthetic", synthetic(61)),
+        (
+            "mcf",
+            benchmark(BenchmarkId::McfR)
+                .scaled(Scale::new(0.002))
+                .build(),
+        ),
+    ] {
+        for profile_cache in [false, true] {
+            let cfg = config(profile_cache);
+            let reference = compare_strategies(&program, &cfg, 2, SERIAL)
+                .unwrap()
+                .to_json();
+            for n in [2, 3, 4] {
+                let report = compare_strategies(&program, &cfg, 2, Jobs::new(n).unwrap())
+                    .unwrap()
+                    .to_json();
+                assert_eq!(
+                    report, reference,
+                    "{label} (profile cache {profile_cache}): compare report (jobs = {n})"
+                );
+            }
+        }
+    }
 }
