@@ -1,73 +1,20 @@
 //! Schema check for `sampsim lint --format json` / `sampsim audit
 //! --format json` output.
 //!
-//! Reads JSON-lines diagnostics from stdin and validates every object
-//! against the renderer's contract: the exact key set, a `SAxxx` code, a
-//! known severity, and a well-formed discriminated `location` object.
-//! Exits non-zero (with the offending line on stderr) on the first
-//! violation, so `scripts/check.sh` can pipe lint output straight
-//! through it.
+//! Reads JSON-lines diagnostics from stdin and checks every line against
+//! the renderer's declared shape ([`diagnostic_schema`]): the exact key
+//! set in render order, a registered `SAxxx` code, a known severity, a
+//! location tagged by its kind, and non-empty text. Exits non-zero (with
+//! the offending line on stderr) on the first violation, so
+//! `scripts/check.sh` can pipe lint output straight through it.
 //!
 //! ```text
 //! sampsim lint --format json | cargo run -p sampsim-analyze --example validate_lint_json
 //! ```
 
-use sampsim_util::json::{parse, Value};
+use sampsim_analyze::diagnostic_schema;
 use std::io::Read;
 use std::process::ExitCode;
-
-fn check_line(line: &str) -> Result<(), String> {
-    let value = parse(line).map_err(|e| format!("not valid JSON: {e:?}"))?;
-    let Value::Object(fields) = &value else {
-        return Err("top level is not an object".into());
-    };
-    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    if keys != ["code", "severity", "location", "message", "help"] {
-        return Err(format!("unexpected key set {keys:?}"));
-    }
-
-    let code = value.get("code").and_then(Value::as_str).unwrap_or("");
-    let digits = code.strip_prefix("SA").unwrap_or("");
-    if digits.len() != 3 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return Err(format!("bad rule code {code:?}"));
-    }
-
-    let severity = value.get("severity").and_then(Value::as_str).unwrap_or("");
-    if !["error", "warning", "note"].contains(&severity) {
-        return Err(format!("bad severity {severity:?}"));
-    }
-
-    for key in ["message", "help"] {
-        match value.get(key).and_then(Value::as_str) {
-            Some(s) if !s.is_empty() => {}
-            _ => return Err(format!("{key} is missing, empty or not a string")),
-        }
-    }
-
-    let location = value.get("location").ok_or("location is missing")?;
-    let Value::Object(loc_fields) = location else {
-        return Err("location is not an object".into());
-    };
-    let loc_keys: Vec<&str> = loc_fields.iter().map(|(k, _)| k.as_str()).collect();
-    let kind = location.get("kind").and_then(Value::as_str).unwrap_or("");
-    let expected: &[&str] = match kind {
-        // `item` is optional for workload locations.
-        "workload" if loc_keys.len() == 3 => &["kind", "workload", "item"],
-        "workload" => &["kind", "workload"],
-        "config" => &["kind", "field"],
-        "artifact" => &["kind", "path"],
-        other => return Err(format!("bad location kind {other:?}")),
-    };
-    if loc_keys != expected {
-        return Err(format!("location of kind {kind:?} has keys {loc_keys:?}"));
-    }
-    for (_, v) in loc_fields {
-        if v.as_str().is_none_or(str::is_empty) {
-            return Err("location fields must be non-empty strings".into());
-        }
-    }
-    Ok(())
-}
 
 fn main() -> ExitCode {
     let mut input = String::new();
@@ -77,7 +24,7 @@ fn main() -> ExitCode {
     }
     let mut checked = 0usize;
     for line in input.lines().filter(|l| !l.trim().is_empty()) {
-        if let Err(why) = check_line(line) {
+        if let Err(why) = diagnostic_schema().parse(line) {
             eprintln!("validate_lint_json: {why}\n  in line: {line}");
             return ExitCode::FAILURE;
         }

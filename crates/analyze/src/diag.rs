@@ -57,6 +57,9 @@ macro_rules! rules {
             /// All rules, in code order.
             pub const ALL: &'static [Rule] = &[ $( Rule::$variant, )* ];
 
+            /// Every rule's `SAxxx` code, in the order of [`Rule::ALL`].
+            pub const CODES: &'static [&'static str] = &[ $( $code, )* ];
+
             /// The stable `SAxxx` code.
             pub fn code(self) -> &'static str {
                 match self { $( Rule::$variant => $code, )* }

@@ -26,7 +26,7 @@
 //! The deeper passes are built on a small reusable framework: a worklist
 //! fixpoint solver over join-semilattices ([`fixpoint`]), a
 //! phase-transition graph with reachability/dominance/SCC passes
-//! ([`cfg`]), and abstract domains for address streams ([`absint`]). See
+//! ([`mod@cfg`]), and abstract domains for address streams ([`absint`]). See
 //! `docs/static-analysis.md`.
 
 #![forbid(unsafe_code)]
@@ -51,7 +51,7 @@ pub use config::{
 };
 pub use diag::{Diagnostic, Location, Report, Rule, Severity};
 pub use fixpoint::{solve, BitSet, JoinSemiLattice};
-pub use render::{diagnostic_json, render_human, render_json_lines};
+pub use render::{diagnostic_json, diagnostic_schema, render_human, render_json_lines};
 pub use soundness::{
     lint_soundness, materialized_bytes_estimate, predicted_instructions, SoundnessInput,
     CLT_MIN_SAMPLES, DEFAULT_MATERIALIZED_BUDGET_BYTES, WEIGHT_CONCENTRATION_BOUND,

@@ -1,14 +1,16 @@
 //! Human-readable and JSON-lines renderers for [`Report`]s.
 //!
 //! The JSON renderer emits one object per line (JSON-lines), hand-rolled so
-//! the crate stays dependency-free. The shape is stable and golden-tested:
+//! the crate stays dependency-free. The shape is stable, golden-tested and
+//! declared by [`diagnostic_schema`]:
 //!
 //! ```json
 //! {"code":"SA001","severity":"error","location":{"kind":"workload",
 //!  "workload":"505.mcf_r","item":"phase 3"},"message":"...","help":"..."}
 //! ```
 
-use crate::diag::{Diagnostic, Location, Report, Severity};
+use crate::diag::{Diagnostic, Location, Report, Rule, Severity};
+use sampsim_util::json::{quote, Shape};
 use std::fmt::Write;
 
 /// Renders a report in `rustc`-style human-readable form.
@@ -43,60 +45,51 @@ pub fn render_json_lines(report: &Report) -> String {
 
 /// Renders one diagnostic as a single-line JSON object.
 pub fn diagnostic_json(d: &Diagnostic) -> String {
-    let mut s = String::with_capacity(128);
-    s.push_str("{\"code\":");
-    json_string(&mut s, d.rule.code());
-    s.push_str(",\"severity\":");
-    json_string(&mut s, d.severity.label());
-    s.push_str(",\"location\":");
-    location_json(&mut s, &d.location);
-    s.push_str(",\"message\":");
-    json_string(&mut s, &d.message);
-    s.push_str(",\"help\":");
-    json_string(&mut s, d.help);
-    s.push('}');
-    s
-}
-
-fn location_json(s: &mut String, loc: &Location) {
-    match loc {
-        Location::Workload { workload, item } => {
-            s.push_str("{\"kind\":\"workload\",\"workload\":");
-            json_string(s, workload);
-            s.push_str(",\"item\":");
-            json_string(s, item);
-            s.push('}');
-        }
-        Location::Config { field } => {
-            s.push_str("{\"kind\":\"config\",\"field\":");
-            json_string(s, field);
-            s.push('}');
-        }
+    let location = match &d.location {
+        Location::Workload { workload, item } => format!(
+            "{{\"kind\":\"workload\",\"workload\":{},\"item\":{}}}",
+            quote(workload),
+            quote(item)
+        ),
+        Location::Config { field } => format!("{{\"kind\":\"config\",\"field\":{}}}", quote(field)),
         Location::Artifact { path } => {
-            s.push_str("{\"kind\":\"artifact\",\"path\":");
-            json_string(s, path);
-            s.push('}');
+            format!("{{\"kind\":\"artifact\",\"path\":{}}}", quote(path))
         }
-    }
+    };
+    format!(
+        "{{\"code\":{},\"severity\":{},\"location\":{location},\"message\":{},\"help\":{}}}",
+        quote(d.rule.code()),
+        quote(d.severity.label()),
+        quote(&d.message),
+        quote(d.help)
+    )
 }
 
-/// Appends `value` as a JSON string literal (RFC 8259 escaping).
-fn json_string(s: &mut String, value: &str) {
-    s.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
+/// The shape [`diagnostic_json`] renders: a registered rule code, a known
+/// severity, a location tagged by its kind, and non-empty text. The
+/// `item` of a workload location is empty for the workload itself.
+pub const fn diagnostic_schema() -> &'static Shape {
+    const SHAPE: Shape = Shape::Object(&[
+        ("code", Shape::OneOf(Rule::CODES)),
+        ("severity", Shape::OneOf(&["note", "warning", "error"])),
+        (
+            "location",
+            Shape::Tagged {
+                tag: "kind",
+                variants: &[
+                    (
+                        "workload",
+                        &[("workload", Shape::Text), ("item", Shape::Str)],
+                    ),
+                    ("config", &[("field", Shape::Text)]),
+                    ("artifact", &[("path", Shape::Text)]),
+                ],
+            },
+        ),
+        ("message", Shape::Text),
+        ("help", Shape::Text),
+    ]);
+    &SHAPE
 }
 
 #[cfg(test)]
@@ -133,13 +126,6 @@ mod tests {
     fn empty_report_renders_empty() {
         assert_eq!(render_human(&Report::new()), "");
         assert_eq!(render_json_lines(&Report::new()), "");
-    }
-
-    #[test]
-    fn json_escaping() {
-        let mut s = String::new();
-        json_string(&mut s, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
     }
 
     #[test]

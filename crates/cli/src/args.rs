@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing (no external dependencies).
 
 use sampsim_exec::Jobs;
+use sampsim_simpoint::MAX_REPLICATES;
 use sampsim_util::scale::Scale;
 
 /// Usage text shown by `sampsim help` and on parse errors.
@@ -51,7 +52,7 @@ flags:
 
 compare flags:
   --reps <n>              replicate selections per strategy for the error
-                          bars (>= 1, default: 5)
+                          bars (1 to 1000, default: 5)
   --validate <FILE>       only validate an existing report, run nothing
 
 plan flags:
@@ -433,8 +434,8 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
             "--reps" => {
                 let v = iter.next().ok_or("--reps needs a value")?;
                 let n: usize = v.parse().map_err(|_| format!("bad --reps value: {v}"))?;
-                if n == 0 {
-                    return Err("--reps must be >= 1".into());
+                if !(1..=MAX_REPLICATES).contains(&n) {
+                    return Err(format!("--reps must be in 1..={MAX_REPLICATES}"));
                 }
                 reps = Some(n);
             }
@@ -819,6 +820,7 @@ mod tests {
         assert!(parse_str("compare").is_err(), "needs bench or --validate");
         assert!(parse_str("compare mcf_r --validate cmp.json").is_err());
         assert!(parse_str("compare mcf_r --reps 0").is_err());
+        assert!(parse_str("compare mcf_r --reps 1000000000").is_err());
         assert!(parse_str("compare mcf_r --reps nope").is_err());
 
         let p = parse_str("run mcf_r --strategy rss").unwrap();

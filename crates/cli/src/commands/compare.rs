@@ -1,6 +1,6 @@
 //! `sampsim compare` — the cross-strategy efficacy study.
 
-use super::{build, create_report_file, pipeline_config, CmdResult, UsageError};
+use super::{build, create_report_file, pipeline_config, validate_file, CmdResult};
 use crate::args::Options;
 use sampsim_core::compare::{self, DEFAULT_REPLICATES, SCHEMA};
 use sampsim_serve::service::find_benchmark;
@@ -25,11 +25,7 @@ pub fn compare(
     options: &Options,
 ) -> CmdResult {
     if let Some(path) = validate {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| UsageError(format!("cannot read {path}: {e}")))?;
-        compare::validate_report(text.trim()).map_err(|e| UsageError(format!("{path}: {e}")))?;
-        println!("{path}: valid {SCHEMA} report covering the strategy registry");
-        return Ok(());
+        return validate_file(path, SCHEMA, compare::validate_report);
     }
     let bench = bench.expect("the parser requires a benchmark without --validate");
     let spec = find_benchmark(bench)?;

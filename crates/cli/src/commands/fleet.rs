@@ -1,7 +1,7 @@
 //! `sampsim fleet` / `sampsim loadgen` — the sharded serving topology
 //! and its load-generator harness.
 
-use super::{create_report_file, CmdResult};
+use super::{create_report_file, validate_file, CmdResult};
 use crate::args::Options;
 use sampsim_fleet::loadgen::{self, LoadgenConfig, Mix};
 use sampsim_fleet::{Fleet, FleetConfig};
@@ -59,7 +59,7 @@ pub fn fleet(
 /// `sampsim loadgen [--fleet N] [--clients C] [--requests R]
 /// [--mix cold:warm] [--seed S] [--quick] [-o FILE]`, or
 /// `sampsim loadgen --validate FILE` to only schema-check an existing
-/// report.
+/// report (a violation exits 2).
 ///
 /// Spawns an ephemeral in-process fleet, drives the seed-deterministic
 /// cold/warm schedule through `--clients` concurrent TCP clients, and
@@ -79,10 +79,7 @@ pub fn loadgen(
     validate: Option<&str>,
 ) -> CmdResult {
     if let Some(path) = validate {
-        let text = std::fs::read_to_string(path)?;
-        loadgen::validate_report(&text).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("{path}: valid {} report", loadgen::SCHEMA);
-        return Ok(());
+        return validate_file(path, loadgen::SCHEMA, loadgen::validate_report);
     }
     let mut config = if quick {
         LoadgenConfig::quick()

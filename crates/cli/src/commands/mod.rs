@@ -55,6 +55,17 @@ fn create_report_file(path: &str) -> Result<std::fs::File, UsageError> {
     std::fs::File::create(path).map_err(|e| UsageError(format!("cannot write {path}: {e}")))
 }
 
+/// `--validate FILE` for every report command: checks one saved report
+/// and prints `FILE: valid <schema> report`. An unreadable file or any
+/// violation is a usage-class failure (exit 2), reported by its path.
+fn validate_file(path: &str, schema: &str, validate: fn(&str) -> Result<(), String>) -> CmdResult {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| UsageError(format!("cannot read {path}: {e}")))?;
+    validate(&text).map_err(|e| UsageError(format!("{path}: {e}")))?;
+    println!("{path}: valid {schema} report");
+    Ok(())
+}
+
 /// Resolves `--strategy` against the engine registry. A spec that does
 /// not parse — unregistered name or malformed parameters — is a
 /// usage-class failure (SA130, exit 2), same class as a bad flag value,

@@ -2,14 +2,14 @@
 
 use crate::args::Options;
 
-use super::CmdResult;
-use sampsim_perf::{compare_reports, run_kernels, validate_report, PerfOptions};
+use super::{validate_file, CmdResult};
+use sampsim_perf::{compare_reports, run_kernels, validate_report, PerfOptions, SCHEMA};
 use sampsim_util::scale::Scale;
 use std::path::PathBuf;
 
 /// `sampsim perf [--quick] [-o FILE] [--artifacts DIR] [--baseline FILE]`,
 /// or `sampsim perf --validate FILE` to only schema-check an existing
-/// report.
+/// report (a violation exits 2).
 ///
 /// The report JSON goes to stdout and, with `-o`, to `FILE`; progress
 /// lines go to stderr. Every freshly produced report is validated before
@@ -27,10 +27,7 @@ pub fn perf(
     options: &Options,
 ) -> CmdResult {
     if let Some(path) = validate {
-        let text = std::fs::read_to_string(path)?;
-        validate_report(&text).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("{path}: valid {} report", sampsim_perf::SCHEMA);
-        return Ok(());
+        return validate_file(path, SCHEMA, validate_report);
     }
     let mut perf_options = PerfOptions {
         quick,

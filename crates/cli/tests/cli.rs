@@ -947,3 +947,90 @@ fn figure_output_is_identical_across_job_counts_and_cache_state() {
         "{err}"
     );
 }
+
+/// `--validate FILE` is one front door for every report command: a valid
+/// report prints `FILE: valid <schema> report` and exits 0; the same
+/// report with one key deleted exits 2 with the key named on stderr.
+#[test]
+fn validate_accepts_reports_and_rejects_a_deleted_key() {
+    let dir = std::env::temp_dir().join(format!("sampsim-cli-validate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let generate = |args: &[&str]| {
+        let out = sampsim().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let committed = |name: &str| std::fs::read_to_string(root.join(name)).unwrap();
+    let small = ["omnetpp_s", "--scale", "0.002", "--maxk", "6"];
+    let cases = [
+        (
+            "plan",
+            "sampsim-plan/v1",
+            generate(&[&["plan"], &small[..]].concat()),
+            "samples",
+        ),
+        (
+            "compare",
+            "sampsim-compare/v1",
+            generate(&[&["compare"], &small[..], &["--reps", "2"]].concat()),
+            "slice_size",
+        ),
+        (
+            "perf",
+            "sampsim-perf-kernels/v2",
+            committed("BENCH_kernels.json"),
+            "num_slices",
+        ),
+        (
+            "loadgen",
+            "sampsim-serve-bench/v1",
+            committed("BENCH_serve.json"),
+            "clients",
+        ),
+    ];
+    for (command, schema, report, key) in cases {
+        let path = dir.join(format!("{command}.json"));
+        std::fs::write(&path, &report).unwrap();
+        let out = sampsim()
+            .args([command, "--validate"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{command}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(
+            stdout,
+            format!("{}: valid {schema} report\n", path.display()),
+            "{command}"
+        );
+
+        // Delete `"key":<scalar>,` — every chosen key holds a number and
+        // is followed by another key.
+        let start = report.find(&format!("\"{key}\":")).unwrap();
+        let end = start + report[start..].find(',').unwrap() + 1;
+        let broken = dir.join(format!("{command}-broken.json"));
+        std::fs::write(&broken, format!("{}{}", &report[..start], &report[end..])).unwrap();
+        let out = sampsim()
+            .args([command, "--validate"])
+            .arg(&broken)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(&format!("missing \"{key}\"")),
+            "{command}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

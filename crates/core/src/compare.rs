@@ -27,10 +27,11 @@
 //! The report is schema-versioned single-line JSON ([`SCHEMA`]); floats
 //! render via `{:?}` (shortest exact representation), and every stage is
 //! deterministic per job count, so the bytes are identical across
-//! `--jobs` values. [`validate_report`] checks a report against the
-//! schema **and the registry**: a strategy registered in the engine but
-//! missing from a report (or vice versa) is a validation failure, which
-//! is how `scripts/check.sh` fails loudly on registry drift.
+//! `--jobs` values. [`validate_report`] checks a report against its
+//! declared [`schema`], which includes **the registry**: a strategy
+//! registered in the engine but missing from a report (or vice versa) is
+//! a validation failure, which is how `scripts/check.sh` fails loudly on
+//! registry drift.
 
 use crate::error::CoreError;
 use crate::metrics::{aggregate_weighted, whole_as_aggregate, AggregatedMetrics};
@@ -44,7 +45,7 @@ use sampsim_simpoint::{
     STRATEGY_NAMES,
 };
 use sampsim_uarch::CoreConfig;
-use sampsim_util::json::{self, Value};
+use sampsim_util::json::{num, Bound, Shape};
 use sampsim_util::stats::{relative_error_pct, Summary};
 use sampsim_workload::Program;
 
@@ -286,33 +287,27 @@ fn sample_strategies(
 
 impl CompareReport {
     /// Renders the single-line `sampsim-compare/v1` JSON document (no
-    /// trailing newline). Floats go through `{:?}` so the text is the
-    /// shortest exact representation of the bit pattern — byte-stable
-    /// across job counts because every input is.
+    /// trailing newline), in the shape [`schema`] declares. Floats go
+    /// through [`num`] so the text is the shortest exact representation
+    /// of the bit pattern — byte-stable across job counts because every
+    /// input is.
     pub fn to_json(&self) -> String {
-        fn json_f(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:?}")
-            } else {
-                "null".to_string()
-            }
-        }
         fn estimate(e: &Estimate) -> String {
             format!(
                 "{{\"mean\":{},\"ci95\":{},\"error_pct\":{}}}",
-                json_f(e.mean),
-                json_f(e.ci95),
-                json_f(e.error_pct)
+                num(e.mean),
+                num(e.ci95),
+                num(e.error_pct)
             )
         }
         let truth_mr = self.truth.miss_rates.expect("truth carries miss rates");
         let truth = format!(
             "{{\"cpi\":{},\"miss_rates_pct\":{{\"l1i\":{},\"l1d\":{},\"l2\":{},\"l3\":{}}}}}",
-            json_f(self.truth.cpi.expect("truth carries CPI")),
-            json_f(truth_mr.l1i),
-            json_f(truth_mr.l1d),
-            json_f(truth_mr.l2),
-            json_f(truth_mr.l3)
+            num(self.truth.cpi.expect("truth carries CPI")),
+            num(truth_mr.l1i),
+            num(truth_mr.l1d),
+            num(truth_mr.l2),
+            num(truth_mr.l3)
         );
         let rows: Vec<String> = self
             .strategies
@@ -346,116 +341,67 @@ impl CompareReport {
     }
 }
 
-fn check_estimate(v: &Value, what: &str) -> Result<(), String> {
-    for field in ["mean", "ci95", "error_pct"] {
-        v.get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{what}.{field}: missing or not a number"))?;
-    }
-    Ok(())
+/// The `sampsim-compare/v1` document [`CompareReport::to_json`] renders,
+/// with exactly one row per registered strategy.
+pub const fn schema() -> &'static Shape {
+    const ESTIMATE: Shape = Shape::Object(&[
+        ("mean", Shape::Num(Bound::Any)),
+        ("ci95", Shape::Num(Bound::Any)),
+        ("error_pct", Shape::Num(Bound::Any)),
+    ]);
+    const ROW: Shape = Shape::Object(&[
+        ("strategy", Shape::OneOf(STRATEGY_NAMES)),
+        ("regions", Shape::Num(Bound::AtLeast(1.0))),
+        ("replicates", Shape::Num(Bound::AtLeast(1.0))),
+        ("cpi", ESTIMATE),
+        (
+            "miss_rates_pct",
+            Shape::Object(&[
+                ("l1i", ESTIMATE),
+                ("l1d", ESTIMATE),
+                ("l2", ESTIMATE),
+                ("l3", ESTIMATE),
+            ]),
+        ),
+    ]);
+    const SHAPE: Shape = Shape::Object(&[
+        ("schema", Shape::OneOf(&[SCHEMA])),
+        ("bench", Shape::Text),
+        ("slices", Shape::Num(Bound::AtLeast(1.0))),
+        ("slice_size", Shape::Num(Bound::AtLeast(1.0))),
+        ("replicates", Shape::Num(Bound::AtLeast(1.0))),
+        (
+            "truth",
+            Shape::Object(&[
+                ("cpi", Shape::Num(Bound::Any)),
+                (
+                    "miss_rates_pct",
+                    Shape::Object(&[
+                        ("l1i", Shape::Num(Bound::Any)),
+                        ("l1d", Shape::Num(Bound::Any)),
+                        ("l2", Shape::Num(Bound::Any)),
+                        ("l3", Shape::Num(Bound::Any)),
+                    ]),
+                ),
+            ]),
+        ),
+        (
+            "strategies",
+            Shape::Array(&ROW, 0, Some(("strategy", STRATEGY_NAMES))),
+        ),
+    ]);
+    &SHAPE
 }
 
-fn check_miss_rates(v: &Value, what: &str, as_estimates: bool) -> Result<(), String> {
-    let mr = v
-        .get("miss_rates_pct")
-        .ok_or_else(|| format!("{what}.miss_rates_pct: missing"))?;
-    for level in ["l1i", "l1d", "l2", "l3"] {
-        let entry = mr
-            .get(level)
-            .ok_or_else(|| format!("{what}.miss_rates_pct.{level}: missing"))?;
-        if as_estimates {
-            check_estimate(entry, &format!("{what}.miss_rates_pct.{level}"))?;
-        } else if entry.as_f64().is_none() {
-            return Err(format!("{what}.miss_rates_pct.{level}: not a number"));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a compare report against the `sampsim-compare/v1` schema and
-/// the strategy registry.
+/// Validates a compare report against [`schema`].
 ///
 /// # Errors
 ///
-/// Returns a description of the first violation: wrong schema tag,
-/// missing or malformed fields, a registered strategy absent from the
-/// report, or a reported strategy the registry does not know. The
-/// registry checks make `scripts/check.sh` fail loudly when a strategy is
-/// added to (or dropped from) the engine without the report following.
+/// Returns a description of the first violation, by its path. The
+/// registry checks make `scripts/check.sh` fail loudly when a strategy
+/// is added to (or dropped from) the engine without the report following.
 pub fn validate_report(text: &str) -> Result<(), String> {
-    let doc = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("schema: missing or not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema: expected \"{SCHEMA}\", got \"{schema}\""));
-    }
-    doc.get("bench")
-        .and_then(Value::as_str)
-        .ok_or("bench: missing or not a string")?;
-    for field in ["slices", "slice_size", "replicates"] {
-        let v = doc
-            .get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{field}: missing or not a number"))?;
-        if v < 1.0 {
-            return Err(format!("{field}: must be >= 1, got {v}"));
-        }
-    }
-    let truth = doc.get("truth").ok_or("truth: missing")?;
-    truth
-        .get("cpi")
-        .and_then(Value::as_f64)
-        .ok_or("truth.cpi: missing or not a number")?;
-    check_miss_rates(truth, "truth", false)?;
-
-    let strategies = doc
-        .get("strategies")
-        .and_then(Value::as_array)
-        .ok_or("strategies: missing or not an array")?;
-    let mut reported = Vec::with_capacity(strategies.len());
-    for (i, row) in strategies.iter().enumerate() {
-        let what = format!("strategies[{i}]");
-        let name = row
-            .get("strategy")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{what}.strategy: missing or not a string"))?;
-        if !STRATEGY_NAMES.contains(&name) {
-            return Err(format!(
-                "{what}.strategy: \"{name}\" is not a registered strategy \
-                 (registry: {STRATEGY_NAMES:?})"
-            ));
-        }
-        if reported.contains(&name.to_string()) {
-            return Err(format!("{what}.strategy: \"{name}\" appears twice"));
-        }
-        for field in ["regions", "replicates"] {
-            let v = row
-                .get(field)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{what}.{field}: missing or not a number"))?;
-            if v < 1.0 {
-                return Err(format!("{what}.{field}: must be >= 1, got {v}"));
-            }
-        }
-        check_estimate(
-            row.get("cpi")
-                .ok_or_else(|| format!("{what}.cpi: missing"))?,
-            &format!("{what}.cpi"),
-        )?;
-        check_miss_rates(row, &what, true)?;
-        reported.push(name.to_string());
-    }
-    for required in STRATEGY_NAMES {
-        if !reported.iter().any(|n| n == required) {
-            return Err(format!(
-                "strategies: registered strategy \"{required}\" is missing from the report \
-                 (reported: {reported:?})"
-            ));
-        }
-    }
-    Ok(())
+    schema().parse(text).map(drop)
 }
 
 #[cfg(test)]

@@ -46,11 +46,11 @@
 use crate::error::CoreError;
 use crate::pipeline::PinPointsConfig;
 use sampsim_analyze::{
-    diagnostic_json, lint_soundness, predicted_instructions, Diagnostic, SoundnessInput,
-    StaticBbvBounds,
+    diagnostic_json, diagnostic_schema, lint_soundness, predicted_instructions, Diagnostic,
+    SoundnessInput, StaticBbvBounds,
 };
 use sampsim_simpoint::{StrategySpec, STRATEGY_NAMES};
-use sampsim_util::json::{self, Value};
+use sampsim_util::json::{num, Bound, Shape};
 use sampsim_workload::Program;
 
 /// Schema identifier stamped into every plan report.
@@ -240,22 +240,15 @@ pub fn plan_strategy(
 
 impl PlanReport {
     /// Renders the single-line `sampsim-plan/v1` JSON document (no
-    /// trailing newline). Floats go through `{:?}` (shortest exact
-    /// representation; non-finite renders as `null`). Every field is
-    /// statically derived, so the bytes never depend on `--jobs`.
+    /// trailing newline), in the shape [`schema`] declares. Floats go
+    /// through [`num`]. Every field is statically derived, so the bytes
+    /// never depend on `--jobs`.
     pub fn to_json(&self) -> String {
-        fn json_f(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:?}")
-            } else {
-                "null".to_string()
-            }
-        }
         let ci: Vec<String> = self
             .ci_bound_pct
             .named()
             .iter()
-            .map(|(name, bound)| format!("\"{name}\":{}", json_f(*bound)))
+            .map(|(name, bound)| format!("\"{name}\":{}", num(*bound)))
             .collect();
         let soundness: Vec<String> = self.soundness.iter().map(diagnostic_json).collect();
         format!(
@@ -273,97 +266,55 @@ impl PlanReport {
             self.samples,
             self.replicates,
             self.predicted_instructions,
-            json_f(self.speedup_bound),
-            json_f(self.max_weight_bound),
+            num(self.speedup_bound),
+            num(self.max_weight_bound),
             ci.join(","),
             soundness.join(",")
         )
     }
 }
 
-/// Validates a plan report against the `sampsim-plan/v1` schema and the
-/// strategy registry.
+/// The `sampsim-plan/v1` document [`PlanReport::to_json`] renders; a
+/// `null` `max_weight_bound` means no static guarantee.
+pub const fn schema() -> &'static Shape {
+    const COUNT: Shape = Shape::Num(Bound::AtLeast(1.0));
+    const BOUND: Shape = Shape::Num(Bound::AtLeast(0.0));
+    const POSITIVE: Shape = Shape::Num(Bound::Above(0.0));
+    const SHAPE: Shape = Shape::Object(&[
+        ("schema", Shape::OneOf(&[SCHEMA])),
+        ("bench", Shape::Text),
+        ("slices", COUNT),
+        ("slice_size", COUNT),
+        ("strategy", Shape::OneOf(STRATEGY_NAMES)),
+        ("whole_instructions", BOUND),
+        ("regions", COUNT),
+        ("samples", COUNT),
+        ("replicates", COUNT),
+        ("predicted_instructions", BOUND),
+        ("speedup_bound", BOUND),
+        ("max_weight_bound", Shape::Nullable(&POSITIVE)),
+        (
+            "ci_bound_pct",
+            Shape::Object(&[
+                ("cpi", BOUND),
+                ("l1i", BOUND),
+                ("l1d", BOUND),
+                ("l2", BOUND),
+                ("l3", BOUND),
+            ]),
+        ),
+        ("soundness", Shape::Array(diagnostic_schema(), 0, None)),
+    ]);
+    &SHAPE
+}
+
+/// Validates a plan report against [`schema`].
 ///
 /// # Errors
 ///
-/// Returns a description of the first violation: wrong schema tag,
-/// missing or malformed fields, an unregistered strategy, negative
-/// bounds, or a malformed soundness array.
+/// Returns a description of the first violation, by its path.
 pub fn validate_report(text: &str) -> Result<(), String> {
-    let doc = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("schema: missing or not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema: expected \"{SCHEMA}\", got \"{schema}\""));
-    }
-    doc.get("bench")
-        .and_then(Value::as_str)
-        .ok_or("bench: missing or not a string")?;
-    let name = doc
-        .get("strategy")
-        .and_then(Value::as_str)
-        .ok_or("strategy: missing or not a string")?;
-    if !STRATEGY_NAMES.contains(&name) {
-        return Err(format!(
-            "strategy: \"{name}\" is not a registered strategy (registry: {STRATEGY_NAMES:?})"
-        ));
-    }
-    for field in ["slices", "slice_size", "regions", "samples", "replicates"] {
-        let v = doc
-            .get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{field}: missing or not a number"))?;
-        if v < 1.0 {
-            return Err(format!("{field}: must be >= 1, got {v}"));
-        }
-    }
-    for field in [
-        "whole_instructions",
-        "predicted_instructions",
-        "speedup_bound",
-    ] {
-        let v = doc
-            .get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{field}: missing or not a number"))?;
-        if v < 0.0 {
-            return Err(format!("{field}: must be >= 0, got {v}"));
-        }
-    }
-    // max_weight_bound may legitimately be null (no static guarantee).
-    match doc.get("max_weight_bound") {
-        Some(Value::Null) => {}
-        Some(v) if v.as_f64().is_some_and(|b| b > 0.0) => {}
-        _ => return Err("max_weight_bound: missing, or not null / a positive number".into()),
-    }
-    let ci = doc.get("ci_bound_pct").ok_or("ci_bound_pct: missing")?;
-    for metric in ["cpi", "l1i", "l1d", "l2", "l3"] {
-        let v = ci
-            .get(metric)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("ci_bound_pct.{metric}: missing or not a number"))?;
-        if v < 0.0 {
-            return Err(format!("ci_bound_pct.{metric}: must be >= 0, got {v}"));
-        }
-    }
-    let soundness = doc
-        .get("soundness")
-        .and_then(Value::as_array)
-        .ok_or("soundness: missing or not an array")?;
-    for (i, d) in soundness.iter().enumerate() {
-        for field in ["code", "severity", "message", "help"] {
-            d.get(field)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("soundness[{i}].{field}: missing or not a string"))?;
-        }
-        d.get("location")
-            .and_then(|l| l.get("kind"))
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("soundness[{i}].location: missing or missing a kind"))?;
-    }
-    Ok(())
+    schema().parse(text).map(drop)
 }
 
 /// Truth values (in percent / absolute CPI) below this threshold exempt

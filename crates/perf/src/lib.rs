@@ -1,7 +1,7 @@
 //! In-repo microbenchmark harness for the hot kernels.
 //!
 //! The optimized kernels this repo ships — bounds-pruned k-means
-//! ([`sampsim_simpoint::kmeans`]), sparse cached-row BBV projection
+//! ([`mod@sampsim_simpoint::kmeans`]), sparse cached-row BBV projection
 //! ([`sampsim_simpoint::project`]) and the packed single-pass cache probe
 //! ([`sampsim_cache::Cache::access_rw`]) — all promise *bit-identical*
 //! results to their naive counterparts. This crate times them against
@@ -22,8 +22,8 @@
 //! would need ([`sampsim_analyze::materialized_bytes_estimate`]).
 //!
 //! No external crates: timing is `std::time::Instant`, the report is a
-//! hand-assembled JSON document, and validation reuses
-//! [`sampsim_util::json`].
+//! hand-assembled JSON document, and validation checks it against the
+//! report's declared [`schema`] with [`sampsim_util::json`].
 //!
 //! Wall-clock numbers are inherently machine-dependent; the report is for
 //! trend tracking, not for byte-stable comparison. Everything *other*
@@ -46,7 +46,7 @@ use sampsim_simpoint::{
     MINIBATCH_BATCH,
 };
 use sampsim_spec2017::{benchmark, BenchmarkId};
-use sampsim_util::json::{self, Value};
+use sampsim_util::json::{self, num, Bound, Shape, Value};
 use sampsim_util::rng::SplitMix64;
 use sampsim_util::scale::Scale;
 use std::fmt;
@@ -732,17 +732,10 @@ pub fn run_kernels(
     })
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl PerfReport {
-    /// Renders the report as a JSON document (hand-assembled; floats use
-    /// Rust's shortest-round-trip `{:?}` like every sampsim writer).
+    /// Renders the report as a JSON document in the shape [`schema`]
+    /// declares (hand-assembled; floats go through [`num`] like every
+    /// sampsim writer).
     pub fn to_json(&self) -> String {
         let kernels: Vec<String> = self
             .kernels
@@ -750,16 +743,16 @@ impl PerfReport {
             .map(|k| {
                 let mut fields = vec![format!("\"name\":\"{}\"", k.name)];
                 if let Some(r) = k.reference_ms {
-                    fields.push(format!("\"reference_ms\":{}", json_f(r)));
+                    fields.push(format!("\"reference_ms\":{}", num(r)));
                 }
-                fields.push(format!("\"optimized_ms\":{}", json_f(k.optimized_ms)));
+                fields.push(format!("\"optimized_ms\":{}", num(k.optimized_ms)));
                 if let Some(s) = k.speedup {
-                    fields.push(format!("\"speedup\":{}", json_f(s)));
+                    fields.push(format!("\"speedup\":{}", num(s)));
                 }
                 let details: Vec<String> = k
                     .details
                     .iter()
-                    .map(|(name, v)| format!("\"{name}\":{}", json_f(*v)))
+                    .map(|(name, v)| format!("\"{name}\":{}", num(*v)))
                     .collect();
                 fields.push(format!("\"details\":{{{}}}", details.join(",")));
                 format!("{{{}}}", fields.join(","))
@@ -778,9 +771,9 @@ impl PerfReport {
                      \"materialized_estimate_bytes\":{}}}",
                     p.slices,
                     p.max_k,
-                    json_f(p.wall_ms),
-                    json_f(p.ns_per_slice),
-                    json_f(p.centroid_checksum),
+                    num(p.wall_ms),
+                    num(p.ns_per_slice),
+                    num(p.centroid_checksum),
                     rss,
                     p.materialized_estimate_bytes
                 )
@@ -799,95 +792,48 @@ impl PerfReport {
     }
 }
 
-fn field<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{what}: missing \"{key}\""))
+/// The `sampsim-perf-kernels/v2` document [`PerfReport::to_json`]
+/// renders: v2 requires a reference timing and speedup on every kernel.
+pub const fn schema() -> &'static Shape {
+    const KERNELS: &[&str] = &["kmeans_sweep", "bbv_projection", "cache_access_rw"];
+    const KERNEL: Shape = Shape::Object(&[
+        ("name", Shape::OneOf(KERNELS)),
+        ("reference_ms", Shape::Num(Bound::Any)),
+        ("optimized_ms", Shape::Num(Bound::AtLeast(0.0))),
+        ("speedup", Shape::Num(Bound::Above(0.0))),
+        ("details", Shape::Map(&Shape::Num(Bound::Any))),
+    ]);
+    const POINT: Shape = Shape::Object(&[
+        ("slices", Shape::Num(Bound::AtLeast(1.0))),
+        ("max_k", Shape::Num(Bound::Any)),
+        ("wall_ms", Shape::Num(Bound::Any)),
+        ("ns_per_slice", Shape::Num(Bound::Any)),
+        ("centroid_checksum", Shape::Num(Bound::Any)),
+        (
+            "streamed_rss_delta_bytes",
+            Shape::Nullable(&Shape::Num(Bound::Any)),
+        ),
+        ("materialized_estimate_bytes", Shape::Num(Bound::Any)),
+    ]);
+    const SHAPE: Shape = Shape::Object(&[
+        ("schema", Shape::OneOf(&[SCHEMA])),
+        ("benchmark", Shape::Text),
+        ("quick", Shape::Bool),
+        ("num_slices", Shape::Num(Bound::Any)),
+        ("dim", Shape::Num(Bound::Any)),
+        ("kernels", Shape::Array(&KERNEL, 0, Some(("name", KERNELS)))),
+        ("scaling", Shape::Array(&POINT, 1, None)),
+    ]);
+    &SHAPE
 }
 
-/// Validates a `BENCH_kernels.json` document against the v2 schema:
-/// schema tag, benchmark name, the three kernels each with a finite
-/// reference timing and speedup, and a non-empty scaling grid whose
-/// points carry valid rates and the materialized-path estimate.
+/// Validates a `BENCH_kernels.json` document against [`schema`].
 ///
 /// # Errors
 ///
-/// A description of the first problem found.
+/// A description of the first problem found, by its path.
 pub fn validate_report(text: &str) -> Result<(), String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    let schema = field(&doc, "schema", "report")?
-        .as_str()
-        .ok_or("schema is not a string")?;
-    if schema != SCHEMA {
-        return Err(format!("schema is '{schema}', expected '{SCHEMA}'"));
-    }
-    field(&doc, "benchmark", "report")?
-        .as_str()
-        .ok_or("benchmark is not a string")?;
-    field(&doc, "num_slices", "report")?
-        .as_f64()
-        .ok_or("num_slices is not a number")?;
-    let kernels = field(&doc, "kernels", "report")?
-        .as_array()
-        .ok_or("kernels is not an array")?;
-    let mut seen = Vec::new();
-    for kernel in kernels {
-        let name = field(kernel, "name", "kernel")?
-            .as_str()
-            .ok_or("kernel name is not a string")?;
-        let ms = field(kernel, "optimized_ms", name)?
-            .as_f64()
-            .ok_or_else(|| format!("{name}: optimized_ms is not a number"))?;
-        if !ms.is_finite() || ms < 0.0 {
-            return Err(format!("{name}: optimized_ms {ms} is not a valid timing"));
-        }
-        // v2: every kernel carries a reference and a speedup — the cache
-        // probe included, timed against the frozen reference model.
-        let speedup = field(kernel, "speedup", name)?
-            .as_f64()
-            .ok_or_else(|| format!("{name}: speedup is not a number"))?;
-        if !speedup.is_finite() || speedup <= 0.0 {
-            return Err(format!("{name}: speedup {speedup} is not valid"));
-        }
-        field(kernel, "reference_ms", name)?
-            .as_f64()
-            .ok_or_else(|| format!("{name}: reference_ms is not a number"))?;
-        field(kernel, "details", name)?;
-        seen.push(name.to_string());
-    }
-    for required in ["kmeans_sweep", "bbv_projection", "cache_access_rw"] {
-        if !seen.iter().any(|s| s == required) {
-            return Err(format!("kernel \"{required}\" is missing"));
-        }
-    }
-    let scaling = field(&doc, "scaling", "report")?
-        .as_array()
-        .ok_or("scaling is not an array")?;
-    if scaling.is_empty() {
-        return Err("scaling grid is empty".to_string());
-    }
-    for point in scaling {
-        let slices = field(point, "slices", "scaling point")?
-            .as_f64()
-            .ok_or("scaling point: slices is not a number")?;
-        if slices < 1.0 {
-            return Err(format!("scaling point: slices {slices} is not positive"));
-        }
-        field(point, "max_k", "scaling point")?
-            .as_f64()
-            .ok_or("scaling point: max_k is not a number")?;
-        for key in ["wall_ms", "ns_per_slice", "centroid_checksum"] {
-            let v = field(point, key, "scaling point")?
-                .as_f64()
-                .ok_or_else(|| format!("scaling point: {key} is not a number"))?;
-            if !v.is_finite() {
-                return Err(format!("scaling point: {key} {v} is not finite"));
-            }
-        }
-        field(point, "materialized_estimate_bytes", "scaling point")?
-            .as_f64()
-            .ok_or("scaling point: materialized_estimate_bytes is not a number")?;
-    }
-    Ok(())
+    schema().parse(text).map(drop)
 }
 
 fn detail(kernel: &Value, key: &str) -> Option<f64> {

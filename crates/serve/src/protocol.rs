@@ -36,7 +36,7 @@
 
 use crate::service::RunRequest;
 use sampsim_analyze::{diagnostic_json, Diagnostic};
-use sampsim_util::json::{self, Value};
+use sampsim_util::json::{self, quote, Value};
 
 /// Maximum accepted request-line length in bytes. Longer lines get a
 /// `bad-request` reply instead of unbounded buffering.
@@ -245,7 +245,7 @@ pub fn suite_request_line(benches: &[&str], template: &RunRequest) -> String {
     let tail = run
         .strip_prefix("{\"op\":\"run\",\"bench\":\"\",")
         .expect("run_request_line shape is stable");
-    let names: Vec<String> = benches.iter().map(|b| json_string(b)).collect();
+    let names: Vec<String> = benches.iter().map(|b| quote(b)).collect();
     format!(
         "{{\"op\":\"suite\",\"benches\":[{}],{}",
         names.join(","),
@@ -259,7 +259,7 @@ pub fn suite_request_line(benches: &[&str], template: &RunRequest) -> String {
 pub fn suite_item_line(item: usize, bench: &str, reply: &str) -> String {
     format!(
         "{{\"item\":{item},\"bench\":{},\"reply\":{reply}}}",
-        json_string(bench)
+        quote(bench)
     )
 }
 
@@ -293,7 +293,7 @@ pub fn peer_put_line(key: u64, doc: &str) -> String {
     format!(
         "{{\"op\":\"peer-put\",\"key\":\"{}\",\"doc\":{}}}",
         key_hex(key),
-        json_string(doc)
+        quote(doc)
     )
 }
 
@@ -313,31 +313,12 @@ fn non_negative_integer(v: &Value, name: &str) -> Result<u64, String> {
     Ok(f as u64)
 }
 
-/// Escapes `s` as a JSON string literal (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders a typed failure reply.
 pub fn error_reply(code: &str, message: &str) -> String {
     format!(
         "{{\"error\":{{\"code\":{},\"message\":{}}}}}",
-        json_string(code),
-        json_string(message)
+        quote(code),
+        quote(message)
     )
 }
 
@@ -348,7 +329,7 @@ pub fn invalid_config_reply(message: &str, diagnostics: &[Diagnostic]) -> String
     let rules: Vec<String> = diagnostics.iter().map(diagnostic_json).collect();
     format!(
         "{{\"error\":{{\"code\":\"invalid-config\",\"message\":{},\"rules\":[{}]}}}}",
-        json_string(message),
+        quote(message),
         rules.join(",")
     )
 }
@@ -360,7 +341,7 @@ pub fn invalid_config_reply(message: &str, diagnostics: &[Diagnostic]) -> String
 pub fn busy_reply(queue_depth: usize) -> String {
     format!(
         "{{\"error\":{{\"code\":\"busy\",\"message\":{},\"retry_after_ms\":{}}}}}",
-        json_string(&format!("queue full (depth {queue_depth})")),
+        quote(&format!("queue full (depth {queue_depth})")),
         busy_retry_hint_ms(queue_depth)
     )
 }
@@ -412,7 +393,7 @@ pub fn run_request_line(
 ) -> String {
     let mut fields = vec![
         "\"op\":\"run\"".to_string(),
-        format!("\"bench\":{}", json_string(bench)),
+        format!("\"bench\":{}", quote(bench)),
         format!("\"scale\":{scale:?}"),
     ];
     if let Some(s) = slice {
@@ -422,10 +403,10 @@ pub fn run_request_line(
         fields.push(format!("\"maxk\":{k}"));
     }
     if let Some(name) = strategy {
-        fields.push(format!("\"strategy\":{}", json_string(name)));
+        fields.push(format!("\"strategy\":{}", quote(name)));
     }
     if let Some(mode) = kmeans {
-        fields.push(format!("\"kmeans\":{}", json_string(mode)));
+        fields.push(format!("\"kmeans\":{}", quote(mode)));
     }
     format!("{{{}}}", fields.join(","))
 }

@@ -17,16 +17,23 @@ use sampsim_core::CoreError;
 use sampsim_exec::Jobs;
 use sampsim_simpoint::{KmeansMode, SimPointOptions, StrategySpec};
 use sampsim_spec2017::{benchmark, BenchmarkId, BenchmarkSpec};
+use sampsim_util::json::num;
 use sampsim_util::scale::Scale;
 use sampsim_workload::Program;
 use std::fmt;
+
+/// Largest workload scale a request may ask for. The largest suite
+/// program runs about 2.6e11 instructions at this scale; far above it
+/// the generated instruction counts overflow `u64`. No documented use
+/// goes above 1.0.
+pub const MAX_SCALE: f64 = 1e3;
 
 /// A validated run request: everything that determines the response bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRequest {
     /// Benchmark name or unique substring.
     pub bench: String,
-    /// Workload scale factor (must be finite and positive).
+    /// Workload scale factor (finite, positive and at most [`MAX_SCALE`]).
     pub scale: f64,
     /// Slice-size override (`None` = default 10 000, scaled).
     pub slice: Option<u64>,
@@ -187,9 +194,9 @@ fn build_request(
     request: &RunRequest,
 ) -> Result<(BenchmarkSpec, Program, PinPointsConfig), ServiceError> {
     let spec = find_benchmark(&request.bench).map_err(ServiceError::UnknownBench)?;
-    if !(request.scale.is_finite() && request.scale > 0.0) {
+    if !(request.scale > 0.0 && request.scale <= MAX_SCALE) {
         return Err(ServiceError::BadRequest(format!(
-            "scale must be finite and positive, got {}",
+            "scale must be positive and at most {MAX_SCALE}, got {}",
             request.scale
         )));
     }
@@ -303,15 +310,8 @@ pub fn run_json(
     whole: &AggregatedMetrics,
     regional: &AggregatedMetrics,
 ) -> String {
-    fn json_f(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:?}")
-        } else {
-            "null".to_string()
-        }
-    }
     fn mix(m: &[f64; 4]) -> String {
-        let parts: Vec<String> = m.iter().map(|v| json_f(*v)).collect();
+        let parts: Vec<String> = m.iter().map(|v| num(*v)).collect();
         format!("[{}]", parts.join(","))
     }
     fn agg_obj(a: &AggregatedMetrics) -> String {
@@ -322,15 +322,15 @@ pub fn run_json(
         if let Some(mr) = a.miss_rates {
             fields.push(format!(
                 "\"miss_rates_pct\":{{\"l1i\":{},\"l1d\":{},\"l2\":{},\"l3\":{}}}",
-                json_f(mr.l1i),
-                json_f(mr.l1d),
-                json_f(mr.l2),
-                json_f(mr.l3)
+                num(mr.l1i),
+                num(mr.l1d),
+                num(mr.l2),
+                num(mr.l3)
             ));
             fields.push(format!("\"l3_accesses\":{}", a.total_l3_accesses));
         }
         if let Some(cpi) = a.cpi {
-            fields.push(format!("\"cpi\":{}", json_f(cpi)));
+            fields.push(format!("\"cpi\":{}", num(cpi)));
         }
         format!("{{{}}}", fields.join(","))
     }
@@ -342,7 +342,7 @@ pub fn run_json(
                 "{{\"slice\":{},\"cluster\":{},\"weight\":{}}}",
                 pb.slice_index,
                 pb.cluster,
-                json_f(pb.weight)
+                num(pb.weight)
             )
         })
         .collect();
@@ -424,6 +424,14 @@ mod tests {
         })
         .unwrap_err();
         assert!(maxk.reply().contains("SA021"), "{}", maxk.reply());
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY, MAX_SCALE * 2.0, 1e300] {
+            let err = prepare(&RunRequest {
+                scale,
+                ..tiny_request()
+            })
+            .unwrap_err();
+            assert_eq!(err.code(), "bad-request", "scale {scale}");
+        }
     }
 
     #[test]

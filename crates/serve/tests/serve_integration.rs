@@ -241,6 +241,23 @@ fn control_and_failure_replies_are_typed() {
     assert!(bad_strategy.contains("frobnicate"), "{bad_strategy}");
     assert!(protocol::is_error_reply(&bad_strategy));
 
+    // A replicate count past the documented maximum is an SA130 spec
+    // error too. Accepted, it would allocate every replicate's selection
+    // up front and abort the daemon; the next request must still get an
+    // answer.
+    let huge = client::request_line(
+        &addr,
+        r#"{"op":"run","bench":"mcf_r","scale":0.002,"strategy":"rss:replicates=1000000000"}"#,
+    )
+    .unwrap();
+    assert!(huge.contains("\"code\":\"invalid-config\""), "{huge}");
+    assert!(huge.contains("SA130"), "{huge}");
+    assert!(huge.contains("exceeds the maximum"), "{huge}");
+    assert_eq!(
+        client::request_line(&addr, "{\"op\":\"ping\"}").unwrap(),
+        "{\"ok\":\"pong\"}"
+    );
+
     client::request_line(&addr, "{\"op\":\"shutdown\"}").unwrap();
     let stats = handle.wait().unwrap();
     assert_eq!(stats.executions, 0, "no valid run was requested: {stats:?}");

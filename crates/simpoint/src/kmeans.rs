@@ -720,7 +720,7 @@ pub const MINIBATCH_PASSES: u32 = 3;
 /// batch using the caller's seed, and every update is applied in push
 /// order, so the result is a pure function of `(seed, push sequence)`.
 /// The inner distance kernel is the chunked SIMD-friendly one
-/// ([`sq_dist_chunked`]); the mini-batch path owns its numerics and is
+/// (`sq_dist_chunked`); the mini-batch path owns its numerics and is
 /// pinned against [`kmeans_reference`] by tolerance, not bit-identity.
 #[derive(Debug, Clone)]
 pub struct MiniBatchKmeans {

@@ -8,7 +8,7 @@
 //!    `BbvTool`).
 //! 2. BBVs are L1-normalized and [randomly projected](project) down to 15
 //!    dimensions.
-//! 3. [k-means](kmeans) clusters the projected slices for every candidate
+//! 3. [k-means](mod@kmeans) clusters the projected slices for every candidate
 //!    cluster count `k ≤ MaxK`; the [Bayesian Information
 //!    Criterion](bic) picks the best `k`.
 //! 4. For each cluster, the slice closest to the centroid becomes a
@@ -68,5 +68,5 @@ pub use project::RandomProjection;
 pub use select::SimPoint;
 pub use strategy::{
     Rss, RssOptions, SamplePlan, SamplingStrategy, Selection, SimPointStrategy, StrategyInput,
-    StrategySpec, Stratified2p, Stratified2pOptions, STRATEGY_NAMES,
+    StrategySpec, Stratified2p, Stratified2pOptions, MAX_REPLICATES, STRATEGY_NAMES,
 };

@@ -357,7 +357,7 @@ fn principal_scores(data: &[f64], n: usize, dim: usize) -> Vec<f64> {
 /// principal component of a seeded [`PHASE_DIM`]-dimensional random
 /// projection of the normalized BBVs. Cheap (`O(n·dim)` per power-iteration
 /// step), deterministic, and permutation-invariant over slice order — see
-/// [`principal_scores`]. On phase-structured workloads the top PCA
+/// `principal_scores`. On phase-structured workloads the top PCA
 /// direction is the phase axis, so the statistic tracks phase identity,
 /// which is what makes stratification strata phase-pure and ranked sets
 /// phase-spread.
@@ -614,6 +614,13 @@ impl SamplingStrategy for Stratified2p {
 // Ranked-set sampling with repeated subsampling.
 // ---------------------------------------------------------------------------
 
+/// Largest replicate count a strategy spec (`rss:replicates=N`) or
+/// `sampsim compare --reps` accepts. Every replicate's selection is held
+/// in memory at once, so an unbounded count arriving from a request line
+/// would exhaust memory and abort the process; no documented use needs
+/// more than 20.
+pub const MAX_REPLICATES: usize = 1_000;
+
 /// Tuning knobs of [`Rss`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RssOptions {
@@ -845,7 +852,14 @@ impl StrategySpec {
                 (StrategySpec::Stratified2p(o), "samples") => o.samples = int("samples")? as usize,
                 (StrategySpec::Stratified2p(o), "seed") => o.seed = int("seed")?,
                 (StrategySpec::Rss(o), "set_size") => o.set_size = int("set_size")? as usize,
-                (StrategySpec::Rss(o), "replicates") => o.replicates = int("replicates")? as usize,
+                (StrategySpec::Rss(o), "replicates") => match int("replicates")? {
+                    n if n > MAX_REPLICATES as u64 => {
+                        return Err(format!(
+                            "`replicates={value}` exceeds the maximum of {MAX_REPLICATES}"
+                        ));
+                    }
+                    n => o.replicates = n as usize,
+                },
                 (StrategySpec::Rss(o), "seed") => o.seed = int("seed")?,
                 (spec, _) => {
                     return Err(format!(
@@ -1189,6 +1203,10 @@ mod tests {
         assert!(err.contains("not a non-negative integer"), "{err}");
         let err = StrategySpec::parse_spec("rss:set_size").unwrap_err();
         assert!(err.contains("key=value"), "{err}");
+        let err = StrategySpec::parse_spec("rss:replicates=1000000000").unwrap_err();
+        assert!(err.contains("exceeds the maximum"), "{err}");
+        let at_max = format!("rss:replicates={MAX_REPLICATES}");
+        assert!(StrategySpec::parse_spec(&at_max).is_ok());
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! A minimal JSON reader.
+//! A minimal JSON reader, the report shapes checked against it, and the
+//! two scalar writers every hand-assembled sampsim document shares.
 //!
 //! The offline build has no JSON dependency, yet the perf harness and the
 //! CI gate need to *validate* the reports the CLI emits, and `sampsim
 //! serve` parses requests arriving over TCP (all sampsim JSON is produced
-//! by hand-assembled writers). This module parses the full JSON grammar
-//! into a [`Value`] tree — enough to check a schema, not a serde
-//! replacement: numbers are `f64` and objects keep insertion order.
+//! by hand-assembled writers, with [`num`] and [`quote`]). This module
+//! parses the full JSON grammar into a [`Value`] tree — enough to check a
+//! schema, not a serde replacement: numbers are `f64` and objects keep
+//! insertion order. Each report declares its [`Shape`] once, next to its
+//! renderer, and [`Shape::parse`] is its whole validator.
 //!
 //! Because the server feeds it *untrusted network input*, the parser is
 //! hardened beyond what the trusted report-validation path needs:
@@ -117,6 +120,225 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
         return Err(p.err("trailing data after document"));
     }
     Ok(v)
+}
+
+/// Renders a float the way every sampsim document does: Rust's
+/// shortest-round-trip `{:?}`, with non-finite values as `null`.
+pub fn num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// Renders `s` as a JSON string literal, quotes included (RFC 8259
+/// escaping).
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The declared shape of a JSON document, written once next to the
+/// renderer it describes. Objects are exact: every key, in render order,
+/// and no other. [`Shape::check`] reports the first violation by its path
+/// (`strategies[2].cpi.ci95: expected a finite number`); within an
+/// object, present values are checked before all missing keys are named.
+#[derive(Debug, Clone, Copy)]
+pub enum Shape {
+    /// Any string.
+    Str,
+    /// A non-empty string.
+    Text,
+    /// A string from a fixed list of names.
+    OneOf(&'static [&'static str]),
+    /// A finite number within a bound.
+    Num(Bound),
+    /// `true` or `false`.
+    Bool,
+    /// `null`, or a value of the inner shape.
+    Nullable(&'static Shape),
+    /// An object with exactly these keys, in this order.
+    Object(&'static [(&'static str, Shape)]),
+    /// An object with any keys, every value of the inner shape.
+    Map(&'static Shape),
+    /// `Array(item, min, unique)`: at least `min` items of the `item`
+    /// shape. With `unique = Some((key, names))`, no two items share the
+    /// string under `key`, and every one of `names` appears there.
+    Array(
+        &'static Shape,
+        usize,
+        Option<(&'static str, &'static [&'static str])>,
+    ),
+    /// An object whose first key, `tag`, names one of `variants`; the
+    /// keys after it are exactly that variant's, in order.
+    Tagged {
+        /// The discriminating key.
+        tag: &'static str,
+        /// Each variant's tag value and its keys after the tag.
+        variants: &'static [(&'static str, &'static [(&'static str, Shape)])],
+    },
+}
+
+/// The bound on a [`Shape::Num`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// Any finite number.
+    Any,
+    /// `>=` the value.
+    AtLeast(f64),
+    /// `>` the value.
+    Above(f64),
+    /// Equal to the value.
+    Exactly(f64),
+}
+
+impl Shape {
+    /// Parses `text` and checks it against this shape, returning the
+    /// document for any cross-field checks the caller adds.
+    ///
+    /// # Errors
+    ///
+    /// The parse error, or the first violation prefixed by its path.
+    pub fn parse(&self, text: &str) -> Result<Value, String> {
+        let doc = parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+        self.check(&doc)?;
+        Ok(doc)
+    }
+
+    /// Checks `value` against this shape.
+    ///
+    /// # Errors
+    ///
+    /// The first violation, prefixed by its path.
+    pub fn check(&self, value: &Value) -> Result<(), String> {
+        self.walk(value, "")
+    }
+
+    fn walk(&self, value: &Value, path: &str) -> Result<(), String> {
+        let fail = |message: String| Err(at(path, message));
+        match (self, value) {
+            (Shape::Str, Value::String(_)) | (Shape::Bool, Value::Bool(_)) => Ok(()),
+            (Shape::Nullable(_), Value::Null) => Ok(()),
+            (Shape::Nullable(inner), _) => inner.walk(value, path),
+            (Shape::Text, Value::String(s)) if !s.is_empty() => Ok(()),
+            (Shape::OneOf(names), Value::String(s)) if !names.contains(&s.as_str()) => {
+                fail(format!("{s:?} is not one of {names:?}"))
+            }
+            (Shape::OneOf(_), Value::String(_)) => Ok(()),
+            (Shape::Num(_), Value::Number(v)) if !v.is_finite() => {
+                fail(format!("expected a finite number, got {v}"))
+            }
+            (Shape::Num(bound), Value::Number(v)) => match *bound {
+                Bound::AtLeast(min) if *v < min => fail(format!("must be >= {min}, got {v}")),
+                Bound::Above(min) if *v <= min => fail(format!("must be > {min}, got {v}")),
+                Bound::Exactly(x) if *v != x => fail(format!("must be {x}, got {v}")),
+                _ => Ok(()),
+            },
+            (Shape::Object(fields), Value::Object(present)) => object(path, fields, present),
+            (Shape::Map(inner), Value::Object(present)) => present
+                .iter()
+                .try_for_each(|(key, v)| inner.walk(v, &join(path, key))),
+            (Shape::Array(item, min, unique), Value::Array(items)) => {
+                if items.len() < *min {
+                    return fail(format!(
+                        "expected at least {min} item(s), got {}",
+                        items.len()
+                    ));
+                }
+                let mut seen = Vec::with_capacity(items.len());
+                for (i, v) in items.iter().enumerate() {
+                    let item_path = format!("{path}[{i}]");
+                    item.walk(v, &item_path)?;
+                    if let Some((key, _)) = unique {
+                        let name = v.get(key).and_then(Value::as_str).unwrap_or_default();
+                        if seen.contains(&name) {
+                            return Err(at(
+                                &join(&item_path, key),
+                                format!("{name:?} appears twice"),
+                            ));
+                        }
+                        seen.push(name);
+                    }
+                }
+                if let Some((key, names)) = unique {
+                    if let Some(name) = names.iter().find(|n| !seen.contains(n)) {
+                        return fail(format!("{key} {name:?} is missing"));
+                    }
+                }
+                Ok(())
+            }
+            (Shape::Tagged { tag, variants }, Value::Object(present)) => {
+                let kind = value.get(tag).and_then(Value::as_str);
+                match variants.iter().find(|(name, _)| kind == Some(*name)) {
+                    Some((_, fields)) => {
+                        object(path, &[&[(*tag, Shape::Str)], *fields].concat(), present)
+                    }
+                    None if value.get(tag).is_none() => fail(format!("missing {tag:?}")),
+                    None => {
+                        let names: Vec<&str> = variants.iter().map(|(name, _)| *name).collect();
+                        Err(at(&join(path, tag), format!("expected one of {names:?}")))
+                    }
+                }
+            }
+            (Shape::Str | Shape::OneOf(_), _) => fail("expected a string".into()),
+            (Shape::Text, _) => fail("expected a non-empty string".into()),
+            (Shape::Num(_), _) => fail("expected a finite number".into()),
+            (Shape::Bool, _) => fail("expected true or false".into()),
+            (Shape::Array(..), _) => fail("expected an array".into()),
+            (Shape::Object(_) | Shape::Map(_) | Shape::Tagged { .. }, _) => {
+                fail("expected an object".into())
+            }
+        }
+    }
+}
+
+/// Checks an object's keys against `fields`: each present key must be
+/// declared after the previous one, and its value is checked before the
+/// next key is looked at; the missing keys are reported last.
+fn object(path: &str, fields: &[(&str, Shape)], present: &[(String, Value)]) -> Result<(), String> {
+    let mut next = 0;
+    for (key, value) in present {
+        match fields[next..].iter().position(|(k, _)| k == key) {
+            Some(i) => next += i + 1,
+            None if fields.iter().any(|(k, _)| k == key) => {
+                return Err(at(path, format!("key {key:?} is repeated or out of order")));
+            }
+            None => return Err(at(path, format!("unknown key {key:?}"))),
+        }
+        fields[next - 1].1.walk(value, &join(path, key))?;
+    }
+    let missing: Vec<String> = fields
+        .iter()
+        .filter(|(key, _)| present.iter().all(|(k, _)| k != key))
+        .map(|(key, _)| format!("{key:?}"))
+        .collect();
+    if missing.is_empty() {
+        Ok(())
+    } else {
+        Err(at(path, format!("missing {}", missing.join(", "))))
+    }
+}
+
+fn join(path: &str, key: &str) -> String {
+    format!("{path}{}{key}", if path.is_empty() { "" } else { "." })
+}
+
+fn at(path: &str, message: String) -> String {
+    format!("{path}{}{message}", if path.is_empty() { "" } else { ": " })
 }
 
 struct Parser<'a> {
@@ -476,6 +698,156 @@ mod tests {
         assert_eq!(parse("[]").unwrap(), Value::Array(vec![]));
         assert_eq!(parse("{}").unwrap(), Value::Object(vec![]));
     }
+
+    #[test]
+    fn json_escaping() {
+        assert_eq!(
+            quote("a\"b\\c\nd\te\u{1}"),
+            "\"a\\\"b\\\\c\\nd\\te\\u0001\""
+        );
+    }
+
+    #[test]
+    fn num_is_shortest_round_trip_or_null() {
+        assert_eq!(num(0.1), "0.1");
+        assert_eq!(num(100.0), "100.0");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(num(bad), "null");
+        }
+    }
+
+    const ROW: Shape = Shape::Object(&[
+        ("name", Shape::OneOf(&["a", "b"])),
+        ("n", Shape::Num(Bound::AtLeast(1.0))),
+    ]);
+
+    /// One key per shape kind.
+    const DOC: Shape = Shape::Object(&[
+        ("s", Shape::Str),
+        ("t", Shape::Text),
+        ("k", Shape::OneOf(&["x", "y"])),
+        ("ge", Shape::Num(Bound::AtLeast(0.0))),
+        ("gt", Shape::Num(Bound::Above(0.0))),
+        ("eq", Shape::Num(Bound::Exactly(0.0))),
+        ("b", Shape::Bool),
+        ("maybe", Shape::Nullable(&Shape::Num(Bound::Above(0.0)))),
+        ("map", Shape::Map(&Shape::Num(Bound::Any))),
+        ("rows", Shape::Array(&ROW, 1, Some(("name", &["a", "b"])))),
+        (
+            "loc",
+            Shape::Tagged {
+                tag: "kind",
+                variants: &[("file", &[("path", Shape::Text)]), ("none", &[])],
+            },
+        ),
+    ]);
+
+    const GOOD: &str = r#"{"s":"","t":"x","k":"y","ge":0,"gt":0.5,"eq":0,"b":true,"maybe":null,"map":{"q":-1},"rows":[{"name":"a","n":1},{"name":"b","n":2}],"loc":{"kind":"file","path":"p"}}"#;
+
+    #[test]
+    fn shapes_accept_every_kind() {
+        DOC.parse(GOOD).unwrap();
+        for (from, to) in [
+            (r#""maybe":null"#, r#""maybe":2"#),
+            (r#""map":{"q":-1}"#, r#""map":{}"#),
+            (r#"{"kind":"file","path":"p"}"#, r#"{"kind":"none"}"#),
+            (r#""s":"""#, r#""s":"any""#),
+        ] {
+            let doc = GOOD.replacen(from, to, 1);
+            assert_ne!(doc, GOOD, "{from} not found");
+            DOC.parse(&doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        }
+    }
+
+    #[test]
+    fn shapes_reject_every_kind_by_path() {
+        for (from, to, expected) in [
+            (r#""s":"""#, r#""s":1"#, "s: expected a string"),
+            (r#""t":"x""#, r#""t":"""#, "t: expected a non-empty string"),
+            (
+                r#""k":"y""#,
+                r#""k":"z""#,
+                r#"k: "z" is not one of ["x", "y"]"#,
+            ),
+            (r#""ge":0"#, r#""ge":-1"#, "ge: must be >= 0, got -1"),
+            (
+                r#""ge":0"#,
+                r#""ge":1e999"#,
+                "ge: expected a finite number, got inf",
+            ),
+            (r#""gt":0.5"#, r#""gt":0"#, "gt: must be > 0, got 0"),
+            (r#""eq":0"#, r#""eq":2"#, "eq: must be 0, got 2"),
+            (r#""b":true"#, r#""b":"yes""#, "b: expected true or false"),
+            (
+                r#""maybe":null"#,
+                r#""maybe":-2"#,
+                "maybe: must be > 0, got -2",
+            ),
+            (
+                r#""maybe":null"#,
+                r#""maybe":"x""#,
+                "maybe: expected a finite number",
+            ),
+            (r#""q":-1"#, r#""q":"1""#, "map.q: expected a finite number"),
+            (
+                r#""map":{"q":-1}"#,
+                r#""map":[]"#,
+                "map: expected an object",
+            ),
+            (
+                r#"[{"name":"a","n":1},{"name":"b","n":2}]"#,
+                "[]",
+                "rows: expected at least 1 item(s), got 0",
+            ),
+            (r#""rows":["#, r#""rows":{"#, "not valid JSON"),
+            (r#""n":2"#, r#""n":0"#, "rows[1].n: must be >= 1, got 0"),
+            (
+                r#""name":"b""#,
+                r#""name":"a""#,
+                r#"rows[1].name: "a" appears twice"#,
+            ),
+            (r#",{"name":"b","n":2}"#, "", r#"rows: name "b" is missing"#),
+            (
+                r#""kind":"file""#,
+                r#""kind":"dir""#,
+                r#"loc.kind: expected one of ["file", "none"]"#,
+            ),
+            (r#""kind":"file","#, "", r#"loc: missing "kind""#),
+            (
+                r#""path":"p""#,
+                r#""path":"p","x":1"#,
+                r#"loc: unknown key "x""#,
+            ),
+            (r#","path":"p""#, "", r#"loc: missing "path""#),
+            (
+                r#""s":"","t":"x""#,
+                r#""t":"x","s":"""#,
+                r#"key "s" is repeated or out of order"#,
+            ),
+            (
+                r#""b":true"#,
+                r#""b":true,"b":true"#,
+                r#"key "b" is repeated or out of order"#,
+            ),
+            (r#""b":true,"maybe":null,"#, "", r#"missing "b", "maybe""#),
+        ] {
+            let doc = GOOD.replacen(from, to, 1);
+            assert_ne!(doc, GOOD, "{from} not found");
+            let err = DOC.parse(&doc).unwrap_err();
+            assert!(err.contains(expected), "{doc}: {err}");
+        }
+        assert_eq!(DOC.parse("[]").unwrap_err(), "expected an object");
+    }
+
+    #[test]
+    fn present_values_are_checked_before_missing_keys() {
+        // A wrong leading value fails first even when later keys are
+        // missing; a bad nested value beats the parent's missing keys.
+        let err = DOC.parse(r#"{"s":7}"#).unwrap_err();
+        assert_eq!(err, "s: expected a string");
+        let err = DOC.parse(r#"{"s":"","rows":[{"name":"c"}]}"#).unwrap_err();
+        assert!(err.starts_with("rows[0].name:"), "{err}");
+    }
 }
 
 /// Seeded property tests on the untrusted-input hardening, driven by the
@@ -486,18 +858,16 @@ mod prop_tests {
     use crate::prop::{run_cases, Gen};
     use std::fmt::Write;
 
-    /// Renders a [`Value`] back to JSON text (floats via `{:?}`, the
-    /// shortest round-trip form all sampsim writers use).
+    /// Renders a [`Value`] back to JSON text with the sampsim writers'
+    /// scalar forms.
     fn render(v: &Value, out: &mut String) {
         match v {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => {
                 let _ = write!(out, "{b}");
             }
-            Value::Number(n) => {
-                let _ = write!(out, "{n:?}");
-            }
-            Value::String(s) => render_str(s, out),
+            Value::Number(n) => out.push_str(&num(*n)),
+            Value::String(s) => out.push_str(&quote(s)),
             Value::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -514,29 +884,13 @@ mod prop_tests {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_str(k, out);
+                    out.push_str(&quote(k));
                     out.push(':');
                     render(val, out);
                 }
                 out.push('}');
             }
         }
-    }
-
-    fn render_str(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
     }
 
     /// A random scalar-or-container tree of bounded depth.

@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings denied)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo test"
 cargo test -q --workspace
 

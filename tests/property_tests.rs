@@ -516,6 +516,125 @@ fn json_parser_untrusted_input_hardening() {
     });
 }
 
+/// The request parser survives mutated request lines, and the router's
+/// key agrees with the serving shard's. Valid `run`, `suite` and
+/// `peer-put` lines are built from random fields (suite and garbage
+/// benchmark names, scales from 1e-300 to 1e300, `slice`/`maxk` up to
+/// `u64::MAX`, every strategy spec), then maybe truncated, given a
+/// dropped, duplicated or retyped key, or nested 130 deep.
+/// `parse_request` never panics; for every accepted run, `route_key`
+/// returns, and equals `prepare(..).key` whenever `prepare` succeeds.
+#[test]
+fn request_parser_and_route_key_survive_mutated_lines() {
+    use sampsim::serve::protocol::{parse_request, Request};
+    use sampsim::serve::service::{prepare, route_key};
+    use sampsim::simpoint::STRATEGY_NAMES;
+    use sampsim::util::json::quote;
+
+    let suite: Vec<String> = sampsim::spec2017::suite()
+        .iter()
+        .map(|spec| spec.name().to_string())
+        .collect();
+    let name = |g: &mut Gen| match g.usize_in(0..5) {
+        0 | 1 => suite[g.usize_in(0..suite.len())].clone(),
+        // The unique short form (`mcf_r`).
+        2 => suite[g.usize_in(0..suite.len())]
+            .split_once('.')
+            .map_or(String::new(), |(_, short)| short.to_string()),
+        3 => ["", "mcf", "nope", "505.mcf_r\u{0}", "\"", "\u{1F300}"][g.usize_in(0..6)].to_string(),
+        _ => (0..g.usize_in(0..6))
+            .map(|_| char::from_u32(g.u64_in(0x20..0x250) as u32).unwrap_or('?'))
+            .collect(),
+    };
+    let count = |g: &mut Gen| match g.usize_in(0..4) {
+        0 => g.u64_in(0..64),
+        1 => g.u64_in(0..1 << 20),
+        2 => u64::MAX,
+        _ => g.u64_in(0..u64::MAX),
+    };
+    let strategy = |g: &mut Gen| {
+        let n = count(g);
+        match g.usize_in(0..6) {
+            0 => STRATEGY_NAMES[g.usize_in(0..STRATEGY_NAMES.len())].to_string(),
+            1 => format!("rss:replicates={n}"),
+            2 => format!("rss:set_size={},seed={n}", g.u64_in(0..40)),
+            3 => format!(
+                "stratified2p:strata={},pilot={},samples={n}",
+                g.u64_in(0..12),
+                g.u64_in(0..4)
+            ),
+            4 => "simpoint:maxk=5".to_string(),
+            _ => "frobnicate".to_string(),
+        }
+    };
+
+    run_cases("request-fuzz", 1024, |g| {
+        let op = ["run", "suite", "peer-put"][g.usize_in(0..3)];
+        let mut fields: Vec<(String, String)> = vec![("op".into(), quote(op))];
+        if op == "peer-put" {
+            let key = format!("{:016x}", count(g));
+            fields.push(("key".into(), quote(&key)));
+            fields.push(("doc".into(), quote(&name(g))));
+        } else {
+            if op == "run" {
+                fields.push(("bench".into(), quote(&name(g))));
+            } else if g.chance(0.5) {
+                let benches: Vec<String> = g.vec_of(0..3, |g| quote(&name(g)));
+                fields.push(("benches".into(), format!("[{}]", benches.join(","))));
+            }
+            if g.chance(0.8) {
+                fields.push((
+                    "scale".into(),
+                    format!("{:?}", 10f64.powf(g.f64_in(-300.0..300.0))),
+                ));
+            }
+            for key in ["slice", "maxk"] {
+                if g.chance(0.5) {
+                    fields.push((key.into(), count(g).to_string()));
+                }
+            }
+            if g.chance(0.5) {
+                fields.push(("strategy".into(), quote(&strategy(g))));
+            }
+            if g.chance(0.2) {
+                fields.push((
+                    "kmeans".into(),
+                    quote(["lloyd", "minibatch", "x"][g.usize_in(0..3)]),
+                ));
+            }
+        }
+        let i = g.usize_in(0..fields.len());
+        match g.usize_in(0..8) {
+            0 => {
+                fields.remove(i);
+            }
+            1 => fields.push(fields[i].clone()),
+            2 => {
+                fields[i].1 = ["null", "true", "-1.5", "\"s\"", "[]", "{}"][g.usize_in(0..6)].into()
+            }
+            3 => fields[i].1 = format!("{}{}{}", "[".repeat(130), fields[i].1, "]".repeat(130)),
+            _ => {}
+        }
+        let body: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| format!("{}:{v}", quote(k)))
+            .collect();
+        let mut line = format!("{{{}}}", body.join(","));
+        if g.chance(0.1) {
+            let cuts: Vec<usize> = line.char_indices().map(|(at, _)| at).collect();
+            line.truncate(cuts[g.usize_in(0..cuts.len())]);
+        }
+
+        let Ok(Request::Run(request)) = parse_request(&line) else {
+            return;
+        };
+        let routed = route_key(&request);
+        if let Ok(prepared) = prepare(&request) {
+            assert_eq!(routed.ok(), Some(prepared.key), "{line}");
+        }
+    });
+}
+
 /// A random sparse BBV set for the strategy properties.
 fn arb_bbvs(g: &mut Gen, n: usize) -> Vec<Bbv> {
     (0..n)
