@@ -39,7 +39,7 @@ pub mod reference;
 pub mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyStats, Level};
+pub use hierarchy::{FetchHalf, Hierarchy, HierarchyConfig, HierarchyStats, Level, SharedHalf};
 pub use policy::ReplacementPolicy;
 pub use reference::{ReferenceCache, ReferenceTlb};
 pub use tlb::{Tlb, TlbConfig, TlbStats};

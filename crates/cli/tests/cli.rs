@@ -514,8 +514,9 @@ fn serve_and_request_roundtrip_matches_run_stdout() {
 #[test]
 fn run_output_is_byte_identical_across_job_counts() {
     // The determinism contract at the user-visible boundary: the JSON on
-    // stdout must be byte-for-byte identical for --jobs 1, an explicit
-    // count, and the (auto) default.
+    // stdout must be byte-for-byte identical for --jobs 1, explicit
+    // counts, and the (auto) default. `run` profiles a cache, so --jobs 2
+    // and 3 take the two-stage profiling walk and --jobs 1 the serial one.
     let args = ["run", "omnetpp_s", "--scale", "0.002", "--maxk", "6"];
     let capture = |jobs: Option<&str>| -> Vec<u8> {
         let mut cmd = sampsim();
@@ -540,6 +541,7 @@ fn run_output_is_byte_identical_across_job_counts() {
     assert!(text.contains("\"points\":"), "{text}");
     assert!(text.contains("\"miss_rates_pct\""), "{text}");
     assert!(!text.contains("wall"), "wall-clock leaked into the output");
+    assert_eq!(serial, capture(Some("2")), "--jobs 2 diverged");
     assert_eq!(serial, capture(Some("3")), "--jobs 3 diverged");
     assert_eq!(serial, capture(None), "default jobs diverged");
 }

@@ -64,6 +64,7 @@ pub mod pipeline;
 pub mod plan;
 pub mod runs;
 pub mod stage_cache;
+mod two_stage;
 
 pub use bench_result::BenchResult;
 pub use error::CoreError;

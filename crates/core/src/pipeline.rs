@@ -4,12 +4,13 @@
 use crate::error::CoreError;
 use crate::metrics::RunMetrics;
 use crate::stage_cache::{profile_stage_key, NoCache, ProfileStage, StageCache};
+use crate::two_stage::{self, FetchStage};
 use sampsim_analyze::{
     lint_sampling_config, lint_soundness, Report, SamplingConfig, SoundnessInput,
 };
-use sampsim_cache::HierarchyConfig;
+use sampsim_cache::{HierarchyConfig, HierarchyStats};
 use sampsim_exec::Jobs;
-use sampsim_pin::engine;
+use sampsim_pin::engine::{self, Pintool};
 use sampsim_pin::tools::{BbvTool, CacheSim, LdStMix, MixCounts};
 use sampsim_pinball::{RegionalPinball, WarmupRecord, WholePinball};
 use sampsim_simpoint::bbv::Bbv;
@@ -342,21 +343,28 @@ impl Pipeline {
 
     /// Runs only the profiling pass — a single whole execution collecting
     /// per-slice BBVs, slice-boundary checkpoints, the `ldstmix` profile
-    /// and (when `profile_cache` is set) `allcache` statistics — sharded
-    /// over `jobs` workers. The design sweeps re-cluster this profile many
-    /// ways without re-executing.
+    /// and (when `profile_cache` is set) `allcache` statistics — over
+    /// `jobs` workers. The design sweeps re-cluster this profile many ways
+    /// without re-executing.
     ///
-    /// The slice range is split into one contiguous shard per worker. A
-    /// serial prologue fast-forwards an untooled executor to capture each
-    /// shard's resume cursor (checkpoint/resume is bit-exact, so a shard
-    /// observes exactly the instruction stream the whole-program walk
-    /// would have produced); shards then profile their slices
-    /// concurrently and the per-shard BBVs, slice cursors and mix counts
-    /// are stitched back together in slice order. The cache simulator has
-    /// sequentially-dependent state across the whole run, so when
-    /// `profile_cache` is set it walks the full program with only the
-    /// cache tool on a reserved worker ([`sampsim_exec::join`]) beside the
-    /// BBV shards.
+    /// The pass takes one of three shapes:
+    ///
+    /// - **One worker:** the serial walk, the reference semantics.
+    /// - **A profiled cache:** one executor walk as two stages on two
+    ///   workers. The fetch stage runs the executor, the BBV and mix tools,
+    ///   the ITLB and the L1I on the caller's worker, and forwards each
+    ///   instruction's L1I miss, read and write in program order to the
+    ///   data stage, which runs the DTLB, L1D, L2, L3 and prefetcher on a
+    ///   reserved worker ([`sampsim_exec::join`]). Each structure sees the
+    ///   serial walk's access sequence, so every counter is the same.
+    ///   Workers beyond two stay idle.
+    /// - **No cache:** the slice range is split into one contiguous shard
+    ///   per worker. A serial prologue fast-forwards an untooled executor
+    ///   to capture each shard's resume cursor (checkpoint/resume is
+    ///   bit-exact, so a shard observes exactly the instruction stream the
+    ///   whole-program walk would have produced); shards then profile their
+    ///   slices concurrently and the per-shard BBVs, slice cursors and mix
+    ///   counts are stitched back together in slice order.
     ///
     /// Every output except `wall_seconds` is bit-identical to the serial
     /// pass for every job count.
@@ -368,18 +376,60 @@ impl Pipeline {
         let slice = self.config.slice_size;
         assert!(slice > 0, "slice size must be positive");
         let started = Instant::now();
-        let num_slices = program.total_insts().div_ceil(slice);
-        // One shard per worker; with the whole-run cache walk present,
-        // reserve a worker for it. Below two slices (or one worker)
-        // sharding cannot help.
-        let workers = jobs.get();
-        let shard_workers = if self.config.profile_cache.is_some() {
-            workers.saturating_sub(1).max(1)
-        } else {
-            workers
+        // One worker never reaches the two-stage walk: `join` would start
+        // its data stage first, waiting on a fetch stage that never runs.
+        if jobs.get() <= 1 {
+            return self.profile_serial(program, started);
+        }
+        let Some(config) = self.config.profile_cache else {
+            return self.profile_sharded(program, jobs, started);
         };
-        let num_shards = (shard_workers as u64).min(num_slices).max(1);
-        if workers <= 1 || num_shards <= 1 {
+        let ((walk, fetch), data) = two_stage::run(
+            jobs,
+            |out| {
+                let stage = FetchStage::new(&config, out);
+                let (walk, stage) =
+                    profile_slices(program, Executor::new(program), slice, u64::MAX, stage);
+                (walk, stage.stats())
+            },
+            move |batches| two_stage::data_stage(&config, batches),
+        );
+        let mut cache = fetch;
+        cache.merge(&data);
+        walk.into_profile(Some(cache), started)
+    }
+
+    /// The single-threaded profiling pass (the reference semantics every
+    /// other shape must reproduce bit-for-bit).
+    fn profile_serial(
+        &self,
+        program: &Program,
+        started: Instant,
+    ) -> (Vec<Bbv>, Vec<Cursor>, RunMetrics) {
+        let cache = self.config.profile_cache.map(CacheSim::new);
+        let (walk, cache) = profile_slices(
+            program,
+            Executor::new(program),
+            self.config.slice_size,
+            u64::MAX,
+            cache,
+        );
+        walk.into_profile(cache.map(|c| c.stats()), started)
+    }
+
+    /// The uncached pass sharded by slice range (see
+    /// [`Pipeline::profile_jobs`]).
+    fn profile_sharded(
+        &self,
+        program: &Program,
+        jobs: Jobs,
+        started: Instant,
+    ) -> (Vec<Bbv>, Vec<Cursor>, RunMetrics) {
+        let slice = self.config.slice_size;
+        let num_slices = program.total_insts().div_ceil(slice);
+        // One shard per worker; below two shards sharding cannot help.
+        let num_shards = (jobs.get() as u64).min(num_slices);
+        if num_shards <= 1 {
             return self.profile_serial(program, started);
         }
 
@@ -393,87 +443,83 @@ impl Pipeline {
                 exec.skip(slices * slice);
             }
         }
-        let profile_shards = |jobs| {
-            sampsim_exec::parallel_map(jobs, &tasks, |_, (start, slices)| {
-                let mut exec = Executor::with_cursor(program, start.clone());
-                let mut tools = (BbvTool::new(program.blocks().len()), LdStMix::new());
-                let mut bbvs = Vec::with_capacity(*slices as usize);
-                let mut starts = Vec::with_capacity(*slices as usize);
-                let ran =
-                    engine::run_slices(&mut exec, slice, *slices, &mut tools, |t, start, _| {
-                        starts.push(start);
-                        bbvs.push(Bbv::from_counts(t.0.harvest()));
-                    });
-                (bbvs, starts, *tools.1.counts(), ran)
-            })
-        };
-        let (cache, outputs) = match self.config.profile_cache {
-            Some(config) => {
-                let (stats, outputs) = sampsim_exec::join(
-                    jobs,
-                    || {
-                        let mut cs = CacheSim::new(config);
-                        engine::run_one(&mut Executor::new(program), u64::MAX, &mut cs);
-                        cs.stats()
-                    },
-                    profile_shards,
-                );
-                (Some(stats), outputs)
-            }
-            None => (None, profile_shards(jobs)),
-        };
+        let outputs = sampsim_exec::parallel_map(jobs, &tasks, |_, (start, slices)| {
+            let exec = Executor::with_cursor(program, start.clone());
+            profile_slices(program, exec, slice, *slices, ()).0
+        });
 
         // Deterministic reduction: shard outputs are concatenated in
         // slice order (the task list is ordered by shard start).
-        let mut bbvs = Vec::with_capacity(num_slices as usize);
-        let mut starts = Vec::with_capacity(num_slices as usize);
-        let mut mix = MixCounts::new();
-        let mut instructions = 0u64;
-        for (b, s, m, ran) in outputs {
-            bbvs.extend(b);
-            starts.extend(s);
-            mix.merge(&m);
-            instructions += ran;
+        let mut whole = Profiled {
+            bbvs: Vec::with_capacity(num_slices as usize),
+            starts: Vec::with_capacity(num_slices as usize),
+            mix: MixCounts::new(),
+            instructions: 0,
+        };
+        for part in outputs {
+            whole.bbvs.extend(part.bbvs);
+            whole.starts.extend(part.starts);
+            whole.mix.merge(&part.mix);
+            whole.instructions += part.instructions;
         }
+        whole.into_profile(None, started)
+    }
+}
+
+/// What a profiling walk collects besides its cache counters.
+struct Profiled {
+    bbvs: Vec<Bbv>,
+    starts: Vec<Cursor>,
+    mix: MixCounts,
+    instructions: u64,
+}
+
+impl Profiled {
+    /// The profile with its whole-run metrics, timed from `started`.
+    fn into_profile(
+        self,
+        cache: Option<HierarchyStats>,
+        started: Instant,
+    ) -> (Vec<Bbv>, Vec<Cursor>, RunMetrics) {
         let metrics = RunMetrics {
-            instructions,
-            mix,
+            instructions: self.instructions,
+            mix: self.mix,
             cache,
             timing: None,
             wall_seconds: started.elapsed().as_secs_f64(),
         };
-        (bbvs, starts, metrics)
+        (self.bbvs, self.starts, metrics)
     }
+}
 
-    /// The single-threaded profiling pass (the reference semantics every
-    /// sharded run must reproduce bit-for-bit).
-    fn profile_serial(
-        &self,
-        program: &Program,
-        started: Instant,
-    ) -> (Vec<Bbv>, Vec<Cursor>, RunMetrics) {
-        let slice = self.config.slice_size;
-        let mut exec = Executor::new(program);
-        let mut tools = (
-            BbvTool::new(program.blocks().len()),
-            LdStMix::new(),
-            self.config.profile_cache.map(CacheSim::new),
-        );
-        let mut bbvs = Vec::new();
-        let mut starts = Vec::new();
-        engine::run_slices(&mut exec, slice, u64::MAX, &mut tools, |t, start, _| {
+/// Profiles up to `max_slices` slices from `exec`'s position: per-slice
+/// BBVs, slice-start cursors, the instruction mix and the instruction
+/// count. `cache` sees every instruction after the BBV and mix tools and
+/// comes back with the walk.
+fn profile_slices<C: Pintool>(
+    program: &Program,
+    mut exec: Executor<'_>,
+    slice: u64,
+    max_slices: u64,
+    cache: C,
+) -> (Profiled, C) {
+    let capacity = max_slices.min(program.total_insts().div_ceil(slice)) as usize;
+    let mut bbvs = Vec::with_capacity(capacity);
+    let mut starts = Vec::with_capacity(capacity);
+    let mut tools = (BbvTool::new(program.blocks().len()), LdStMix::new(), cache);
+    let instructions =
+        engine::run_slices(&mut exec, slice, max_slices, &mut tools, |t, start, _| {
             starts.push(start);
             bbvs.push(Bbv::from_counts(t.0.harvest()));
         });
-        let metrics = RunMetrics {
-            instructions: exec.retired(),
-            mix: *tools.1.counts(),
-            cache: tools.2.map(|c| c.stats()),
-            timing: None,
-            wall_seconds: started.elapsed().as_secs_f64(),
-        };
-        (bbvs, starts, metrics)
-    }
+    let (_, mix, cache) = tools;
+    let walk = Profiled {
+        bbvs,
+        starts,
+        mix: *mix.counts(),
+        instructions,
+    };
+    (walk, cache)
 }
 
 /// Splits `num_slices` into `num_shards` contiguous, non-empty, nearly

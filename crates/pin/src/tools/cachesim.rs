@@ -42,11 +42,6 @@ impl CacheSim {
         }
     }
 
-    /// Wraps an existing (possibly pre-warmed) hierarchy.
-    pub fn from_hierarchy(hierarchy: Hierarchy) -> Self {
-        Self { hierarchy }
-    }
-
     /// Current statistics snapshot.
     pub fn stats(&self) -> HierarchyStats {
         self.hierarchy.stats()
@@ -56,16 +51,6 @@ impl CacheSim {
     /// reset statistics between regions).
     pub fn hierarchy_mut(&mut self) -> &mut Hierarchy {
         &mut self.hierarchy
-    }
-
-    /// Shared access to the underlying hierarchy.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
-    }
-
-    /// Consumes the tool, returning the hierarchy.
-    pub fn into_hierarchy(self) -> Hierarchy {
-        self.hierarchy
     }
 }
 

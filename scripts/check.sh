@@ -93,7 +93,10 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$addr" ] || { echo "serve smoke: daemon never announced its address" >&2; exit 1; }
-"$sampsim_bin" run "${bench_args[@]}" > "$serve_dir/direct.json" 2> /dev/null
+# The daemon and the fleet execute requests serially. An explicit --jobs 2
+# makes `run` profile with the two-stage walk on every runner, so both
+# replies are compared with it (`auto` on a 1-CPU runner is serial too).
+"$sampsim_bin" run "${bench_args[@]}" --jobs 2 > "$serve_dir/direct.json" 2> /dev/null
 "$sampsim_bin" request "${bench_args[@]}" --addr "$addr" > "$serve_dir/reply.json" 2> /dev/null
 cmp "$serve_dir/direct.json" "$serve_dir/reply.json" \
     || { echo "serve smoke: served reply != run stdout" >&2; exit 1; }

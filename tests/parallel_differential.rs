@@ -12,9 +12,9 @@
 //! The grid crosses workload seeds and real suite benchmarks with job
 //! counts 1, 2, 7 and the machine's available parallelism, so the suite
 //! exercises fewer-workers-than-shards, more-workers-than-regions and
-//! the dedicated cache-task path regardless of the host's core count.
+//! the two-stage cache walk regardless of the host's core count.
 
-use sampsim::cache::configs;
+use sampsim::cache::{configs, CacheConfig, HierarchyConfig, HierarchyStats, TlbConfig};
 use sampsim::core::compare::compare_strategies;
 use sampsim::core::metrics::{aggregate_weighted, RunMetrics};
 use sampsim::core::runs::{run_regions_functional_jobs, run_regions_timing_jobs, WarmupMode};
@@ -84,10 +84,34 @@ fn assert_f64_bits(a: f64, b: f64, what: &str) {
     );
 }
 
+/// A hierarchy small enough that L1I misses reach L2 and L3 and meet the
+/// data traffic there; Table I's 32 KB L1I misses almost never on these
+/// programs.
+fn small_hierarchy(next_line_prefetch: bool) -> HierarchyConfig {
+    HierarchyConfig {
+        l1i: CacheConfig::new(256, 2, 32, 4),
+        l1d: CacheConfig::new(512, 4, 32, 4),
+        l2: CacheConfig::new(2 << 10, 2, 32, 12),
+        l3: CacheConfig::new(8 << 10, 4, 32, 36),
+        itlb: TlbConfig::new(4, 4096),
+        dtlb: TlbConfig::new(8, 4096),
+        mem_latency: 220,
+        next_line_prefetch,
+    }
+}
+
 /// Profiling pass: BBV matrix, slice checkpoints and whole-run metrics
 /// (mix + cache counters) must be bit-identical for every job count.
-fn check_profile(program: &Program, profile_cache: bool, label: &str) {
-    let pipeline = Pipeline::new(config(profile_cache));
+/// Returns the serial pass's cache counters.
+fn check_profile(
+    program: &Program,
+    hierarchy: Option<HierarchyConfig>,
+    label: &str,
+) -> Option<HierarchyStats> {
+    let pipeline = Pipeline::new(PinPointsConfig {
+        profile_cache: hierarchy,
+        ..config(false)
+    });
     let (ref_bbvs, ref_starts, ref_metrics) = pipeline.profile_jobs(program, SERIAL);
     assert!(!ref_bbvs.is_empty());
     for jobs in job_grid() {
@@ -100,6 +124,7 @@ fn check_profile(program: &Program, profile_cache: bool, label: &str) {
             &format!("{label}: whole-run profile (jobs = {jobs})"),
         );
     }
+    ref_metrics.cache
 }
 
 /// Full pipeline: the simulation-point selection (k, assignments, BIC
@@ -238,17 +263,38 @@ fn check_timing_replay(program: &Program, label: &str) {
 fn profile_is_bit_identical_across_job_counts() {
     for seed in [11, 12, 13] {
         let program = synthetic(seed);
-        check_profile(&program, false, &format!("seed {seed}"));
+        check_profile(&program, None, &format!("seed {seed}"));
     }
 }
 
 #[test]
 fn profile_with_cache_task_is_bit_identical() {
-    // profile_cache = Some exercises the dedicated whole-run cache task
-    // overlapped with the BBV shards.
+    // profile_cache = Some exercises the two-stage walk: the fetch side
+    // beside the data side on a reserved worker.
     for seed in [11, 14] {
         let program = synthetic(seed);
-        check_profile(&program, true, &format!("seed {seed} (cache)"));
+        check_profile(
+            &program,
+            Some(configs::allcache_table1()),
+            &format!("seed {seed} (cache)"),
+        );
+    }
+}
+
+#[test]
+fn l1i_misses_meet_data_at_l2_and_l3_identically() {
+    // The two-stage walk forwards each instruction's L1I miss before its
+    // read and write. With Table I's L1I that order is never tested, so a
+    // tiny hierarchy makes fetch misses share L2 and L3 with data, with
+    // the next-line prefetcher off and on.
+    for id in [BenchmarkId::McfR, BenchmarkId::XzR] {
+        let program = benchmark(id).scaled(Scale::new(0.01)).build();
+        for prefetch in [false, true] {
+            let label = format!("{} (small hierarchy, prefetch {prefetch})", id.name());
+            let stats = check_profile(&program, Some(small_hierarchy(prefetch)), &label).unwrap();
+            assert!(stats.l1i.misses > 1_000, "{label}: {:?}", stats.l1i);
+            assert_eq!(stats.prefetches > 0, prefetch, "{label}: prefetches");
+        }
     }
 }
 
@@ -277,7 +323,7 @@ fn suite_benchmarks_are_bit_identical_across_job_counts() {
     // non-multiple-of-slice tail).
     for id in [BenchmarkId::McfR, BenchmarkId::XzR] {
         let program = benchmark(id).scaled(Scale::new(0.001)).build();
-        check_profile(&program, true, id.name());
+        check_profile(&program, Some(configs::allcache_table1()), id.name());
         check_pipeline(&program, false, id.name());
     }
 }
@@ -434,16 +480,16 @@ fn single_slice_program_profiles_identically() {
         .phase(PhaseSpec::balanced(1.0))
         .build()
         .build();
-    check_profile(&program, true, "single slice");
+    check_profile(&program, Some(configs::allcache_table1()), "single slice");
 }
 
 #[test]
 fn compare_reports_are_bit_identical_across_job_counts() {
     // compare_strategies walks whole-program truth on a reserved worker
     // beside the profile, the selections and the regional replays. At
-    // jobs = 2 everything but truth runs on exactly one worker; at 4,
-    // with a profiled cache, the profile reserves a second worker for its
-    // allcache walk inside the first reservation.
+    // jobs = 2 everything but truth runs on exactly one worker; from 3,
+    // with a profiled cache, the profile runs its two-stage walk inside
+    // that share.
     for (label, program) in [
         ("synthetic", synthetic(61)),
         (
