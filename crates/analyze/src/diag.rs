@@ -431,8 +431,7 @@ rules! {
         "predicted materialized profile exceeds the memory budget",
         "profiling this many slices materializes per-slice BBVs and \
          projected rows beyond the configured budget; use larger slices \
-         to cut the slice count (`--kmeans-mode minibatch` bounds only \
-         the k-means state, not the materialized profile)"),
+         to cut the slice count"),
 }
 
 impl fmt::Display for Rule {

@@ -37,8 +37,7 @@ pub const DEFAULT_MATERIALIZED_BUDGET_BYTES: u64 = 256 << 20;
 /// Statically predicted bytes the profile→select stages materialize: one
 /// projected row (`8 * dim`
 /// bytes) plus BBV bookkeeping (conservatively 128 bytes of counts and
-/// headers) per slice. Shared by the `SA150` lint and the perf harness so
-/// the two can never disagree about what "materialized" means.
+/// headers) per slice: the closed form behind the `SA150` lint.
 pub fn materialized_bytes_estimate(num_slices: u64, dim: usize) -> u64 {
     num_slices.saturating_mul(8 * dim as u64 + 128)
 }

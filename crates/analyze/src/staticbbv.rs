@@ -82,11 +82,6 @@ impl StaticBbvBounds {
         self.slices[i].iter().map(|&(_, n)| n).sum()
     }
 
-    /// The `(phase, instructions)` spans of slice `i`, in schedule order.
-    pub fn slice_spans(&self, i: usize) -> &[(u32, u64)] {
-        &self.slices[i]
-    }
-
     /// Per-block instruction caps for slice `i`: block `b` may retire at
     /// most `caps[b]` instructions. Blocks absent from the map cannot
     /// retire at all in this slice.

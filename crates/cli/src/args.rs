@@ -45,10 +45,6 @@ flags:
                  region-selection strategy for run/request/plan/figure (one of:
                  simpoint, stratified2p, rss; default: simpoint), with
                  optional parameters, e.g. rss:set_size=8,replicates=4
-  --kmeans-mode <lloyd|minibatch>
-                 SimPoint clustering kernel for run/request (default: lloyd,
-                 the exact bit-reproducible kernel; minibatch streams with a
-                 documented inertia tolerance)
 
 compare flags:
   --reps <n>              replicate selections per strategy for the error
@@ -76,10 +72,11 @@ perf flags:
   --validate <FILE>       only validate an existing report, run nothing
   --baseline <FILE>       gate the fresh report against this baseline:
                           fail if any size-normalized rate (ns/access,
-                          ns/BBV, ns/slice) regresses by more than 10%.
-                          Rates are comparable across --quick and full
-                          runs. --jobs sets the clustering worker count
-                          (timings only; results stay bit-identical)
+                          ns/BBV) regresses by more than 10%. ns/access
+                          is compared across --quick and full runs,
+                          ns/BBV only between same-sized runs. --jobs
+                          sets the clustering worker count (timings
+                          only; results stay bit-identical)
 
 serve flags:
   --addr <host:port>      listen address (default: 127.0.0.1:7411; port 0
@@ -140,10 +137,6 @@ pub struct Options {
     /// Sampling-strategy name (`None` = the pipeline default, SimPoint).
     /// Validated against the strategy registry by the command, not here.
     pub strategy: Option<String>,
-    /// K-means kernel for SimPoint clustering (`None` = exact Lloyd;
-    /// `"minibatch"` = streaming mini-batch). Validated by the service
-    /// layer, not here.
-    pub kmeans_mode: Option<String>,
 }
 
 impl Default for Options {
@@ -154,7 +147,6 @@ impl Default for Options {
             maxk: None,
             jobs: Jobs::Auto,
             strategy: None,
-            kmeans_mode: None,
         }
     }
 }
@@ -427,9 +419,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
             }
             "--strategy" => {
                 options.strategy = Some(iter.next().ok_or("--strategy needs a name")?);
-            }
-            "--kmeans-mode" => {
-                options.kmeans_mode = Some(iter.next().ok_or("--kmeans-mode needs a name")?);
             }
             "--reps" => {
                 let v = iter.next().ok_or("--reps needs a value")?;
@@ -828,10 +817,9 @@ mod tests {
         assert_eq!(parse_str("run mcf_r").unwrap().options.strategy, None);
         assert!(parse_str("run mcf_r --strategy").is_err());
 
-        let p = parse_str("run mcf_r --kmeans-mode minibatch").unwrap();
-        assert_eq!(p.options.kmeans_mode.as_deref(), Some("minibatch"));
-        assert_eq!(parse_str("run mcf_r").unwrap().options.kmeans_mode, None);
-        assert!(parse_str("run mcf_r --kmeans-mode").is_err());
+        // Lloyd is the only clustering kernel, so no flag selects one.
+        let err = parse_str("run mcf_r --kmeans-mode minibatch").unwrap_err();
+        assert_eq!(err, "unknown flag: --kmeans-mode");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use sampsim_core::runs::{self, WarmupMode};
 use sampsim_core::stage_cache::NoCache;
 use sampsim_pinball::store;
 use sampsim_serve::service::{self, find_benchmark, RunRequest};
-use sampsim_simpoint::{KmeansMode, SimPointOptions, StrategySpec};
+use sampsim_simpoint::{SimPointOptions, StrategySpec};
 use sampsim_spec2017::BenchmarkSpec;
 use sampsim_util::stats::with_commas;
 use sampsim_util::table::{fmt_f, Table};
@@ -94,17 +94,6 @@ fn pipeline_config(options: &Options) -> Result<PinPointsConfig, UsageError> {
             ..config.simpoint
         };
     }
-    if let Some(mode) = &options.kmeans_mode {
-        let mode = KmeansMode::parse(mode).ok_or_else(|| {
-            UsageError(format!(
-                "bad --kmeans-mode value: {mode} (one of: lloyd, minibatch)"
-            ))
-        })?;
-        config.simpoint = SimPointOptions {
-            kmeans_mode: mode,
-            ..config.simpoint
-        };
-    }
     if let Some(spec) = validated_strategy(options)? {
         config.strategy = spec;
     }
@@ -156,7 +145,7 @@ pub fn run(bench: &str, out: Option<&str>, options: &Options) -> CmdResult {
         slice: options.slice,
         maxk: options.maxk,
         strategy: options.strategy.clone(),
-        kmeans: options.kmeans_mode.clone(),
+        kmeans: None,
     };
     let prepared = service::prepare(&request)?;
     let mut sink = out.map(create_report_file).transpose()?;
@@ -429,17 +418,14 @@ mod tests {
 
     #[test]
     fn pipeline_config_validates_kmeans_mode() {
-        let named = |name: &str| Options {
-            kmeans_mode: Some(name.to_string()),
-            ..Options::default()
-        };
-        let config = pipeline_config(&named("minibatch")).unwrap();
-        assert_eq!(config.simpoint.kmeans_mode, KmeansMode::MiniBatch);
-        let config = pipeline_config(&named("lloyd")).unwrap();
-        assert_eq!(config.simpoint.kmeans_mode, KmeansMode::Lloyd);
-        let err = pipeline_config(&named("frobnicate")).unwrap_err();
-        assert!(err.0.contains("frobnicate"), "{}", err.0);
-        assert!(err.0.contains("minibatch"), "{}", err.0);
+        // Lloyd is the only clustering kernel: the old selector flag never
+        // reaches pipeline_config, and a plain run keeps the default
+        // SimPoint options.
+        let argv = |s: &str| crate::args::parse(s.split_whitespace().map(String::from));
+        let err = argv("run mcf_r --kmeans-mode minibatch").unwrap_err();
+        assert_eq!(err, "unknown flag: --kmeans-mode");
+        let config = pipeline_config(&argv("run mcf_r").unwrap().options).unwrap();
+        assert_eq!(config.simpoint, SimPointOptions::default());
     }
 
     #[test]

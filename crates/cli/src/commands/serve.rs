@@ -72,7 +72,7 @@ pub fn request(
         slice: options.slice,
         maxk: options.maxk,
         strategy: options.strategy.clone(),
-        kmeans: options.kmeans_mode.clone(),
+        kmeans: None,
     };
     if op == RequestOp::Suite {
         // The batch op streams; print every envelope line as it lands.
@@ -111,7 +111,7 @@ pub fn request(
                 options.slice,
                 options.maxk,
                 options.strategy.as_deref(),
-                options.kmeans_mode.as_deref(),
+                None,
             )
         }
         RequestOp::Ping => "{\"op\":\"ping\"}".to_string(),

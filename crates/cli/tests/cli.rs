@@ -985,7 +985,7 @@ fn validate_accepts_reports_and_rejects_a_deleted_key() {
         ),
         (
             "perf",
-            "sampsim-perf-kernels/v2",
+            "sampsim-perf-kernels/v3",
             committed("BENCH_kernels.json"),
             "num_slices",
         ),

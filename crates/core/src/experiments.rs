@@ -8,7 +8,7 @@
 use crate::artifacts::ArtifactStore;
 use crate::bench_result::{BenchResult, StudyConfig};
 use crate::error::CoreError;
-use crate::metrics::{aggregate_weighted, AggregatedMetrics, MissRates, RunMetrics};
+use crate::metrics::{aggregate_weighted, AggregatedMetrics, MissRates};
 use crate::pipeline::Pipeline;
 use crate::runs::{self, WarmupMode};
 use sampsim_cache::configs;
@@ -351,13 +351,6 @@ pub fn baseline_aggregate(
         aggregate_weighted(&metrics),
         crate::metrics::whole_as_aggregate(&whole),
     ))
-}
-
-/// Whole-run metrics alone (used by baselines that need the reference
-/// without a full study).
-pub fn whole_reference(id: BenchmarkId, scale: Scale) -> RunMetrics {
-    let program = benchmark(id).scaled(scale).build();
-    runs::run_whole_functional(&program, configs::allcache_table1())
 }
 
 #[cfg(test)]

@@ -150,14 +150,7 @@ pub fn hierarchy_fingerprint(config: &HierarchyConfig) -> u64 {
 pub fn simpoint_fingerprint(options: &SimPointOptions) -> u64 {
     let mut h = Fnv64::new();
     h.write_str("sampsim/fp/simpoint/v2");
-    h.write_u64(options.max_k as u64);
-    h.write_u64(options.dim as u64);
-    h.write_u64(u64::from(options.n_init));
-    h.write_u64(u64::from(options.max_iter));
-    h.write_f64(options.bic_threshold);
-    h.write_u64(options.seed);
-    h.write_u64(options.sample_size as u64);
-    h.write_str(options.kmeans_mode.label());
+    options.write_fingerprint(&mut h);
     h.finish()
 }
 
@@ -412,6 +405,44 @@ mod tests {
             .build()
             .build();
         assert_ne!(profile_stage_key(&p, &base), profile_stage_key(&q, &base));
+    }
+
+    #[test]
+    fn keys_are_pinned_to_literal_values() {
+        // Keys name disk-tier entries and place requests on fleet shards,
+        // so a key that moves cold-starts every persisted cache. The other
+        // key tests only compare keys with each other; these literals
+        // catch a refactor that drops or reorders a hashed field.
+        let p = program();
+        let serve = PinPointsConfig {
+            profile_cache: Some(configs::allcache_table1()),
+            ..PinPointsConfig::default()
+        };
+        assert_eq!(profile_stage_key(&p, &serve), 0xa531_43ce_877e_6ba7);
+        assert_eq!(
+            simpoint_fingerprint(&SimPointOptions::default()),
+            0x01bb_85e2_101d_0a8d
+        );
+        // (strategy, response key, strategy fingerprint), in registry order.
+        let pinned = [
+            ("simpoint", 0xe490_5ee6_220e_b968, 0xb6ef_49a8_1fbe_6888),
+            ("stratified2p", 0x8faa_55dc_e28d_820e, 0xa32c_5b00_3295_f2a6),
+            ("rss", 0x5b52_a06e_c464_b0e8, 0x15cf_1aef_3584_a914),
+        ];
+        let names: Vec<&str> = pinned.iter().map(|(name, ..)| *name).collect();
+        assert_eq!(names, sampsim_simpoint::STRATEGY_NAMES);
+        for (name, response, fingerprint) in pinned {
+            let config = PinPointsConfig {
+                strategy: sampsim_simpoint::StrategySpec::parse(name).unwrap(),
+                ..serve.clone()
+            };
+            assert_eq!(response_key(&p, &config), response, "{name}");
+            assert_eq!(
+                config.strategy.fingerprint(&config.simpoint),
+                fingerprint,
+                "{name}"
+            );
+        }
     }
 
     #[test]

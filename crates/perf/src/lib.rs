@@ -10,16 +10,11 @@
 //! `BENCH_kernels.json` report. Every timed pair is also asserted
 //! bit-identical, so a perf run doubles as a differential test.
 //!
-//! The v2 schema adds two things. Every kernel now carries a reference
-//! timing and a speedup — the cache probe is timed against the frozen
-//! pre-optimization [`sampsim_cache::ReferenceCache`]
-//! (`cache_access_rw_reference`), with hit counters asserted identical.
-//! And a *scaling* section sweeps a synthetic slices × MaxK grid (up to
-//! a million slices) through row-by-row projection into the mini-batch
-//! clustering kernel, asserting along the way that the streamed footprint
-//! stays bounded by the batch size — peak-RSS deltas are measured from
-//! `/proc/self/status` and must not approach what the materialized path
-//! would need ([`sampsim_analyze::materialized_bytes_estimate`]).
+//! Every kernel carries a reference timing and a speedup: the cache probe
+//! is timed against the frozen pre-optimization
+//! [`sampsim_cache::ReferenceCache`], with hit counters asserted
+//! identical. The `sampsim-perf-kernels/v3` report holds exactly these
+//! three kernels (v2 also carried a streamed scaling grid).
 //!
 //! No external crates: timing is `std::time::Instant`, the report is a
 //! hand-assembled JSON document, and validation checks it against the
@@ -42,8 +37,7 @@ use sampsim_simpoint::bbv::Bbv;
 use sampsim_simpoint::kmeans::KmeansResult;
 use sampsim_simpoint::project::RandomProjection;
 use sampsim_simpoint::{
-    kmeans_best_of_jobs, kmeans_best_of_reference, KmeansError, MiniBatchKmeans, SimPointOptions,
-    MINIBATCH_BATCH,
+    kmeans_best_of_jobs, kmeans_best_of_reference, KmeansError, SimPointOptions,
 };
 use sampsim_spec2017::{benchmark, BenchmarkId};
 use sampsim_util::json::{self, num, Bound, Shape, Value};
@@ -54,12 +48,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Schema identifier written into (and required of) every report.
-pub const SCHEMA: &str = "sampsim-perf-kernels/v2";
-
-/// Upper bound on the peak-RSS delta any scaling-grid point may add: the
-/// streamed path's state is O(dim * K + batch), so even the million-slice
-/// point must fit far under this.
-pub const MAX_STREAMING_RSS_DELTA_BYTES: u64 = 64 << 20;
+pub const SCHEMA: &str = "sampsim-perf-kernels/v3";
 
 /// Allowed slowdown between a fresh report and a baseline before
 /// [`compare_reports`] fails: new rate > `1.10 *` old rate is a
@@ -69,9 +58,8 @@ pub const REGRESSION_TOLERANCE: f64 = 1.10;
 /// Harness configuration.
 #[derive(Debug, Clone)]
 pub struct PerfOptions {
-    /// Quick mode: smallest shipped benchmark, coarser slices, reduced
-    /// `k` sweep and a reduced scaling grid — a CI smoke test rather
-    /// than a measurement.
+    /// Quick mode: smallest shipped benchmark, coarser slices and a
+    /// reduced `k` sweep — a CI smoke test rather than a measurement.
     pub quick: bool,
     /// Directory holding the shipped `*.art` benchmark artifacts.
     pub artifacts_dir: PathBuf,
@@ -108,10 +96,6 @@ pub enum PerfError {
     Mismatch(String),
     /// Artifact store or filesystem failure.
     Store(String),
-    /// The streaming path materialized more memory than its contract
-    /// allows — the peak-RSS delta of a scaling point exceeded
-    /// [`MAX_STREAMING_RSS_DELTA_BYTES`].
-    Memory(String),
 }
 
 impl fmt::Display for PerfError {
@@ -123,9 +107,6 @@ impl fmt::Display for PerfError {
                 write!(f, "optimized kernel diverged from reference: {what}")
             }
             PerfError::Store(e) => write!(f, "artifact store: {e}"),
-            PerfError::Memory(what) => {
-                write!(f, "streaming memory contract violated: {what}")
-            }
         }
     }
 }
@@ -153,32 +134,6 @@ pub struct KernelTiming {
     pub details: Vec<(&'static str, f64)>,
 }
 
-/// One point of the streaming scaling grid: `slices` synthetic BBVs
-/// projected row-by-row and clustered with mini-batch k-means at
-/// `max_k`, never materializing the profile.
-#[derive(Debug, Clone)]
-pub struct ScalingPoint {
-    /// Synthetic slice count streamed through the pipeline.
-    pub slices: u64,
-    /// Cluster count the mini-batch kernel ran at.
-    pub max_k: usize,
-    /// End-to-end wall time (generate + project + cluster).
-    pub wall_ms: f64,
-    /// `wall_ms * 1e6 / slices` — the size-normalized rate the
-    /// regression gate compares.
-    pub ns_per_slice: f64,
-    /// Sum of the final centroids: a deterministic checksum pinning the
-    /// streamed computation across runs and machines.
-    pub centroid_checksum: f64,
-    /// Peak-RSS growth (`VmHWM` delta) over the point, when the platform
-    /// exposes it. Asserted `<=` [`MAX_STREAMING_RSS_DELTA_BYTES`].
-    pub streamed_rss_delta_bytes: Option<u64>,
-    /// What the materialized path would need for the same slice count
-    /// ([`sampsim_analyze::materialized_bytes_estimate`]) — the contrast
-    /// the streaming contract is measured against.
-    pub materialized_estimate_bytes: u64,
-}
-
 /// A full harness run, serializable with [`PerfReport::to_json`].
 #[derive(Debug, Clone)]
 pub struct PerfReport {
@@ -192,8 +147,6 @@ pub struct PerfReport {
     pub dim: usize,
     /// The timed kernels.
     pub kernels: Vec<KernelTiming>,
-    /// The streaming slices × MaxK scaling grid.
-    pub scaling: Vec<ScalingPoint>,
 }
 
 /// The regenerated input set the kernels run over.
@@ -528,8 +481,7 @@ pub fn cache_kernel(accesses: u64, reps: u32) -> Result<KernelTiming, PerfError>
 }
 
 /// Current peak resident-set size (`VmHWM`) in bytes, from
-/// `/proc/self/status`. `None` on platforms without procfs; the scaling
-/// assertion is skipped there.
+/// `/proc/self/status`. `None` on platforms without procfs.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -537,118 +489,8 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Deterministic synthetic BBV for the scaling grid: eight phases of 64
-/// slices each cycling through disjoint block bases, 16 blocks per slice
-/// with seeded counts. The block universe stays ≤ 512, so the projector's
-/// per-block row work is bounded and the grid measures streaming
-/// throughput rather than hash-table growth.
-pub fn synthetic_bbv(seed: u64, i: u64) -> Bbv {
-    let mut rng = SplitMix64::new(seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let phase = (i / 64) % 8;
-    let base = (phase as u32) * 64;
-    let counts: Vec<(u32, u32)> = (0..16)
-        .map(|j| (base + j * 4, 1 + (rng.next_u64() % 100) as u32))
-        .collect();
-    Bbv::from_counts(counts)
-}
-
-/// Runs one scaling-grid point: streams `slices` synthetic BBVs through
-/// per-row projection into [`MiniBatchKmeans`], one pass, discarding each
-/// row after it is pushed. Peak memory is O(dim · `max_k` + batch) — the
-/// per-slice profile is never materialized, which is the whole contract.
-///
-/// # Errors
-///
-/// [`PerfError::Kmeans`] if the mini-batch kernel rejects its shape,
-/// [`PerfError::Memory`] if the measured peak-RSS delta exceeds
-/// [`MAX_STREAMING_RSS_DELTA_BYTES`].
-pub fn scaling_point(
-    slices: u64,
-    max_k: usize,
-    dim: usize,
-    seed: u64,
-    reps: u32,
-) -> Result<ScalingPoint, PerfError> {
-    let rss_before = peak_rss_bytes();
-    let projection = RandomProjection::new(dim, seed);
-    let batch = MINIBATCH_BATCH.min(usize::try_from(slices).unwrap_or(usize::MAX).max(1));
-    // Each rep is a complete, independent streaming pass; the minimum wall
-    // time is the rate the baseline gate compares, and every rep must land
-    // on bit-identical centroids (the pass is fully deterministic).
-    let mut wall_ms = f64::INFINITY;
-    let mut centroids: Vec<f64> = Vec::new();
-    for rep in 0..reps.max(1) {
-        let mut mb = MiniBatchKmeans::new(dim, max_k, batch, seed)?;
-        let (out, ms) = time_ms(|| -> Result<Vec<f64>, KmeansError> {
-            for i in 0..slices {
-                let bbv = synthetic_bbv(seed, i);
-                let row = projection.project(&bbv.normalized());
-                mb.push(&row);
-            }
-            mb.finish()
-        });
-        let out = out?;
-        if rep > 0
-            && (out.len() != centroids.len()
-                || out
-                    .iter()
-                    .zip(&centroids)
-                    .any(|(a, b)| a.to_bits() != b.to_bits()))
-        {
-            return Err(PerfError::Mismatch(format!(
-                "streaming pass diverged across reps at {slices} slices, k={max_k}"
-            )));
-        }
-        centroids = out;
-        wall_ms = wall_ms.min(ms);
-    }
-    // VmHWM is a monotonic high-water mark, so the delta is exactly the
-    // growth this point caused (saturating: another thread cannot shrink
-    // it, but a prior phase may already have raised it past us).
-    let streamed_rss_delta_bytes = match (rss_before, peak_rss_bytes()) {
-        (Some(before), Some(after)) => Some(after.saturating_sub(before)),
-        _ => None,
-    };
-    if let Some(delta) = streamed_rss_delta_bytes {
-        if delta > MAX_STREAMING_RSS_DELTA_BYTES {
-            return Err(PerfError::Memory(format!(
-                "{slices} slices at k={max_k} grew peak RSS by {delta} bytes \
-                 (limit {MAX_STREAMING_RSS_DELTA_BYTES})"
-            )));
-        }
-    }
-    Ok(ScalingPoint {
-        slices,
-        max_k,
-        wall_ms,
-        ns_per_slice: wall_ms * 1e6 / slices.max(1) as f64,
-        centroid_checksum: centroids.iter().sum(),
-        streamed_rss_delta_bytes,
-        materialized_estimate_bytes: sampsim_analyze::materialized_bytes_estimate(slices, dim),
-    })
-}
-
-/// The slices × MaxK grid a full run sweeps; quick mode keeps only the
-/// smallest point (which the full grid shares, so quick runs remain
-/// comparable to a full baseline).
-pub fn scaling_grid(quick: bool) -> Vec<(u64, usize)> {
-    if quick {
-        vec![(10_000, 8)]
-    } else {
-        vec![
-            (10_000, 8),
-            (10_000, 35),
-            (100_000, 8),
-            (100_000, 35),
-            (1_000_000, 8),
-            (1_000_000, 35),
-        ]
-    }
-}
-
-/// Runs the whole harness: input regeneration, all three kernels and the
-/// streaming scaling grid. `progress` receives one human-readable line
-/// per completed stage.
+/// Runs the whole harness: input regeneration and all three kernels.
+/// `progress` receives one human-readable line per completed stage.
 ///
 /// # Errors
 ///
@@ -701,34 +543,12 @@ pub fn run_kernels(
         cache.speedup.unwrap_or(0.0)
     ));
 
-    let mut scaling = Vec::new();
-    for (slices, max_k) in scaling_grid(options.quick) {
-        // Small points are cheap enough to repeat aggressively; the
-        // million-slice passes are long enough to be stable with fewer.
-        let point_reps = if slices >= 1_000_000 { 3 } else { 7 };
-        let point = scaling_point(slices, max_k, input.dim, input.seed, point_reps)?;
-        progress(&format!(
-            "scaling: {} slices at k={}: {:.1} ms ({:.0} ns/slice), \
-             rss delta {}, materialized would need {} MiB",
-            point.slices,
-            point.max_k,
-            point.wall_ms,
-            point.ns_per_slice,
-            point
-                .streamed_rss_delta_bytes
-                .map_or("n/a".to_string(), |b| format!("{} KiB", b >> 10)),
-            point.materialized_estimate_bytes >> 20
-        ));
-        scaling.push(point);
-    }
-
     Ok(PerfReport {
         benchmark: input.benchmark,
         quick: options.quick,
         num_slices: input.bbvs.len() as u64,
         dim: input.dim,
         kernels: vec![kmeans, proj, cache],
-        scaling,
     })
 }
 
@@ -758,42 +578,20 @@ impl PerfReport {
                 format!("{{{}}}", fields.join(","))
             })
             .collect();
-        let scaling: Vec<String> = self
-            .scaling
-            .iter()
-            .map(|p| {
-                let rss = p
-                    .streamed_rss_delta_bytes
-                    .map_or("null".to_string(), |b| b.to_string());
-                format!(
-                    "{{\"slices\":{},\"max_k\":{},\"wall_ms\":{},\"ns_per_slice\":{},\
-                     \"centroid_checksum\":{},\"streamed_rss_delta_bytes\":{},\
-                     \"materialized_estimate_bytes\":{}}}",
-                    p.slices,
-                    p.max_k,
-                    num(p.wall_ms),
-                    num(p.ns_per_slice),
-                    num(p.centroid_checksum),
-                    rss,
-                    p.materialized_estimate_bytes
-                )
-            })
-            .collect();
         format!(
-            "{{\"schema\":\"{}\",\"benchmark\":\"{}\",\"quick\":{},\"num_slices\":{},\"dim\":{},\"kernels\":[{}],\"scaling\":[{}]}}\n",
+            "{{\"schema\":\"{}\",\"benchmark\":\"{}\",\"quick\":{},\"num_slices\":{},\"dim\":{},\"kernels\":[{}]}}\n",
             SCHEMA,
             self.benchmark,
             self.quick,
             self.num_slices,
             self.dim,
-            kernels.join(","),
-            scaling.join(",")
+            kernels.join(",")
         )
     }
 }
 
-/// The `sampsim-perf-kernels/v2` document [`PerfReport::to_json`]
-/// renders: v2 requires a reference timing and speedup on every kernel.
+/// The `sampsim-perf-kernels/v3` document [`PerfReport::to_json`]
+/// renders: a reference timing and speedup on every kernel.
 pub const fn schema() -> &'static Shape {
     const KERNELS: &[&str] = &["kmeans_sweep", "bbv_projection", "cache_access_rw"];
     const KERNEL: Shape = Shape::Object(&[
@@ -803,18 +601,6 @@ pub const fn schema() -> &'static Shape {
         ("speedup", Shape::Num(Bound::Above(0.0))),
         ("details", Shape::Map(&Shape::Num(Bound::Any))),
     ]);
-    const POINT: Shape = Shape::Object(&[
-        ("slices", Shape::Num(Bound::AtLeast(1.0))),
-        ("max_k", Shape::Num(Bound::Any)),
-        ("wall_ms", Shape::Num(Bound::Any)),
-        ("ns_per_slice", Shape::Num(Bound::Any)),
-        ("centroid_checksum", Shape::Num(Bound::Any)),
-        (
-            "streamed_rss_delta_bytes",
-            Shape::Nullable(&Shape::Num(Bound::Any)),
-        ),
-        ("materialized_estimate_bytes", Shape::Num(Bound::Any)),
-    ]);
     const SHAPE: Shape = Shape::Object(&[
         ("schema", Shape::OneOf(&[SCHEMA])),
         ("benchmark", Shape::Text),
@@ -822,7 +608,6 @@ pub const fn schema() -> &'static Shape {
         ("num_slices", Shape::Num(Bound::Any)),
         ("dim", Shape::Num(Bound::Any)),
         ("kernels", Shape::Array(&KERNEL, 0, Some(("name", KERNELS)))),
-        ("scaling", Shape::Array(&POINT, 1, None)),
     ]);
     &SHAPE
 }
@@ -871,12 +656,12 @@ fn check_rate(
 /// Compares a fresh report against a committed baseline and fails on any
 /// size-normalized rate regressing by more than [`REGRESSION_TOLERANCE`].
 ///
-/// Only *rates* are compared (ns per access, ns per projected BBV, ns
-/// per streamed slice), so a quick run can be gated against a full
-/// baseline: the quick scaling grid is a subset of the full grid and the
-/// per-unit kernel rates are size-independent. The k-means sweep is only
-/// compared when both reports ran the same shape (same benchmark, slice
-/// count and sweep), since its cost is superlinear in both.
+/// Only size-normalized figures are compared. The cache probe's ns per
+/// access is size-independent, so a quick run can be gated against a
+/// full baseline on it. Projection's ns per BBV is compared only between
+/// same-sized runs, and the k-means sweep only when both reports ran the
+/// same shape (same slice count and sweep), since its cost is
+/// superlinear in both.
 ///
 /// # Errors
 ///
@@ -940,38 +725,6 @@ pub fn compare_reports(new_text: &str, baseline_text: &str) -> Result<Vec<String
         }
     }
 
-    let points = |doc: &Value| -> Vec<(u64, u64, f64)> {
-        doc.get("scaling")
-            .and_then(Value::as_array)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|p| {
-                        Some((
-                            p.get("slices")?.as_f64()? as u64,
-                            p.get("max_k")?.as_f64()? as u64,
-                            p.get("ns_per_slice")?.as_f64()?,
-                        ))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let base_points = points(&base_doc);
-    for (slices, max_k, nr) in points(&new_doc) {
-        if let Some((_, _, br)) = base_points
-            .iter()
-            .find(|(s, k, _)| (*s, *k) == (slices, max_k))
-        {
-            check_rate(
-                &format!("scaling {slices}x{max_k} ns_per_slice"),
-                nr,
-                *br,
-                &mut compared,
-                &mut failures,
-            );
-        }
-    }
-
     if !failures.is_empty() {
         return Err(format!("perf regression:\n  {}", failures.join("\n  ")));
     }
@@ -1030,29 +783,19 @@ mod tests {
             .unwrap();
         assert!(hits > 0.0, "some accesses must hit");
 
-        let point = scaling_point(2_000, 4, input.dim, input.seed, 2).unwrap();
-        assert_eq!(point.slices, 2_000);
-        assert!(point.ns_per_slice.is_finite());
-        assert_eq!(
-            point.materialized_estimate_bytes,
-            sampsim_analyze::materialized_bytes_estimate(2_000, input.dim)
-        );
-
         let report = PerfReport {
             benchmark: input.benchmark.clone(),
             quick: true,
             num_slices: input.bbvs.len() as u64,
             dim: input.dim,
             kernels: vec![kmeans, proj, cache],
-            scaling: vec![point],
         };
         let text = report.to_json();
         validate_report(&text).unwrap();
-        // A report is always within tolerance of itself, and every grid
-        // point must match.
+        // A report is always within tolerance of itself, and a same-sized
+        // report compares every kernel.
         let compared = compare_reports(&text, &text).unwrap();
-        assert!(compared.iter().any(|c| c.contains("cache")));
-        assert!(compared.iter().any(|c| c.contains("scaling")));
+        assert_eq!(compared.len(), 3, "{compared:?}");
     }
 
     #[test]
@@ -1083,17 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_point_checksum_is_deterministic_and_streamed() {
-        let a = scaling_point(3_000, 5, 8, 42, 2).unwrap();
-        let b = scaling_point(3_000, 5, 8, 42, 1).unwrap();
-        assert_eq!(a.centroid_checksum.to_bits(), b.centroid_checksum.to_bits());
-        // On Linux the harness must actually measure the footprint.
-        if peak_rss_bytes().is_some() {
-            assert!(a.streamed_rss_delta_bytes.is_some());
-        }
-    }
-
-    #[test]
     fn validate_rejects_broken_reports() {
         assert!(validate_report("not json").is_err());
         assert!(validate_report("{}").is_err());
@@ -1106,64 +838,56 @@ mod tests {
                 r#"{{"name":"{name}","reference_ms":2.0,"optimized_ms":1.0,"speedup":2.0,"details":{{}}}}"#
             )
         };
-        let point = r#"{"slices":10,"max_k":2,"wall_ms":1.0,"ns_per_slice":100.0,"centroid_checksum":0.5,"streamed_rss_delta_bytes":null,"materialized_estimate_bytes":1920}"#;
         let missing_kernel = format!(
-            r#"{{"schema":"{SCHEMA}","benchmark":"x","num_slices":1,"kernels":[{}],"scaling":[{point}]}}"#,
+            r#"{{"schema":"{SCHEMA}","benchmark":"x","num_slices":1,"kernels":[{}]}}"#,
             kernel("cache_access_rw")
         );
         assert!(validate_report(&missing_kernel)
             .unwrap_err()
             .contains("kmeans_sweep"));
-        // v2 demands a speedup on *every* kernel, the cache probe
-        // included.
+        // Every kernel carries a speedup, the cache probe included.
         let no_speedup = format!(
             r#"{{"schema":"{SCHEMA}","benchmark":"x","num_slices":1,"kernels":[
                 {},{},
-                {{"name":"cache_access_rw","optimized_ms":1.0,"details":{{}}}}],"scaling":[{point}]}}"#,
+                {{"name":"cache_access_rw","optimized_ms":1.0,"details":{{}}}}]}}"#,
             kernel("kmeans_sweep"),
             kernel("bbv_projection"),
         );
         assert!(validate_report(&no_speedup)
             .unwrap_err()
             .contains("speedup"));
-        // ...and a non-empty scaling grid.
-        let no_scaling = format!(
-            r#"{{"schema":"{SCHEMA}","benchmark":"x","num_slices":1,"kernels":[{},{},{}],"scaling":[]}}"#,
+        // v3 carries no scaling grid.
+        let with_scaling = format!(
+            r#"{{"schema":"{SCHEMA}","benchmark":"x","quick":true,"num_slices":1,"dim":2,"kernels":[{},{},{}],"scaling":[]}}"#,
             kernel("kmeans_sweep"),
             kernel("bbv_projection"),
             kernel("cache_access_rw"),
         );
-        assert!(validate_report(&no_scaling)
+        assert!(validate_report(&with_scaling)
             .unwrap_err()
-            .contains("scaling"));
+            .contains("unknown key \"scaling\""));
     }
 
     #[test]
     fn compare_reports_gates_regressions() {
-        let doc = |cache_ns: f64, scale_ns: f64| {
+        let doc = |cache_ns: f64| {
             format!(
                 r#"{{"schema":"{SCHEMA}","benchmark":"x","num_slices":1,"kernels":[
                     {{"name":"cache_access_rw","reference_ms":2.0,"optimized_ms":1.0,"speedup":2.0,
-                      "details":{{"accesses":1000,"ns_per_access":{cache_ns},"hits":10}}}}],
-                  "scaling":[{{"slices":10,"max_k":2,"wall_ms":1.0,"ns_per_slice":{scale_ns},
-                    "centroid_checksum":0.5,"streamed_rss_delta_bytes":null,
-                    "materialized_estimate_bytes":1920}}]}}"#
+                      "details":{{"accesses":1000,"ns_per_access":{cache_ns},"hits":10}}}}]}}"#
             )
         };
         // Identical and slightly-faster reports pass...
-        compare_reports(&doc(13.0, 900.0), &doc(13.0, 900.0)).unwrap();
-        compare_reports(&doc(12.0, 800.0), &doc(13.0, 900.0)).unwrap();
-        // ...a >10% slowdown on either rate fails...
-        let err = compare_reports(&doc(15.0, 900.0), &doc(13.0, 900.0)).unwrap_err();
+        compare_reports(&doc(13.0), &doc(13.0)).unwrap();
+        compare_reports(&doc(12.0), &doc(13.0)).unwrap();
+        // ...a >10% slowdown fails...
+        let err = compare_reports(&doc(15.0), &doc(13.0)).unwrap_err();
         assert!(err.contains("cache ns_per_access"), "{err}");
-        let err = compare_reports(&doc(13.0, 1100.0), &doc(13.0, 900.0)).unwrap_err();
-        assert!(err.contains("scaling 10x2"), "{err}");
         // ...and a baseline sharing no metric is an error, not a silent
         // pass.
-        let other = format!(
-            r#"{{"schema":"{SCHEMA}","benchmark":"x","num_slices":1,"kernels":[],"scaling":[]}}"#
-        );
-        assert!(compare_reports(&doc(13.0, 900.0), &other)
+        let other =
+            format!(r#"{{"schema":"{SCHEMA}","benchmark":"x","num_slices":1,"kernels":[]}}"#);
+        assert!(compare_reports(&doc(13.0), &other)
             .unwrap_err()
             .contains("nothing comparable"));
     }

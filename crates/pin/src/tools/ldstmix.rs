@@ -80,11 +80,6 @@ impl LdStMix {
     pub fn counts(&self) -> &MixCounts {
         &self.counts
     }
-
-    /// Consumes the tool, returning the counts.
-    pub fn into_counts(self) -> MixCounts {
-        self.counts
-    }
 }
 
 impl Pintool for LdStMix {

@@ -32,11 +32,6 @@ impl TraceRecorder {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Consumes the recorder, returning the trace.
-    pub fn into_trace(self) -> Vec<Retired> {
-        self.trace
-    }
 }
 
 impl Pintool for TraceRecorder {

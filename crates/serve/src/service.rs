@@ -15,7 +15,7 @@ use sampsim_core::runs::{self, WarmupMode};
 use sampsim_core::stage_cache::{response_key, StageCache};
 use sampsim_core::CoreError;
 use sampsim_exec::Jobs;
-use sampsim_simpoint::{KmeansMode, SimPointOptions, StrategySpec};
+use sampsim_simpoint::{SimPointOptions, StrategySpec};
 use sampsim_spec2017::{benchmark, BenchmarkId, BenchmarkSpec};
 use sampsim_util::json::num;
 use sampsim_util::scale::Scale;
@@ -45,9 +45,9 @@ pub struct RunRequest {
     /// `invalid-config` reply with rule `SA130`, and a statistically
     /// unsound one the `SA14x` rule that rejected it.
     pub strategy: Option<String>,
-    /// Clustering-kernel override (`None` = `lloyd`): `lloyd` or
-    /// `minibatch` (see `sampsim_simpoint::KmeansMode`). An unknown label
-    /// is a `bad-request` reply.
+    /// Clustering-kernel label. `lloyd` is the only kernel, so
+    /// `Some("lloyd")` keys and renders exactly like `None`; any other
+    /// label is a `bad-request` reply.
     pub kmeans: Option<String>,
 }
 
@@ -213,16 +213,10 @@ fn build_request(
             ..config.simpoint
         };
     }
-    if let Some(mode) = &request.kmeans {
-        let mode = KmeansMode::parse(mode).ok_or_else(|| {
-            ServiceError::BadRequest(format!(
-                "unknown kmeans mode {mode:?} (one of: lloyd, minibatch)"
-            ))
-        })?;
-        config.simpoint = SimPointOptions {
-            kmeans_mode: mode,
-            ..config.simpoint
-        };
+    if let Some(mode) = request.kmeans.as_deref().filter(|&mode| mode != "lloyd") {
+        return Err(ServiceError::BadRequest(format!(
+            "unknown kmeans mode {mode:?} (one of: lloyd)"
+        )));
     }
     if let Some(name) = &request.strategy {
         let report = sampsim_analyze::lint_strategy_name(name);
@@ -474,25 +468,19 @@ mod tests {
         })
         .unwrap();
         assert_eq!(lloyd.key, base.key);
-        // "minibatch" switches the kernel and changes the key.
-        let mb = prepare(&RunRequest {
-            kmeans: Some("minibatch".into()),
-            ..tiny_request()
-        })
-        .unwrap();
-        assert_eq!(
-            mb.config.simpoint.kmeans_mode,
-            sampsim_simpoint::KmeansMode::MiniBatch
-        );
-        assert_ne!(mb.key, base.key);
-        // Unknown labels are a typed bad-request.
-        let err = prepare(&RunRequest {
-            kmeans: Some("hamerly".into()),
-            ..tiny_request()
-        })
-        .unwrap_err();
-        assert_eq!(err.code(), "bad-request");
-        assert!(err.to_string().contains("hamerly"), "{err}");
+        // Every other label, "minibatch" included, is a typed bad-request.
+        for label in ["minibatch", "hamerly"] {
+            let err = prepare(&RunRequest {
+                kmeans: Some(label.into()),
+                ..tiny_request()
+            })
+            .unwrap_err();
+            assert_eq!(err.code(), "bad-request", "{label}");
+            assert_eq!(
+                err.to_string(),
+                format!("unknown kmeans mode {label:?} (one of: lloyd)")
+            );
+        }
     }
 
     #[test]
@@ -541,7 +529,7 @@ mod tests {
                 ..tiny_request()
             },
             RunRequest {
-                kmeans: Some("minibatch".into()),
+                kmeans: Some("lloyd".into()),
                 ..tiny_request()
             },
         ];
@@ -549,12 +537,26 @@ mod tests {
             assert_eq!(route_key(req).unwrap(), prepare(req).unwrap().key);
         }
         // Pre-preflight failures surface the same typed error...
-        let err = route_key(&RunRequest {
-            bench: "nope".into(),
-            ..tiny_request()
-        })
-        .unwrap_err();
-        assert_eq!(err.code(), "unknown-bench");
+        for (req, code) in [
+            (
+                RunRequest {
+                    bench: "nope".into(),
+                    ..tiny_request()
+                },
+                "unknown-bench",
+            ),
+            (
+                RunRequest {
+                    kmeans: Some("minibatch".into()),
+                    ..tiny_request()
+                },
+                "bad-request",
+            ),
+        ] {
+            let err = route_key(&req).unwrap_err();
+            assert_eq!(err.code(), code);
+            assert_eq!(err.reply(), prepare(&req).unwrap_err().reply());
+        }
         // ...while preflight-only failures still key (any shard renders
         // the identical typed reply, so placement just needs determinism).
         let keyed = route_key(&RunRequest {

@@ -172,17 +172,25 @@ fn shutdown_drains_queued_requests() {
     assert_eq!(stats.executions, 1, "second run is a cache hit: {stats:?}");
 }
 
-/// Requesting the default strategy by name changes nothing: the document
-/// for `"strategy":"simpoint"` is byte-identical to the one for a request
-/// that omits the key entirely.
+/// Requesting a default by name changes nothing: the documents for
+/// `"strategy":"simpoint"` and `"kmeans":"lloyd"` are byte-identical to
+/// the one for a request that omits the key entirely.
 #[test]
 fn explicit_simpoint_strategy_is_byte_identical_to_default() {
-    let explicit = RunRequest {
-        strategy: Some("simpoint".into()),
-        ..tiny_request()
-    };
-    let doc = service::run_document(&explicit, sampsim_exec::SERIAL, &NoCache).unwrap();
-    assert_eq!(doc, reference_document());
+    let reference = reference_document();
+    for explicit in [
+        RunRequest {
+            strategy: Some("simpoint".into()),
+            ..tiny_request()
+        },
+        RunRequest {
+            kmeans: Some("lloyd".into()),
+            ..tiny_request()
+        },
+    ] {
+        let doc = service::run_document(&explicit, sampsim_exec::SERIAL, &NoCache).unwrap();
+        assert_eq!(doc, reference, "{explicit:?}");
+    }
 }
 
 /// Control ops and failure replies over a real socket: ping, stats,
@@ -253,6 +261,23 @@ fn control_and_failure_replies_are_typed() {
     assert!(huge.contains("\"code\":\"invalid-config\""), "{huge}");
     assert!(huge.contains("SA130"), "{huge}");
     assert!(huge.contains("exceeds the maximum"), "{huge}");
+    assert_eq!(
+        client::request_line(&addr, "{\"op\":\"ping\"}").unwrap(),
+        "{\"ok\":\"pong\"}"
+    );
+
+    // Lloyd is the only clustering kernel: any other `kmeans` label is a
+    // typed bad-request, and the daemon keeps answering.
+    let minibatch = client::request_line(
+        &addr,
+        &protocol::run_request_line("omnetpp_s", 0.002, None, Some(6), None, Some("minibatch")),
+    )
+    .unwrap();
+    assert!(
+        minibatch.contains("\"code\":\"bad-request\""),
+        "{minibatch}"
+    );
+    assert!(minibatch.contains("minibatch"), "{minibatch}");
     assert_eq!(
         client::request_line(&addr, "{\"op\":\"ping\"}").unwrap(),
         "{\"ok\":\"pong\"}"

@@ -1,9 +1,10 @@
 //! SimPoint analysis options, errors and results. The algorithm itself is
 //! [`crate::SimPointStrategy::analyze`].
 
-use crate::kmeans::{KmeansError, KmeansMode};
+use crate::kmeans::KmeansError;
 use crate::project::DEFAULT_DIM;
 use crate::select::SimPoint;
+use sampsim_util::hash::Fnv64;
 use std::fmt;
 
 /// Tuning knobs of the analysis.
@@ -26,10 +27,6 @@ pub struct SimPointOptions {
     /// scored on a deterministic subsample (the final clustering still uses
     /// every slice) — the same cost-control SimPoint 3.0 applies.
     pub sample_size: usize,
-    /// Clustering kernel: full Lloyd (default, bit-identical to the
-    /// reference oracle) or deterministic mini-batch (tolerance-pinned,
-    /// k-means state bounded by the batch size).
-    pub kmeans_mode: KmeansMode,
 }
 
 impl Default for SimPointOptions {
@@ -44,8 +41,27 @@ impl Default for SimPointOptions {
             bic_threshold: 0.9,
             seed: 0x51AB_0DD5,
             sample_size: 8_000,
-            kmeans_mode: KmeansMode::Lloyd,
         }
+    }
+}
+
+impl SimPointOptions {
+    /// Writes every option into `h`: the one body behind each cache key
+    /// that covers the SimPoint options. Callers write their own domain
+    /// tag first.
+    pub fn write_fingerprint(&self, h: &mut Fnv64) {
+        h.write_u64(self.max_k as u64);
+        h.write_u64(self.dim as u64);
+        h.write_u64(u64::from(self.n_init));
+        h.write_u64(u64::from(self.max_iter));
+        h.write_f64(self.bic_threshold);
+        h.write_u64(self.seed);
+        h.write_u64(self.sample_size as u64);
+        // The clustering kernel's label, from when a second kernel could
+        // be selected. It stays because keys name disk-tier entries and
+        // place requests on fleet shards: a moved key cold-starts every
+        // persisted cache.
+        h.write_str("lloyd");
     }
 }
 

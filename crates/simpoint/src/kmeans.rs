@@ -20,6 +20,10 @@
 //!   as the differential-testing oracle (see `tests/property_tests.rs` and
 //!   the `pruned_matches_reference_*` tests below).
 //!
+//! The SimPoint analysis clusters only through [`kmeans_best_of_jobs`]:
+//! the production kernel with `n_init` seeded restarts fanned out over
+//! workers, so every selection is bit-reproducible.
+//!
 //! See `docs/performance.md` for the pruning invariants and the
 //! bit-identity argument.
 
@@ -131,46 +135,6 @@ impl KmeansResult {
 #[inline]
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Four-lane chunked squared distance: independent partial sums over
-/// fixed-width chunks so the autovectorizer fires, folded pairwise at the
-/// end. **Not** bit-compatible with [`sq_dist`] (different accumulation
-/// order) — only the mini-batch kernel, which owns its numerics and is
-/// pinned by tolerance rather than bit-identity, may use it.
-#[inline]
-fn sq_dist_chunked(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = [0.0f64; 4];
-    let whole = a.len() - a.len() % 4;
-    let (a_main, a_tail) = a.split_at(whole);
-    let (b_main, b_tail) = b.split_at(whole);
-    for (ca, cb) in a_main.chunks_exact(4).zip(b_main.chunks_exact(4)) {
-        for lane in 0..4 {
-            let d = ca[lane] - cb[lane];
-            acc[lane] += d * d;
-        }
-    }
-    for (x, y) in a_tail.iter().zip(b_tail) {
-        let d = x - y;
-        acc[0] += d * d;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
-/// Nearest centroid to `point` under [`sq_dist_chunked`], first minimum
-/// wins. Returns `(index, squared distance)`.
-#[inline]
-fn nearest_chunked(centroids: &[f64], k: usize, dim: usize, point: &[f64]) -> (u32, f64) {
-    let mut best = 0u32;
-    let mut best_d = f64::INFINITY;
-    for c in 0..k {
-        let d = sq_dist_chunked(point, &centroids[c * dim..(c + 1) * dim]);
-        if d < best_d {
-            best_d = d;
-            best = c as u32;
-        }
-    }
-    (best, best_d)
 }
 
 fn validate(data: &[f64], n: usize, dim: usize, k: usize) -> Result<(), KmeansError> {
@@ -656,262 +620,6 @@ pub fn kmeans_best_of_jobs(
     Ok(best.expect("n_init > 0"))
 }
 
-/// Which clustering kernel the SimPoint analysis runs.
-///
-/// * [`KmeansMode::Lloyd`] — the default: bounds-pruned full Lloyd
-///   ([`kmeans`]), bit-identical to [`kmeans_reference`], `n_init`
-///   restarts.
-/// * [`KmeansMode::MiniBatch`] — the streaming mini-batch kernel
-///   ([`kmeans_minibatch`]): single deterministic run, O(k·dim + batch)
-///   working state, inertia within a documented tolerance of the
-///   reference rather than bit-identical (see `docs/performance.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KmeansMode {
-    /// Full Lloyd with restarts (bit-identical to the reference oracle).
-    #[default]
-    Lloyd,
-    /// Deterministic mini-batch k-means (tolerance-pinned, streaming).
-    MiniBatch,
-}
-
-impl KmeansMode {
-    /// Stable lowercase label (CLI value, fingerprints, JSON).
-    pub fn label(self) -> &'static str {
-        match self {
-            KmeansMode::Lloyd => "lloyd",
-            KmeansMode::MiniBatch => "minibatch",
-        }
-    }
-
-    /// Parses a CLI label produced by [`KmeansMode::label`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "lloyd" => Some(KmeansMode::Lloyd),
-            "minibatch" => Some(KmeansMode::MiniBatch),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for KmeansMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Default mini-batch size for [`MiniBatchKmeans`] / [`kmeans_minibatch`].
-pub const MINIBATCH_BATCH: usize = 1024;
-
-/// Passes over the data made by [`kmeans_minibatch`]; Sculley-style
-/// per-center learning rates converge in a handful of epochs, and a fixed
-/// count keeps the schedule deterministic and cheap.
-pub const MINIBATCH_PASSES: u32 = 3;
-
-/// Streaming mini-batch k-means (Sculley, WWW 2010).
-///
-/// Points are pushed one at a time and buffered into batches of `batch`
-/// rows; each full batch is assigned to the nearest centroid and folded in
-/// with per-center learning rates `eta = 1 / count(c)`. Working state is
-/// `O(k * dim + batch * dim)` — independent of how many points stream
-/// through — which is what lets the million-slice perf grid run without
-/// materializing its input.
-///
-/// Determinism: centroids are seeded by k-means++ over the *first* buffered
-/// batch using the caller's seed, and every update is applied in push
-/// order, so the result is a pure function of `(seed, push sequence)`.
-/// The inner distance kernel is the chunked SIMD-friendly one
-/// (`sq_dist_chunked`); the mini-batch path owns its numerics and is
-/// pinned against [`kmeans_reference`] by tolerance, not bit-identity.
-#[derive(Debug, Clone)]
-pub struct MiniBatchKmeans {
-    dim: usize,
-    k: usize,
-    batch: usize,
-    rng: Xoshiro256StarStar,
-    centroids: Vec<f64>,
-    counts: Vec<u64>,
-    buffer: Vec<f64>,
-    buffered: usize,
-    seen: u64,
-    initialized: bool,
-}
-
-impl MiniBatchKmeans {
-    /// Creates a streaming clusterer for `dim`-dimensional points.
-    ///
-    /// # Errors
-    ///
-    /// [`KmeansError::ZeroK`] / [`KmeansError::ZeroDim`] if `k` or `dim`
-    /// is zero; [`KmeansError::NoPoints`] if `batch` is zero (a zero-row
-    /// batch can never initialize).
-    pub fn new(dim: usize, k: usize, batch: usize, seed: u64) -> Result<Self, KmeansError> {
-        if k == 0 {
-            return Err(KmeansError::ZeroK);
-        }
-        if dim == 0 {
-            return Err(KmeansError::ZeroDim);
-        }
-        if batch == 0 {
-            return Err(KmeansError::NoPoints);
-        }
-        Ok(Self {
-            dim,
-            k,
-            batch,
-            rng: Xoshiro256StarStar::seed_from_u64(seed),
-            centroids: Vec::new(),
-            counts: Vec::new(),
-            buffer: Vec::with_capacity(batch * dim),
-            buffered: 0,
-            seen: 0,
-            initialized: false,
-        })
-    }
-
-    /// Point dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Effective cluster count: the requested `k`, capped at the number of
-    /// points seen once initialization has happened.
-    pub fn k(&self) -> usize {
-        if self.initialized {
-            self.counts.len()
-        } else {
-            self.k
-        }
-    }
-
-    /// Total points pushed so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Pushes one point. Panics if `point.len() != dim`.
-    pub fn push(&mut self, point: &[f64]) {
-        assert_eq!(point.len(), self.dim, "mini-batch point dim mismatch");
-        self.buffer.extend_from_slice(point);
-        self.buffered += 1;
-        self.seen += 1;
-        if self.buffered == self.batch {
-            self.flush_batch();
-        }
-    }
-
-    /// Folds the buffered rows into the centroids and clears the buffer.
-    fn flush_batch(&mut self) {
-        if self.buffered == 0 {
-            return;
-        }
-        if !self.initialized {
-            // Seed with k-means++ over the first batch; the same rows are
-            // then folded in as an ordinary batch below, so the seeding
-            // sample is not privileged beyond its head-of-stream position.
-            let k_eff = self.k.min(self.buffered);
-            self.centroids =
-                plus_plus_init(&self.buffer, self.buffered, self.dim, k_eff, &mut self.rng);
-            self.counts = vec![0u64; k_eff];
-            self.initialized = true;
-        }
-        let k = self.counts.len();
-        let dim = self.dim;
-        for i in 0..self.buffered {
-            let p = &self.buffer[i * dim..(i + 1) * dim];
-            let (c, _) = nearest_chunked(&self.centroids, k, dim, p);
-            let c = c as usize;
-            self.counts[c] += 1;
-            let eta = 1.0 / self.counts[c] as f64;
-            for (cc, &v) in self.centroids[c * dim..(c + 1) * dim].iter_mut().zip(p) {
-                *cc += eta * (v - *cc);
-            }
-        }
-        self.buffer.clear();
-        self.buffered = 0;
-    }
-
-    /// Flushes any partial batch and returns the centroid matrix
-    /// (`k_eff * dim`, row-major).
-    ///
-    /// # Errors
-    ///
-    /// [`KmeansError::NoPoints`] if nothing was ever pushed.
-    pub fn finish(mut self) -> Result<Vec<f64>, KmeansError> {
-        self.flush_batch();
-        if !self.initialized {
-            return Err(KmeansError::NoPoints);
-        }
-        Ok(self.centroids)
-    }
-
-    /// Flushes any partial batch in place (pass boundary in a multi-pass
-    /// schedule) so later pushes start a fresh batch.
-    pub fn end_pass(&mut self) {
-        self.flush_batch();
-    }
-
-    /// Current centroids (empty before the first batch completes).
-    pub fn centroids(&self) -> &[f64] {
-        &self.centroids
-    }
-}
-
-/// Deterministic mini-batch k-means over a materialized matrix: the
-/// convenience wrapper the SimPoint `--kmeans-mode minibatch` path uses.
-///
-/// Runs [`MINIBATCH_PASSES`] passes, each over a fresh seeded
-/// Fisher–Yates permutation of the rows, through a [`MiniBatchKmeans`]
-/// with batch size `batch.min(n)`, then computes final assignments and
-/// inertia in one full pass with the chunked distance kernel. A single
-/// deterministic run — no restarts — so `n_init` does not apply.
-///
-/// # Errors
-///
-/// As [`kmeans`].
-pub fn kmeans_minibatch(
-    data: &[f64],
-    n: usize,
-    dim: usize,
-    k: usize,
-    seed: u64,
-    batch: usize,
-) -> Result<KmeansResult, KmeansError> {
-    validate(data, n, dim, k)?;
-    let k = k.min(n);
-    let mut mb = MiniBatchKmeans::new(dim, k, batch.max(1).min(n), seed)?;
-    // The schedule RNG is domain-separated from the seeding RNG inside
-    // MiniBatchKmeans so reordering passes never perturbs the init.
-    let mut schedule = Xoshiro256StarStar::seed_from_u64(seed ^ 0x5C11_EE75_EED0_F00D);
-    let mut order: Vec<usize> = (0..n).collect();
-    for _pass in 0..MINIBATCH_PASSES {
-        // Fisher–Yates, index-ordered and seeded: deterministic schedule.
-        for i in (1..n).rev() {
-            let j = schedule.next_below(i as u64 + 1) as usize;
-            order.swap(i, j);
-        }
-        for &i in &order {
-            mb.push(&data[i * dim..(i + 1) * dim]);
-        }
-        mb.end_pass();
-    }
-    let k_eff = mb.k();
-    let centroids = mb.finish()?;
-    let mut assignments = vec![0u32; n];
-    let mut inertia = 0.0;
-    for i in 0..n {
-        let (c, d) = nearest_chunked(&centroids, k_eff, dim, &data[i * dim..(i + 1) * dim]);
-        assignments[i] = c;
-        inertia += d;
-    }
-    Ok(KmeansResult::assemble(
-        k_eff,
-        assignments,
-        centroids,
-        inertia,
-        MINIBATCH_PASSES,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1111,147 +819,5 @@ mod tests {
             kmeans_best_of_reference(&data, n, 2, 2, 100, 17, 0),
             Err(KmeansError::ZeroInit)
         ));
-    }
-
-    #[test]
-    fn chunked_distance_agrees_with_reference_distance() {
-        let a = random_matrix(1, 1, 23, 6.0);
-        let b = random_matrix(2, 1, 23, 6.0);
-        let exact = sq_dist(&a, &b);
-        let chunked = sq_dist_chunked(&a, &b);
-        assert!((exact - chunked).abs() <= 1e-12 * exact.max(1.0));
-    }
-
-    #[test]
-    fn minibatch_mode_labels_round_trip() {
-        for mode in [KmeansMode::Lloyd, KmeansMode::MiniBatch] {
-            assert_eq!(KmeansMode::parse(mode.label()), Some(mode));
-            assert_eq!(format!("{mode}"), mode.label());
-        }
-        assert_eq!(KmeansMode::parse("hamerly"), None);
-        assert_eq!(KmeansMode::default(), KmeansMode::Lloyd);
-    }
-
-    #[test]
-    fn minibatch_recovers_blobs_within_tolerance() {
-        let (data, n) = blobs();
-        let mb = kmeans_minibatch(&data, n, 2, 3, 7, 32).unwrap();
-        let reference = kmeans_reference(&data, n, 2, 3, 100, 7).unwrap();
-        assert_eq!(mb.occupied_clusters(), 3);
-        // The documented tolerance: mini-batch inertia within 1.5x of the
-        // full-Lloyd reference (plus absolute slack for near-zero optima).
-        assert!(
-            mb.inertia <= 1.5 * reference.inertia + 1e-9,
-            "minibatch inertia {} vs reference {}",
-            mb.inertia,
-            reference.inertia
-        );
-    }
-
-    #[test]
-    fn minibatch_tolerance_holds_over_random_blob_shapes() {
-        // Property form of the tolerance pin: for random blob-shaped
-        // inputs (random center count, dimensionality, batch and seed),
-        // the streaming kernel's inertia stays within the documented 1.5x
-        // of the full-Lloyd reference, and the streamed run is a pure
-        // function of its seed. The generator keeps within-cluster spread
-        // comparable to the center spread: with vanishing scatter and a
-        // small first batch, mini-batch seeding can merge two far blobs —
-        // a known Sculley-kernel failure mode outside the tolerance's
-        // stated regime (the pipeline's projected BBV rows are bounded,
-        // L1-normalized coordinates).
-        sampsim_util::prop::run_cases("minibatch-tolerance", 24, |g| {
-            let k = g.usize_in(2..6);
-            let dim = g.usize_in(2..8);
-            let per_cluster = g.usize_in(20..60);
-            let n = k * per_cluster;
-            let data_seed = g.u64_in(0..u64::MAX - 1);
-            let mut rng = Xoshiro256StarStar::seed_from_u64(data_seed);
-            let centers: Vec<f64> = (0..k * dim).map(|_| (rng.next_f64() - 0.5) * 4.0).collect();
-            let data: Vec<f64> = (0..n)
-                .flat_map(|i| {
-                    let c = i % k;
-                    (0..dim)
-                        .map(|d| centers[c * dim + d] + (rng.next_f64() - 0.5) * 2.0)
-                        .collect::<Vec<f64>>()
-                })
-                .collect();
-            let batch = g.usize_in(8..128);
-            let seed = g.u64_in(0..u64::MAX - 1);
-            let mb = kmeans_minibatch(&data, n, dim, k, seed, batch).unwrap();
-            let again = kmeans_minibatch(&data, n, dim, k, seed, batch).unwrap();
-            assert_bit_identical(&mb, &again, "minibatch replay");
-            let reference = kmeans_reference(&data, n, dim, k, 100, seed).unwrap();
-            assert!(
-                mb.inertia <= 1.5 * reference.inertia + 1e-9,
-                "n={n} dim={dim} k={k} batch={batch} seed={seed:#x}: \
-                 minibatch inertia {} vs reference {}",
-                mb.inertia,
-                reference.inertia
-            );
-        });
-    }
-
-    #[test]
-    fn minibatch_deterministic_for_seed() {
-        let data = random_matrix(42, 300, 15, 4.0);
-        let a = kmeans_minibatch(&data, 300, 15, 12, 9, 64).unwrap();
-        let b = kmeans_minibatch(&data, 300, 15, 12, 9, 64).unwrap();
-        assert_bit_identical(&a, &b, "minibatch determinism");
-    }
-
-    #[test]
-    fn minibatch_streaming_is_a_pure_function_of_push_order() {
-        let data = random_matrix(5, 100, 4, 2.0);
-        let mut a = MiniBatchKmeans::new(4, 5, 16, 3).unwrap();
-        let mut b = MiniBatchKmeans::new(4, 5, 16, 3).unwrap();
-        for i in 0..100 {
-            a.push(&data[i * 4..(i + 1) * 4]);
-            b.push(&data[i * 4..(i + 1) * 4]);
-        }
-        assert_eq!(a.seen(), 100);
-        let ca = a.finish().unwrap();
-        let cb = b.finish().unwrap();
-        for (x, y) in ca.iter().zip(&cb) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn minibatch_caps_k_and_rejects_bad_shapes() {
-        let data = vec![0.0, 0.0, 1.0, 1.0];
-        let r = kmeans_minibatch(&data, 2, 2, 10, 1, 8).unwrap();
-        assert_eq!(r.k, 2);
-        assert!(r.inertia <= 1e-12);
-        assert_eq!(
-            kmeans_minibatch(&[1.0], 1, 2, 1, 1, 8),
-            Err(KmeansError::ShapeMismatch {
-                expected: 2,
-                got: 1
-            })
-        );
-        assert!(matches!(
-            MiniBatchKmeans::new(0, 3, 8, 1),
-            Err(KmeansError::ZeroDim)
-        ));
-        assert!(matches!(
-            MiniBatchKmeans::new(2, 0, 8, 1),
-            Err(KmeansError::ZeroK)
-        ));
-        assert!(MiniBatchKmeans::new(2, 3, 8, 1).unwrap().finish().is_err());
-    }
-
-    #[test]
-    fn minibatch_partial_final_batch_is_folded_in() {
-        // 37 points with batch 16: the last 5 only reach the centroids via
-        // the finish()-time flush.
-        let data = random_matrix(8, 37, 3, 3.0);
-        let mut mb = MiniBatchKmeans::new(3, 4, 16, 11).unwrap();
-        for i in 0..37 {
-            mb.push(&data[i * 3..(i + 1) * 3]);
-        }
-        let centroids = mb.finish().unwrap();
-        assert_eq!(centroids.len(), 4 * 3);
-        assert!(centroids.iter().all(|c| c.is_finite()));
     }
 }

@@ -60,9 +60,8 @@ mod analysis;
 
 pub use analysis::{SimPointError, SimPointOptions, SimPointsResult};
 pub use kmeans::{
-    kmeans, kmeans_best_of, kmeans_best_of_jobs, kmeans_best_of_reference, kmeans_minibatch,
-    kmeans_reference, KmeansError, KmeansMode, KmeansResult, MiniBatchKmeans, MINIBATCH_BATCH,
-    MINIBATCH_PASSES,
+    kmeans, kmeans_best_of, kmeans_best_of_jobs, kmeans_best_of_reference, kmeans_reference,
+    KmeansError, KmeansResult,
 };
 pub use project::RandomProjection;
 pub use select::SimPoint;

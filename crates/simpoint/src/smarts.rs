@@ -35,16 +35,6 @@ pub struct Estimate {
 }
 
 impl Estimate {
-    /// Relative error bound: half-width / mean (infinite when the mean is
-    /// zero).
-    pub fn relative_error(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
-
     /// Whether `value` lies inside the interval.
     pub fn covers(&self, value: f64) -> bool {
         (value - self.mean).abs() <= self.half_width

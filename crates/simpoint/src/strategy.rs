@@ -36,9 +36,7 @@
 use crate::analysis::{SimPointError, SimPointOptions, SimPointsResult};
 use crate::bbv::Bbv;
 use crate::bic::{bic_score, choose_k};
-use crate::kmeans::{
-    kmeans_best_of_jobs, kmeans_minibatch, KmeansMode, KmeansResult, MINIBATCH_BATCH,
-};
+use crate::kmeans::{kmeans_best_of_jobs, KmeansResult};
 use crate::project::RandomProjection;
 use crate::select::{select_simpoints, SimPoint};
 use sampsim_exec::Jobs;
@@ -213,18 +211,11 @@ impl SimPointStrategy {
             (data.clone(), n)
         };
 
-        // The clustering kernel: full Lloyd with restarts (the default,
-        // bit-identical to the reference oracle) or the deterministic
-        // mini-batch kernel (single run, tolerance-pinned). The per-k seed
-        // schedule is shared so switching modes never perturbs seeds.
-        let cluster = |data: &[f64], n: usize, k: usize| -> Result<KmeansResult, _> {
+        // Full Lloyd with restarts under the per-k seed schedule that
+        // scoring and the final clustering share.
+        let cluster = |data: &[f64], n: usize, k: usize| {
             let seed = o.seed.wrapping_add(k as u64);
-            match o.kmeans_mode {
-                KmeansMode::Lloyd => {
-                    kmeans_best_of_jobs(data, n, o.dim, k, o.max_iter, seed, o.n_init, jobs)
-                }
-                KmeansMode::MiniBatch => kmeans_minibatch(data, n, o.dim, k, seed, MINIBATCH_BATCH),
-            }
+            kmeans_best_of_jobs(data, n, o.dim, k, o.max_iter, seed, o.n_init, jobs)
         };
 
         let max_k = o.max_k.min(score_n);
@@ -255,17 +246,9 @@ impl SamplingStrategy for SimPointStrategy {
     }
 
     fn fingerprint(&self) -> u64 {
-        let o = &self.options;
         let mut h = Fnv64::new();
         h.write_str("sampsim/fp/strategy/simpoint/v2");
-        h.write_u64(o.max_k as u64);
-        h.write_u64(o.dim as u64);
-        h.write_u64(u64::from(o.n_init));
-        h.write_u64(u64::from(o.max_iter));
-        h.write_f64(o.bic_threshold);
-        h.write_u64(o.seed);
-        h.write_u64(o.sample_size as u64);
-        h.write_str(o.kmeans_mode.label());
+        self.options.write_fingerprint(&mut h);
         h.finish()
     }
 
@@ -1051,35 +1034,6 @@ mod tests {
             .into_parts(1_000);
         assert_eq!(via_trait, direct);
         assert!(reps.is_empty());
-    }
-
-    #[test]
-    fn minibatch_mode_selects_validly_and_changes_fingerprint() {
-        let bbvs = synthetic_bbvs(4, 30);
-        let lloyd_opts = SimPointOptions {
-            max_k: 8,
-            ..Default::default()
-        };
-        let mb_opts = SimPointOptions {
-            kmeans_mode: crate::kmeans::KmeansMode::MiniBatch,
-            ..lloyd_opts
-        };
-        let a = SimPointStrategy::new(mb_opts)
-            .select(&input(&bbvs), sampsim_exec::SERIAL)
-            .unwrap();
-        let b = SimPointStrategy::new(mb_opts)
-            .select(&input(&bbvs), sampsim_exec::SERIAL)
-            .unwrap();
-        assert_eq!(a, b, "mini-batch mode must stay deterministic");
-        check_selection(&a, bbvs.len());
-        // Four well-separated phases: the mini-batch sweep still lands on
-        // a sensible k.
-        assert!((4..=8).contains(&a.k), "k = {}", a.k);
-        // The mode is part of the cached-selection identity.
-        assert_ne!(
-            SimPointStrategy::new(mb_opts).fingerprint(),
-            SimPointStrategy::new(lloyd_opts).fingerprint()
-        );
     }
 
     #[test]

@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod bpred;
-pub mod bpred_zoo;
 pub mod core;
 pub mod native;
 pub mod sniper;

@@ -75,14 +75,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The bool, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// A parse failure with a byte offset.

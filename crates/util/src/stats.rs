@@ -223,15 +223,6 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, n) - 1]
 }
 
-/// Ratio `a / b` guarding against a zero denominator (returns `0.0`).
-pub fn safe_ratio(a: f64, b: f64) -> f64 {
-    if b == 0.0 {
-        0.0
-    } else {
-        a / b
-    }
-}
-
 /// Formats a count with thousands separators (`1234567` → `"1,234,567"`).
 pub fn with_commas(n: u64) -> String {
     let digits = n.to_string();
