@@ -31,7 +31,6 @@ pub fn fleet(
         router_workers: options.jobs,
         queue_depth,
         cache_dir: cache_dir.map(PathBuf::from),
-        ..FleetConfig::ephemeral(shards)
     };
     let fleet = Fleet::spawn(&config)?;
     println!(

@@ -4,7 +4,7 @@ use super::{create_report_file, CmdResult};
 use crate::args::{Options, RequestOp};
 use sampsim_serve::client::{self, RetryPolicy};
 use sampsim_serve::service::RunRequest;
-use sampsim_serve::{protocol, ServeConfig, Server, DEFAULT_MEM_ENTRIES};
+use sampsim_serve::{protocol, ServeConfig, Server};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -24,7 +24,6 @@ pub fn serve(
         cache_dir: cache_dir.map(PathBuf::from),
         workers: options.jobs,
         queue_depth,
-        mem_entries: DEFAULT_MEM_ENTRIES,
     };
     let server = Server::bind(config)?;
     println!("sampsim-serve listening on {}", server.local_addr());

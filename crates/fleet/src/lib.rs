@@ -9,7 +9,8 @@
 //!   deterministic map from content-addressed keys to shard slots, with
 //!   per-key preference lists so a shard loss moves each orphaned key to
 //!   exactly the sibling that peer warming pre-filled.
-//! - [`router`] — the front-end. Speaks the same line protocol as a
+//! - [`router`] — the fleet's entry point, on the daemon's own front end
+//!   (`sampsim_serve::acceptor`). Speaks the same line protocol as a
 //!   single daemon (clients cannot tell the difference), shards `run`
 //!   requests by `response_key`, relays shard replies byte-for-byte,
 //!   warms next-preference siblings over `peer-put`, aggregates
@@ -34,9 +35,10 @@ pub mod loadgen;
 pub mod ring;
 pub mod router;
 
-use router::{Router, RouterConfig, RouterHandle, RouterStats};
+use router::{Router, RouterConfig, RouterStats};
 use sampsim_exec::Jobs;
-use sampsim_serve::{ServeConfig, Server, ServerHandle, Stats};
+use sampsim_serve::acceptor::Handle;
+use sampsim_serve::{ServeConfig, Server, Stats};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 
@@ -55,8 +57,6 @@ pub struct FleetConfig {
     pub router_workers: Jobs,
     /// Admission-queue depth for the router and each shard.
     pub queue_depth: usize,
-    /// In-memory cache entries per shard.
-    pub mem_entries: usize,
     /// Disk-tier root; shard `i` uses `<root>/shard-<i>` (`None` =
     /// memory tiers only).
     pub cache_dir: Option<PathBuf>,
@@ -71,7 +71,6 @@ impl FleetConfig {
             shard_workers: Jobs::Auto,
             router_workers: Jobs::Auto,
             queue_depth: sampsim_serve::DEFAULT_QUEUE_DEPTH,
-            mem_entries: sampsim_serve::DEFAULT_MEM_ENTRIES,
             cache_dir: None,
         }
     }
@@ -100,8 +99,8 @@ impl FleetReport {
 /// A running in-process fleet: shard daemons plus the router, each on
 /// its own threads.
 pub struct Fleet {
-    router: RouterHandle,
-    shards: Vec<ServerHandle>,
+    router: Handle<RouterStats>,
+    shards: Vec<Handle<Stats>>,
     shard_addrs: Vec<String>,
 }
 
@@ -118,40 +117,29 @@ impl Fleet {
         assert!(config.shards > 0, "a fleet needs at least one shard");
         let mut shards = Vec::with_capacity(config.shards);
         let mut shard_addrs = Vec::with_capacity(config.shards);
-        for slot in 0..config.shards {
-            let serve_config = ServeConfig {
-                addr: "127.0.0.1:0".into(),
-                cache_dir: config
-                    .cache_dir
-                    .as_ref()
-                    .map(|root| root.join(format!("shard-{slot}"))),
-                workers: config.shard_workers,
-                queue_depth: config.queue_depth,
-                mem_entries: config.mem_entries,
-            };
-            match Server::bind(serve_config) {
-                Ok(server) => {
-                    let handle = server.spawn();
-                    shard_addrs.push(handle.addr().to_string());
-                    shards.push(handle);
-                }
-                Err(e) => {
-                    shutdown_all(&shard_addrs);
-                    for handle in shards {
-                        let _ = handle.wait();
-                    }
-                    return Err(e);
-                }
+        let mut bind = || {
+            for slot in 0..config.shards {
+                let handle = Server::bind(ServeConfig {
+                    addr: "127.0.0.1:0".into(),
+                    cache_dir: config
+                        .cache_dir
+                        .as_ref()
+                        .map(|root| root.join(format!("shard-{slot}"))),
+                    workers: config.shard_workers,
+                    queue_depth: config.queue_depth,
+                })?
+                .spawn();
+                shard_addrs.push(handle.addr().to_string());
+                shards.push(handle);
             }
-        }
-        let router_config = RouterConfig {
-            addr: config.addr.clone(),
-            backends: shard_addrs.clone(),
-            workers: config.router_workers,
-            queue_depth: config.queue_depth,
-            peer_warm: true,
+            Router::bind(RouterConfig {
+                addr: config.addr.clone(),
+                backends: shard_addrs.clone(),
+                workers: config.router_workers,
+                queue_depth: config.queue_depth,
+            })
         };
-        match Router::bind(router_config) {
+        match bind() {
             Ok(router) => Ok(Fleet {
                 router: router.spawn(),
                 shards,
@@ -199,7 +187,9 @@ impl Fleet {
     }
 }
 
-/// Best-effort shutdown fan-out (spawn-failure cleanup path).
+/// Best-effort shutdown fan-out to every shard: the router's `shutdown`
+/// op and the spawn-failure cleanup path. A shard that is already gone
+/// is skipped.
 fn shutdown_all(addrs: &[String]) {
     for addr in addrs {
         let _ = sampsim_serve::client::request_line(addr, "{\"op\":\"shutdown\"}");

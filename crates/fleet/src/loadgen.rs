@@ -227,7 +227,6 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<String> {
     let max = latencies.iter().copied().fold(0.0f64, f64::max);
     let throughput = samples.len() as f64 / elapsed.max(f64::MIN_POSITIVE);
 
-    let router = report.router;
     Ok(format!(
         concat!(
             "{{\"schema\":\"{schema}\",",
@@ -236,9 +235,8 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<String> {
             "\"totals\":{{\"sent\":{sent},\"ok\":{ok},\"errors\":{errors},\"retries\":{retries}}},",
             "\"latency_ms\":{{\"p50\":{p50:?},\"p99\":{p99:?},\"max\":{max:?},\"mean\":{mean:?}}},",
             "\"throughput_rps\":{rps:?},",
-            "\"fleet\":{fleet},",
-            "\"router\":{{\"requests\":{rreq},\"routed\":{routed},\"degraded\":{degraded},",
-            "\"peer_warms_sent\":{warms},\"busy_rejects\":{rbusy}}}}}"
+            "\"fleet\":{{{fleet}}},",
+            "\"router\":{{{router}}}}}"
         ),
         schema = SCHEMA,
         shards = config.shards,
@@ -256,24 +254,9 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<String> {
         max = max,
         mean = mean,
         rps = throughput,
-        fleet = stats_object(&fleet_stats),
-        rreq = router.requests,
-        routed = router.routed,
-        degraded = router.degraded,
-        warms = router.peer_warms_sent,
-        rbusy = router.busy_rejects,
+        fleet = fleet_stats.json_fields(),
+        router = report.router.json_fields(),
     ))
-}
-
-/// Renders shard [`Stats`] as a bare JSON object (no `"ok"` tag).
-fn stats_object(stats: &Stats) -> String {
-    let json = stats.to_json();
-    // to_json emits {"ok":"stats","requests":...}; strip the tag.
-    format!(
-        "{{{}",
-        json.strip_prefix("{\"ok\":\"stats\",")
-            .expect("Stats::to_json shape is stable")
-    )
 }
 
 /// The `sampsim-serve-bench/v1` document [`run`] renders, from a healthy
@@ -427,7 +410,7 @@ mod tests {
                 "\"mem_hits\":13,\"disk_hits\":0,\"misses\":9,\"busy_rejects\":0,",
                 "\"stage_hits\":0,\"peer_warms\":9}},",
                 "\"router\":{{\"requests\":26,\"routed\":24,\"degraded\":0,",
-                "\"peer_warms_sent\":9,\"busy_rejects\":0}}}}"
+                "\"peer_warms_sent\":9,\"busy_rejects\":1}}}}"
             ),
             SCHEMA
         )
@@ -435,7 +418,19 @@ mod tests {
 
     #[test]
     fn validate_accepts_the_reference_shape() {
-        validate_report(&synthetic_report()).unwrap();
+        let report = synthetic_report();
+        validate_report(&report).unwrap();
+        // `run` renders the router object from the counter set; its
+        // members and their order are the ones this literal pins.
+        let router = crate::router::RouterStats {
+            requests: 26,
+            routed: 24,
+            degraded: 0,
+            peer_warms_sent: 9,
+            busy_rejects: 1,
+        };
+        let tail = format!(",\"router\":{{{}}}}}", router.json_fields());
+        assert!(report.ends_with(&tail), "{report}");
     }
 
     #[test]

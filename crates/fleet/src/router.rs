@@ -1,9 +1,12 @@
-//! The fleet front-end: a TCP router that shards the content-addressed
-//! key space across `sampsim-serve` backends.
+//! The fleet's entry point: a TCP router that shards the
+//! content-addressed key space across `sampsim-serve` backends.
 //!
 //! The router speaks the same line protocol as a single daemon, so every
 //! client (`sampsim request`, the load generator, tests) can point at a
-//! router or a daemon interchangeably:
+//! router or a daemon interchangeably. It runs the daemon's front end
+//! ([`sampsim_serve::acceptor`]: intake, bounded queue with `busy`
+//! refusals, workers, drain) and plugs its own per-line handling into
+//! that front end's [`Handler`] seam:
 //!
 //! - `run` — the router computes the request's content-addressed key
 //!   *without* executing anything ([`sampsim_serve::service::route_key`]),
@@ -27,16 +30,13 @@
 
 use crate::ring::Ring;
 use sampsim_exec::Jobs;
-use sampsim_serve::acceptor::{self, AcceptControl};
+use sampsim_serve::acceptor::{Bound, Handle, Handler};
 use sampsim_serve::protocol::{self, Request};
 use sampsim_serve::service::RunRequest;
 use sampsim_serve::{client, service, write_reply_line, Stats};
 use sampsim_spec2017::BenchmarkId;
-use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::net::{SocketAddr, TcpStream};
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -51,9 +51,6 @@ pub struct RouterConfig {
     pub workers: Jobs,
     /// Admission-queue depth; requests beyond it get a `busy` reply.
     pub queue_depth: usize,
-    /// Warm each served key's next-preference shard via `peer-put`
-    /// (disabled for single-shard fleets automatically).
-    pub peer_warm: bool,
 }
 
 impl RouterConfig {
@@ -64,88 +61,38 @@ impl RouterConfig {
             backends,
             workers: Jobs::Auto,
             queue_depth: sampsim_serve::DEFAULT_QUEUE_DEPTH,
-            peer_warm: true,
         }
     }
 }
 
-/// Router-level counters (shard counters live in shard [`Stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RouterStats {
-    /// Requests handled (every op, including failures).
-    pub requests: u64,
-    /// Run/peer-put forwards that reached a shard and returned a reply.
-    pub routed: u64,
-    /// Forwards answered with a typed `degraded` reply (dead shard).
-    pub degraded: u64,
-    /// `peer-put` warm messages successfully stored on a sibling.
-    pub peer_warms_sent: u64,
-    /// Requests refused with a `busy` reply at admission.
-    pub busy_rejects: u64,
+sampsim_serve::counter_set! {
+    /// Router-level counters (shard counters live in shard [`Stats`]).
+    pub struct RouterStats, live Counters {
+        /// Requests handled (every op, including failures).
+        requests,
+        /// Run/peer-put forwards that reached a shard and returned a reply.
+        routed,
+        /// Forwards answered with a typed `degraded` reply (dead shard).
+        degraded,
+        /// `peer-put` warm messages successfully stored on a sibling.
+        peer_warms_sent,
+        /// Requests refused with a `busy` reply at admission.
+        busy_rejects,
+    }
 }
 
-#[derive(Default)]
-struct Counters {
-    requests: AtomicU64,
-    routed: AtomicU64,
-    degraded: AtomicU64,
-    peer_warms_sent: AtomicU64,
-    busy_rejects: AtomicU64,
-}
-
+/// The router's request handling, shared by its worker pool.
 struct Shared {
-    queue: Mutex<VecDeque<(TcpStream, String)>>,
-    available: Condvar,
-    shutdown: AtomicBool,
-    acceptor_done: AtomicBool,
     counters: Counters,
     ring: Ring,
     backends: Vec<String>,
-    queue_depth: usize,
-    peer_warm: bool,
     fan_jobs: Jobs,
-}
-
-impl Shared {
-    fn stats(&self) -> RouterStats {
-        RouterStats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            routed: self.counters.routed.load(Ordering::Relaxed),
-            degraded: self.counters.degraded.load(Ordering::Relaxed),
-            peer_warms_sent: self.counters.peer_warms_sent.load(Ordering::Relaxed),
-            busy_rejects: self.counters.busy_rejects.load(Ordering::Relaxed),
-        }
-    }
-
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl AcceptControl for Shared {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn dispatch(&self, stream: TcpStream, line: String) {
-        let mut queue = self.queue.lock().unwrap();
-        if queue.len() >= self.queue_depth {
-            drop(queue);
-            Shared::bump(&self.counters.busy_rejects);
-            write_reply_line(stream, &protocol::busy_reply(self.queue_depth));
-        } else {
-            queue.push_back((stream, line));
-            drop(queue);
-            self.available.notify_one();
-        }
-    }
 }
 
 /// A bound, not-yet-serving router.
 pub struct Router {
     config: RouterConfig,
-    listener: TcpListener,
-    addr: SocketAddr,
+    bound: Bound,
 }
 
 impl Router {
@@ -162,18 +109,13 @@ impl Router {
                 "a router needs at least one backend shard",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        Ok(Router {
-            config,
-            listener,
-            addr,
-        })
+        let bound = Bound::bind(&config.addr)?;
+        Ok(Router { config, bound })
     }
 
     /// The bound address (resolves port 0 to the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.bound.addr()
     }
 
     /// Serves until a `shutdown` request arrives (which also shuts every
@@ -185,92 +127,35 @@ impl Router {
     /// mode.
     pub fn serve(self) -> std::io::Result<RouterStats> {
         let shared = Shared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            acceptor_done: AtomicBool::new(false),
             counters: Counters::default(),
             ring: Ring::new(self.config.backends.len()),
-            backends: self.config.backends.clone(),
-            queue_depth: self.config.queue_depth.max(1),
-            peer_warm: self.config.peer_warm && self.config.backends.len() > 1,
+            backends: self.config.backends,
             fan_jobs: self.config.workers,
         };
-        let worker_ids: Vec<usize> = (0..self.config.workers.get()).collect();
-        std::thread::scope(|s| {
-            let acceptor = s.spawn(|| {
-                let result = acceptor::accept_loop(&self.listener, &shared);
-                let _queue = shared.queue.lock().unwrap();
-                shared.acceptor_done.store(true, Ordering::SeqCst);
-                shared.available.notify_all();
-                result
-            });
-            sampsim_exec::parallel_map(self.config.workers, &worker_ids, |_, _| {
-                worker_loop(&shared)
-            });
-            acceptor.join().expect("acceptor does not panic")?;
-            Ok(shared.stats())
-        })
+        self.bound
+            .serve(self.config.workers, self.config.queue_depth, &shared)?;
+        Ok(shared.counters.snapshot())
     }
 
     /// Runs [`Router::serve`] on a background thread.
-    pub fn spawn(self) -> RouterHandle {
-        let addr = self.addr;
-        let thread = std::thread::spawn(move || self.serve());
-        RouterHandle { addr, thread }
+    pub fn spawn(self) -> Handle<RouterStats> {
+        Handle::spawn(self.local_addr(), move || self.serve())
     }
 }
 
-/// Handle to a router running on a background thread.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<std::io::Result<RouterStats>>,
-}
-
-impl RouterHandle {
-    /// The router's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+impl Handler for Shared {
+    fn handle(&self, stream: TcpStream, line: &str) -> bool {
+        handle_request(stream, line, self)
     }
 
-    /// Blocks until the router shuts down and returns its counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the router's I/O error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router thread panicked.
-    pub fn wait(self) -> std::io::Result<RouterStats> {
-        self.thread.join().expect("router thread panicked")
-    }
-}
-
-fn next_request(shared: &Shared) -> Option<(TcpStream, String)> {
-    let mut queue = shared.queue.lock().unwrap();
-    loop {
-        if let Some(item) = queue.pop_front() {
-            return Some(item);
-        }
-        if shared.acceptor_done.load(Ordering::SeqCst) {
-            return None;
-        }
-        queue = shared.available.wait(queue).unwrap();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some((stream, line)) = next_request(shared) {
-        if handle_request(stream, &line, shared) {
-            shared.shutdown.store(true, Ordering::SeqCst);
-        }
+    fn refused(&self) {
+        self.counters.busy_rejects.bump();
     }
 }
 
 /// Serves one request line. Returns whether a shutdown was requested.
 fn handle_request(stream: TcpStream, line: &str, shared: &Shared) -> bool {
-    Shared::bump(&shared.counters.requests);
+    shared.counters.requests.bump();
     match protocol::parse_request(line) {
         Ok(Request::Run(request)) => {
             let reply = match service::route_key(&request) {
@@ -296,9 +181,7 @@ fn handle_request(stream: TcpStream, line: &str, shared: &Shared) -> bool {
         }
         Ok(Request::Shutdown) => {
             // Shards first (each drains its own queue), then the router.
-            for addr in &shared.backends {
-                let _ = client::request_line(addr, "{\"op\":\"shutdown\"}");
-            }
+            crate::shutdown_all(&shared.backends);
             write_reply_line(stream, &protocol::shutdown_reply());
             true
         }
@@ -320,11 +203,12 @@ fn handle_request(stream: TcpStream, line: &str, shared: &Shared) -> bool {
 fn forward_run(shared: &Shared, key: u64, line: &str) -> String {
     let preference = shared.ring.preference(key);
     let reply = forward_to(shared, preference[0], line);
-    if shared.peer_warm && !protocol::is_error_reply(&reply) {
+    // A single-shard fleet has no sibling to warm.
+    if shared.backends.len() > 1 && !protocol::is_error_reply(&reply) {
         let warm = protocol::peer_put_line(key, &reply);
         if let Ok(ack) = client::request_line(&shared.backends[preference[1]], &warm) {
             if ack == protocol::peer_put_reply() {
-                Shared::bump(&shared.counters.peer_warms_sent);
+                shared.counters.peer_warms_sent.bump();
             }
         }
     }
@@ -336,11 +220,11 @@ fn forward_run(shared: &Shared, key: u64, line: &str) -> String {
 fn forward_to(shared: &Shared, shard: usize, line: &str) -> String {
     match client::request_line(&shared.backends[shard], line) {
         Ok(reply) => {
-            Shared::bump(&shared.counters.routed);
+            shared.counters.routed.bump();
             reply
         }
         Err(e) => {
-            Shared::bump(&shared.counters.degraded);
+            shared.counters.degraded.bump();
             protocol::error_reply(
                 "degraded",
                 &format!(

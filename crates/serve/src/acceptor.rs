@@ -1,13 +1,20 @@
-//! Readiness-driven connection intake, shared by the daemon and the
-//! fleet router.
+//! The front end shared by the daemon and the fleet router: listen →
+//! read each request line → bounded queue → worker pool → drain.
+//!
+//! Both servers plug into it through one seam, [`Handler`]: a handler
+//! serves one complete request line and says whether that line asked for
+//! shutdown. Everything before that call — connection intake, admission,
+//! the workers and the graceful drain — is written once, here, and
+//! [`Bound::serve`] runs it.
 //!
 //! The first daemon handed every accepted socket straight to a worker,
 //! which then *blocked* reading the request line — an idle client pinned
 //! a worker thread for up to the read timeout, so `workers` slow writers
 //! could starve the whole pool. This module inverts that: a single
 //! poll-loop thread owns every connection until its request line is
-//! complete, and only then dispatches `(socket, line)` to the pool.
-//! Workers never block on client I/O; idle clients cost one buffer each.
+//! complete, and only then admits `(socket, line)` to the queue the
+//! workers pop. Workers never block on client I/O; idle clients cost one
+//! buffer each.
 //!
 //! std-only readiness: the listener and every pending socket run in
 //! non-blocking mode, and the loop sweeps accept + per-connection reads,
@@ -17,15 +24,28 @@
 //!
 //! Line discipline at the edge: over-long lines, invalid UTF-8, and
 //! idle timeouts are answered with a typed `bad-request` reply and the
-//! connection is closed; a complete line is handed to
-//! [`AcceptControl::dispatch`] with the socket restored to blocking
-//! mode. During shutdown the loop stops accepting but keeps polling
-//! already-accepted connections (clamped to [`DRAIN_TIMEOUT`]) so
-//! admitted clients are drained, not dropped.
+//! connection is closed; a complete line is admitted with the socket
+//! restored to blocking mode.
+//!
+//! Admission: when the queue already holds `queue_depth` lines, the poll
+//! loop counts the refusal ([`Handler::refused`]) and answers with
+//! [`protocol::busy_reply`] itself, so an overloaded server degrades into
+//! fast, explicit refusals rather than unbounded buffering.
+//!
+//! Shutdown: once a handled line returns `true`, the loop stops
+//! accepting but keeps polling already-accepted connections (clamped to
+//! [`DRAIN_TIMEOUT`]), and the workers serve every admitted line —
+//! including lines queued behind the shutdown — before
+//! [`Bound::serve`] returns.
 
 use crate::protocol;
+use sampsim_exec::Jobs;
+use std::collections::VecDeque;
 use std::io::Read;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long an accepted connection may sit without completing a request
@@ -39,16 +59,184 @@ pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// The sweep sleep when neither accept nor any read made progress.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
-/// How the poll loop talks to its owner (daemon or router).
-pub trait AcceptControl: Sync {
-    /// True once no further connections should be accepted. The loop
-    /// keeps polling (and dispatching) already-accepted connections,
-    /// then returns when none remain.
-    fn draining(&self) -> bool;
+/// What a front end serves: the one seam between the shared
+/// listen/queue/worker/drain loop and a server's own request handling.
+pub trait Handler: Sync {
+    /// Serves one complete request line on a worker thread, writing the
+    /// reply to `stream` (in blocking mode). Returns whether the line
+    /// asked the front end to shut down.
+    fn handle(&self, stream: TcpStream, line: &str) -> bool;
 
-    /// Handle one complete request line. The stream is back in blocking
-    /// mode; the implementor replies (possibly `busy`) and/or enqueues.
-    fn dispatch(&self, stream: TcpStream, line: String);
+    /// Counts one connection refused at admission because the queue was
+    /// full; its `busy` reply is written right after this returns.
+    fn refused(&self);
+}
+
+/// A bound listen socket whose front end is not serving yet.
+pub struct Bound {
+    listener: TcpListener,
+    addr: SocketAddr,
+}
+
+impl Bound {
+    /// Binds the listen socket (so the port is known before serving).
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error when the address cannot be bound.
+    pub fn bind(addr: &str) -> std::io::Result<Bound> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        Ok(Bound { listener, addr })
+    }
+
+    /// The bound address (resolves port 0 to the ephemeral port).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Serves `handler` on `workers` worker threads behind an admission
+    /// queue of `queue_depth` lines (at least one) until a handled line
+    /// asks for shutdown, then drains and returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if the listener cannot enter non-blocking
+    /// mode.
+    pub fn serve<H: Handler>(
+        &self,
+        workers: Jobs,
+        queue_depth: usize,
+        handler: &H,
+    ) -> std::io::Result<()> {
+        let queue = Queue {
+            lines: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            depth: queue_depth.max(1),
+            shutdown: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+        };
+        let worker_ids: Vec<usize> = (0..workers.get()).collect();
+        std::thread::scope(|s| {
+            let acceptor = s.spawn(|| {
+                let result = accept_loop(&self.listener, &queue, handler);
+                queue.close();
+                result
+            });
+            // The bounded worker pool: one long-lived task per worker,
+            // scheduled by the sampsim_exec pool.
+            sampsim_exec::parallel_map(workers, &worker_ids, |_, _| {
+                while let Some((stream, line)) = queue.pop() {
+                    if handler.handle(stream, &line) {
+                        // The poll loop observes the flag, drains its
+                        // pending connections and exits, which releases
+                        // the workers once the queue is empty.
+                        queue.shutdown.store(true, Ordering::SeqCst);
+                    }
+                }
+            });
+            acceptor.join().expect("acceptor does not panic")
+        })
+    }
+}
+
+/// A front end serving on a background thread.
+pub struct Handle<T> {
+    addr: SocketAddr,
+    thread: JoinHandle<std::io::Result<T>>,
+}
+
+impl<T: Send + 'static> Handle<T> {
+    /// Runs `serve` on a background thread; `addr` is where it listens.
+    pub fn spawn<F>(addr: SocketAddr, serve: F) -> Handle<T>
+    where
+        F: FnOnce() -> std::io::Result<T> + Send + 'static,
+    {
+        let thread = std::thread::spawn(serve);
+        Handle { addr, thread }
+    }
+
+    /// The front end's bound address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Blocks until the front end shuts down and returns its final
+    /// counters.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the front end's I/O error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the front-end thread panicked.
+    pub fn wait(self) -> std::io::Result<T> {
+        self.thread.join().expect("front-end thread panicked")
+    }
+}
+
+/// The bounded admission queue between the poll loop and the workers.
+/// It holds complete request lines, so workers never block on client I/O.
+struct Queue {
+    lines: Mutex<VecDeque<(TcpStream, String)>>,
+    available: Condvar,
+    depth: usize,
+    /// Set once a handled line asked for shutdown.
+    shutdown: AtomicBool,
+    /// Set (under the queue lock) when the poll loop has exited; workers
+    /// may only stop once no more lines can arrive.
+    closed: AtomicBool,
+}
+
+/// Nothing panics while holding the queue lock: its holders only read
+/// the length, push and pop.
+const POISONED: &str = "the admission queue lock is never held across a panic";
+
+impl Queue {
+    fn lock(&self) -> MutexGuard<'_, VecDeque<(TcpStream, String)>> {
+        self.lines.lock().expect(POISONED)
+    }
+
+    /// Queues one complete line, or refuses it with a `busy` reply when
+    /// the queue is full.
+    fn admit<H: Handler>(&self, stream: TcpStream, line: String, handler: &H) {
+        let mut lines = self.lock();
+        if lines.len() >= self.depth {
+            drop(lines);
+            handler.refused();
+            crate::write_reply_line(stream, &protocol::busy_reply(self.depth));
+        } else {
+            lines.push_back((stream, line));
+            drop(lines);
+            self.available.notify_one();
+        }
+    }
+
+    /// Pops queued lines until the queue is empty *and* the poll loop has
+    /// exited — the loop drains already-accepted connections before it
+    /// exits, so a line admitted before or during a shutdown is always
+    /// served, never dropped.
+    fn pop(&self) -> Option<(TcpStream, String)> {
+        let mut lines = self.lock();
+        loop {
+            if let Some(item) = lines.pop_front() {
+                return Some(item);
+            }
+            if self.closed.load(Ordering::SeqCst) {
+                return None;
+            }
+            lines = self.available.wait(lines).expect(POISONED);
+        }
+    }
+
+    /// Marks the poll loop as exited. The flag flips under the queue lock
+    /// so no worker can check it between a failed pop and its wait.
+    fn close(&self) {
+        let _lines = self.lock();
+        self.closed.store(true, Ordering::SeqCst);
+        self.available.notify_all();
+    }
 }
 
 /// A connection whose request line has not finished arriving.
@@ -69,21 +257,21 @@ enum Poll {
     Reject(String),
 }
 
-/// Runs the accept/read poll loop until [`AcceptControl::draining`] is
-/// observed *and* every already-accepted connection has been dispatched,
-/// rejected, or timed out.
-///
-/// # Errors
-///
-/// Returns the I/O error if the listener cannot be switched to
-/// non-blocking mode; per-connection errors are handled internally.
-pub fn accept_loop<C: AcceptControl>(listener: &TcpListener, ctl: &C) -> std::io::Result<()> {
+/// Runs the accept/read poll loop until shutdown is observed *and* every
+/// already-accepted connection has been admitted, rejected, or timed out.
+/// Per-connection errors are handled here; only a listener that cannot
+/// enter non-blocking mode is an error.
+fn accept_loop<H: Handler>(
+    listener: &TcpListener,
+    queue: &Queue,
+    handler: &H,
+) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
     let mut pending: Vec<Pending> = Vec::new();
     let mut draining = false;
     loop {
         let mut progress = false;
-        if !draining && ctl.draining() {
+        if !draining && queue.shutdown.load(Ordering::SeqCst) {
             draining = true;
             let cap = Instant::now() + DRAIN_TIMEOUT;
             for p in &mut pending {
@@ -96,7 +284,7 @@ pub fn accept_loop<C: AcceptControl>(listener: &TcpListener, ctl: &C) -> std::io
         if !draining {
             progress |= sweep_accept(listener, &mut pending);
         }
-        progress |= sweep_reads(&mut pending, ctl);
+        progress |= sweep_reads(&mut pending, queue, handler);
         if !progress {
             std::thread::sleep(IDLE_SLEEP);
         }
@@ -130,7 +318,7 @@ fn sweep_accept(listener: &TcpListener, pending: &mut Vec<Pending>) -> bool {
 
 /// Polls every pending connection once. Returns whether any byte moved
 /// or any connection was retired.
-fn sweep_reads<C: AcceptControl>(pending: &mut Vec<Pending>, ctl: &C) -> bool {
+fn sweep_reads<H: Handler>(pending: &mut Vec<Pending>, queue: &Queue, handler: &H) -> bool {
     let mut progress = false;
     let mut i = 0;
     while i < pending.len() {
@@ -147,7 +335,7 @@ fn sweep_reads<C: AcceptControl>(pending: &mut Vec<Pending>, ctl: &C) -> bool {
             Poll::Line(line) => {
                 let p = pending.swap_remove(i);
                 let _ = p.stream.set_nonblocking(false);
-                ctl.dispatch(p.stream, line);
+                queue.admit(p.stream, line, handler);
                 progress = true;
             }
             Poll::Gone => {
@@ -211,40 +399,54 @@ fn reject(stream: TcpStream, message: &str) {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader, Write};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::{Arc, Barrier};
 
-    /// Test control: collects dispatched lines, replies "ok" to each.
+    /// Test handler: records each line, replies "ok", and treats a line
+    /// ending in "stop" as a shutdown request. A line starting with
+    /// "hold" meets the test at `held`, then keeps its worker until the
+    /// test meets it at `release`.
     struct Collect {
         lines: Mutex<Vec<String>>,
-        stop: AtomicBool,
+        refused: AtomicU64,
+        held: Barrier,
+        release: Barrier,
     }
 
-    impl AcceptControl for Collect {
-        fn draining(&self) -> bool {
-            self.stop.load(Ordering::SeqCst)
-        }
-
-        fn dispatch(&self, mut stream: TcpStream, line: String) {
-            let stop = line == "stop";
-            self.lines.lock().unwrap().push(line);
-            let _ = stream.write_all(b"ok\n");
-            if stop {
-                self.stop.store(true, Ordering::SeqCst);
+    impl Handler for Collect {
+        fn handle(&self, mut stream: TcpStream, line: &str) -> bool {
+            if line.starts_with("hold") {
+                self.held.wait();
+                self.release.wait();
             }
+            self.lines.lock().unwrap().push(line.to_string());
+            let _ = stream.write_all(b"ok\n");
+            line.ends_with("stop")
+        }
+
+        fn refused(&self) {
+            self.refused.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    fn run_collect() -> (String, std::sync::Arc<Collect>, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let ctl = std::sync::Arc::new(Collect {
+    /// Serves a [`Collect`] on one worker behind a queue of `depth`.
+    fn run_collect_with_depth(depth: usize) -> (String, Arc<Collect>, std::thread::JoinHandle<()>) {
+        let bound = Bound::bind("127.0.0.1:0").unwrap();
+        let addr = bound.addr().to_string();
+        let ctl = Arc::new(Collect {
             lines: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
+            refused: AtomicU64::new(0),
+            held: Barrier::new(2),
+            release: Barrier::new(2),
         });
         let ctl2 = ctl.clone();
-        let handle = std::thread::spawn(move || accept_loop(&listener, &*ctl2).unwrap());
+        let handle =
+            std::thread::spawn(move || bound.serve(sampsim_exec::SERIAL, depth, &*ctl2).unwrap());
         (addr, ctl, handle)
+    }
+
+    fn run_collect() -> (String, Arc<Collect>, std::thread::JoinHandle<()>) {
+        run_collect_with_depth(crate::DEFAULT_QUEUE_DEPTH)
     }
 
     fn roundtrip(addr: &str, payload: &[u8]) -> String {
@@ -253,6 +455,22 @@ mod tests {
         let mut reply = String::new();
         BufReader::new(s).read_line(&mut reply).unwrap();
         reply.trim_end().to_string()
+    }
+
+    /// Sends one request line now; the reply is read later with
+    /// [`reply`]. A reply that never comes fails the read instead of
+    /// hanging the test.
+    fn send(addr: &str, line: &str) -> TcpStream {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        s.write_all(format!("{line}\n").as_bytes()).unwrap();
+        s
+    }
+
+    fn reply(stream: TcpStream) -> String {
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        line.trim_end().to_string()
     }
 
     #[test]
@@ -289,7 +507,7 @@ mod tests {
         assert!(bad_utf8.contains("UTF-8"), "{bad_utf8}");
         assert_eq!(roundtrip(&addr, b"stop\n"), "ok");
         handle.join().unwrap();
-        // The violation never reached dispatch.
+        // The violation never reached the handler.
         assert_eq!(*ctl.lines.lock().unwrap(), vec!["stop".to_string()]);
     }
 
@@ -305,5 +523,45 @@ mod tests {
         assert_eq!(reply.trim_end(), "ok", "drain must serve, not drop");
         handle.join().unwrap();
         assert!(ctl.lines.lock().unwrap().contains(&"straggler".to_string()));
+    }
+
+    #[test]
+    fn a_full_queue_refuses_with_a_typed_busy_reply() {
+        let (addr, ctl, handle) = run_collect_with_depth(1);
+        let hold = send(&addr, "hold");
+        // The only worker now holds "hold", so the queue is empty: the
+        // next line fills it and the one after finds it full.
+        ctl.held.wait();
+        let queued = send(&addr, "queued");
+        let third = send(&addr, "third");
+        assert_eq!(reply(third), protocol::busy_reply(1));
+        assert_eq!(ctl.refused.load(Ordering::SeqCst), 1);
+        ctl.release.wait();
+        assert_eq!(reply(hold), "ok");
+        assert_eq!(reply(queued), "ok");
+        assert_eq!(roundtrip(&addr, b"stop\n"), "ok");
+        handle.join().unwrap();
+        assert_eq!(*ctl.lines.lock().unwrap(), ["hold", "queued", "stop"]);
+        assert_eq!(ctl.refused.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_line_queued_behind_a_shutdown_is_handled() {
+        let (addr, ctl, handle) = run_collect_with_depth(1);
+        // The only worker holds the shutdown line, so the next line
+        // queues behind it; a refusal proves it sits in the queue.
+        let stop = send(&addr, "hold stop");
+        ctl.held.wait();
+        let after = send(&addr, "after");
+        assert_eq!(reply(send(&addr, "probe")), protocol::busy_reply(1));
+        ctl.release.wait();
+        assert_eq!(reply(stop), "ok");
+        assert_eq!(
+            reply(after),
+            "ok",
+            "a queued line must be served, not dropped"
+        );
+        handle.join().unwrap();
+        assert_eq!(*ctl.lines.lock().unwrap(), ["hold stop", "after"]);
     }
 }

@@ -23,19 +23,25 @@
 //! # Lifecycle
 //!
 //! ```text
-//! accept (readiness poll loop, [`acceptor`]) → complete request line
-//!        → bounded queue (Busy when full) → worker pool
-//!        → validate (analyze lints) → response cache → coalesce → pipeline
+//! acceptor:  accept (readiness poll loop) → complete request line
+//!            → bounded queue (busy when full) → worker pool
+//!            → Handler::handle(line)
+//! daemon:    parse → validate (analyze lints) → response cache
+//!            → coalesce → pipeline
 //! ```
 //!
+//! Everything up to the worker pool is the front end in [`acceptor`],
+//! which the fleet router runs too; each server plugs in through one
+//! seam, [`acceptor::Handler`], that serves one complete request line.
 //! Connection intake is readiness-driven: a single poll-loop thread owns
 //! every connection until its request line is complete, so an idle or
-//! slow-writing client never pins a worker thread ([`acceptor`]).
+//! slow-writing client never pins a worker thread.
 //!
 //! Shutdown (`{"op":"shutdown"}`) is graceful: the acceptor stops taking
 //! connections, drains the request lines of every already-accepted
 //! connection, workers drain the queue, and [`Server::serve`] returns
-//! the final [`Stats`].
+//! the final [`Stats`]. Both servers' counters are declared once each
+//! ([`counters`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,28 +50,27 @@ pub mod acceptor;
 pub mod cache;
 pub mod client;
 pub mod coalesce;
+pub mod counters;
 pub mod protocol;
 pub mod service;
 
+use acceptor::{Bound, Handle, Handler};
 use cache::{Tier, TieredCache};
 use coalesce::{Claim, Coalescer};
 use protocol::Request;
 use sampsim_exec::Jobs;
 use sampsim_util::json;
-use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Default listen address.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7411";
 /// Default admission-queue depth.
 pub const DEFAULT_QUEUE_DEPTH: usize = 32;
-/// Default in-memory cache capacity in entries.
-pub const DEFAULT_MEM_ENTRIES: usize = 256;
+/// In-memory cache capacity in entries, per daemon.
+const MEM_ENTRIES: usize = 256;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -78,8 +83,6 @@ pub struct ServeConfig {
     pub workers: Jobs,
     /// Admission-queue depth; connections beyond it get a `busy` reply.
     pub queue_depth: usize,
-    /// In-memory cache capacity in entries.
-    pub mem_entries: usize,
 }
 
 impl Default for ServeConfig {
@@ -89,86 +92,38 @@ impl Default for ServeConfig {
             cache_dir: None,
             workers: Jobs::Auto,
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            mem_entries: DEFAULT_MEM_ENTRIES,
         }
     }
 }
 
-/// A snapshot of the server's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Stats {
-    /// Requests handled by workers (every op, including failures).
-    pub requests: u64,
-    /// Pipeline executions actually started (cache misses that led).
-    pub executions: u64,
-    /// Run requests that waited on another request's flight.
-    pub coalesced: u64,
-    /// Run responses answered from the memory tier.
-    pub mem_hits: u64,
-    /// Run responses answered from the disk tier.
-    pub disk_hits: u64,
-    /// Run requests that missed the response cache.
-    pub misses: u64,
-    /// Connections refused with a `busy` reply at admission.
-    pub busy_rejects: u64,
-    /// Profiling-stage cache hits inside the pipeline.
-    pub stage_hits: u64,
-    /// Cache entries stored via the fleet `peer-put` warming protocol.
-    pub peer_warms: u64,
+crate::counter_set! {
+    /// A snapshot of the server's counters, in `stats` reply order.
+    pub struct Stats, live Counters {
+        /// Requests handled by workers (every op, including failures).
+        requests,
+        /// Pipeline executions actually started (cache misses that led).
+        executions,
+        /// Run requests that waited on another request's flight.
+        coalesced,
+        /// Run responses answered from the memory tier.
+        mem_hits,
+        /// Run responses answered from the disk tier.
+        disk_hits,
+        /// Run requests that missed the response cache.
+        misses,
+        /// Connections refused with a `busy` reply at admission.
+        busy_rejects,
+        /// Profiling-stage cache hits inside the pipeline.
+        stage_hits,
+        /// Cache entries stored via the fleet `peer-put` warming protocol.
+        peer_warms,
+    }
 }
 
 impl Stats {
-    /// The counter names, in reply order (shared by the renderer, the
-    /// parser, and the fleet aggregator).
-    pub const FIELDS: [&'static str; 9] = [
-        "requests",
-        "executions",
-        "coalesced",
-        "mem_hits",
-        "disk_hits",
-        "misses",
-        "busy_rejects",
-        "stage_hits",
-        "peer_warms",
-    ];
-
-    fn field(&self, name: &str) -> u64 {
-        match name {
-            "requests" => self.requests,
-            "executions" => self.executions,
-            "coalesced" => self.coalesced,
-            "mem_hits" => self.mem_hits,
-            "disk_hits" => self.disk_hits,
-            "misses" => self.misses,
-            "busy_rejects" => self.busy_rejects,
-            "stage_hits" => self.stage_hits,
-            "peer_warms" => self.peer_warms,
-            other => unreachable!("unknown stats field {other:?}"),
-        }
-    }
-
-    fn field_mut(&mut self, name: &str) -> &mut u64 {
-        match name {
-            "requests" => &mut self.requests,
-            "executions" => &mut self.executions,
-            "coalesced" => &mut self.coalesced,
-            "mem_hits" => &mut self.mem_hits,
-            "disk_hits" => &mut self.disk_hits,
-            "misses" => &mut self.misses,
-            "busy_rejects" => &mut self.busy_rejects,
-            "stage_hits" => &mut self.stage_hits,
-            "peer_warms" => &mut self.peer_warms,
-            other => unreachable!("unknown stats field {other:?}"),
-        }
-    }
-
     /// Renders the `stats` reply line.
     pub fn to_json(&self) -> String {
-        let fields: Vec<String> = Self::FIELDS
-            .iter()
-            .map(|name| format!("\"{name}\":{}", self.field(name)))
-            .collect();
-        format!("{{\"ok\":\"stats\",{}}}", fields.join(","))
+        format!("{{\"ok\":\"stats\",{}}}", self.json_fields())
     }
 
     /// Parses a `stats` reply line back into counters — the inverse of
@@ -177,102 +132,30 @@ impl Stats {
     /// missing field reads as zero.
     pub fn from_json(line: &str) -> Option<Stats> {
         let value = json::parse(line).ok()?;
-        if value.get("ok")?.as_str()? != "stats" {
-            return None;
-        }
-        let mut stats = Stats::default();
-        for name in Self::FIELDS {
-            if let Some(v) = value.get(name).and_then(|v| v.as_f64()) {
-                if v.is_finite() && v >= 0.0 {
-                    *stats.field_mut(name) = v as u64;
-                }
-            }
-        }
-        Some(stats)
-    }
-
-    /// Adds another snapshot's counters into this one (fleet-wide
-    /// aggregation).
-    pub fn merge(&mut self, other: &Stats) {
-        for name in Self::FIELDS {
-            *self.field_mut(name) += other.field(name);
-        }
+        (value.get("ok")?.as_str()? == "stats").then(|| Stats::from_fields(&value))
     }
 }
 
-/// Monotonic counters shared by the acceptor and workers.
-#[derive(Default)]
-struct Counters {
-    requests: AtomicU64,
-    executions: AtomicU64,
-    coalesced: AtomicU64,
-    mem_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    busy_rejects: AtomicU64,
-    peer_warms: AtomicU64,
-}
-
-impl Counters {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// State shared across the acceptor and the worker pool. The queue holds
-/// complete request lines (the acceptor already read them), so workers
-/// never block on client I/O.
+/// The daemon's request handling, shared by the worker pool.
 struct Shared {
-    queue: Mutex<VecDeque<(TcpStream, String)>>,
-    available: Condvar,
-    shutdown: AtomicBool,
-    /// Set (under the queue lock) when the acceptor thread has exited;
-    /// workers may only stop once no more dispatches can arrive.
-    acceptor_done: AtomicBool,
     counters: Counters,
     cache: TieredCache,
     coalescer: Coalescer,
-    queue_depth: usize,
 }
 
 impl Shared {
     fn stats(&self) -> Stats {
+        // The cache counts stage hits itself; the live counter stays 0.
         Stats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            executions: self.counters.executions.load(Ordering::Relaxed),
-            coalesced: self.counters.coalesced.load(Ordering::Relaxed),
-            mem_hits: self.counters.mem_hits.load(Ordering::Relaxed),
-            disk_hits: self.counters.disk_hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            busy_rejects: self.counters.busy_rejects.load(Ordering::Relaxed),
             stage_hits: self.cache.stage_hits(),
-            peer_warms: self.counters.peer_warms.load(Ordering::Relaxed),
+            ..self.counters.snapshot()
         }
     }
 
     fn count_tier(&self, tier: Tier) {
         match tier {
-            Tier::Memory => Counters::bump(&self.counters.mem_hits),
-            Tier::Disk => Counters::bump(&self.counters.disk_hits),
-        }
-    }
-}
-
-impl acceptor::AcceptControl for Shared {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn dispatch(&self, stream: TcpStream, line: String) {
-        let mut queue = self.queue.lock().unwrap();
-        if queue.len() >= self.queue_depth {
-            drop(queue);
-            Counters::bump(&self.counters.busy_rejects);
-            write_reply_line(stream, &protocol::busy_reply(self.queue_depth));
-        } else {
-            queue.push_back((stream, line));
-            drop(queue);
-            self.available.notify_one();
+            Tier::Memory => self.counters.mem_hits.bump(),
+            Tier::Disk => self.counters.disk_hits.bump(),
         }
     }
 }
@@ -280,8 +163,7 @@ impl acceptor::AcceptControl for Shared {
 /// A bound, not-yet-serving server.
 pub struct Server {
     config: ServeConfig,
-    listener: TcpListener,
-    addr: SocketAddr,
+    bound: Bound,
 }
 
 impl Server {
@@ -291,18 +173,13 @@ impl Server {
     ///
     /// Returns the I/O error when the address cannot be bound.
     pub fn bind(config: ServeConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        Ok(Self {
-            config,
-            listener,
-            addr,
-        })
+        let bound = Bound::bind(&config.addr)?;
+        Ok(Self { config, bound })
     }
 
     /// The bound address (resolves port 0 to the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.bound.addr()
     }
 
     /// Serves until a `shutdown` request arrives, then drains the queue
@@ -312,109 +189,37 @@ impl Server {
     ///
     /// Returns the I/O error when the cache directory cannot be created.
     pub fn serve(self) -> std::io::Result<Stats> {
-        let cache = TieredCache::new(self.config.mem_entries, self.config.cache_dir.as_deref())?;
         let shared = Shared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            acceptor_done: AtomicBool::new(false),
             counters: Counters::default(),
-            cache,
+            cache: TieredCache::new(MEM_ENTRIES, self.config.cache_dir.as_deref())?,
             coalescer: Coalescer::new(),
-            queue_depth: self.config.queue_depth.max(1),
         };
-        let worker_ids: Vec<usize> = (0..self.config.workers.get()).collect();
-        std::thread::scope(|s| {
-            let acceptor = s.spawn(|| {
-                let result = acceptor::accept_loop(&self.listener, &shared);
-                // Flip the done flag under the queue lock so no worker
-                // can check it between a failed pop and its wait.
-                let _queue = shared.queue.lock().unwrap();
-                shared.acceptor_done.store(true, Ordering::SeqCst);
-                shared.available.notify_all();
-                result
-            });
-            // The bounded worker pool: one long-lived task per worker,
-            // scheduled by the sampsim_exec pool.
-            sampsim_exec::parallel_map(self.config.workers, &worker_ids, |_, _| {
-                worker_loop(&shared)
-            });
-            acceptor.join().expect("acceptor does not panic")?;
-            Ok(shared.stats())
-        })
+        self.bound
+            .serve(self.config.workers, self.config.queue_depth, &shared)?;
+        Ok(shared.stats())
     }
 
     /// Runs [`Server::serve`] on a background thread — the in-process
     /// variant the integration tests use.
-    pub fn spawn(self) -> ServerHandle {
-        let addr = self.addr;
-        let thread = std::thread::spawn(move || self.serve());
-        ServerHandle { addr, thread }
+    pub fn spawn(self) -> Handle<Stats> {
+        Handle::spawn(self.local_addr(), move || self.serve())
     }
 }
 
-/// Handle to a server running on a background thread.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<std::io::Result<Stats>>,
-}
-
-impl ServerHandle {
-    /// The server's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+impl Handler for Shared {
+    fn handle(&self, stream: TcpStream, line: &str) -> bool {
+        handle_request(stream, line, self)
     }
 
-    /// Blocks until the server shuts down and returns its final counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server's I/O error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the server thread panicked.
-    pub fn wait(self) -> std::io::Result<Stats> {
-        self.thread.join().expect("server thread panicked")
+    fn refused(&self) {
+        self.counters.busy_rejects.bump();
     }
-}
-
-/// Pops queued requests until the queue is empty *and* the acceptor has
-/// exited — dispatched work is always served, and the acceptor itself
-/// drains already-accepted connections before exiting, so queued work
-/// admitted before a shutdown is never dropped.
-fn next_request(shared: &Shared) -> Option<(TcpStream, String)> {
-    let mut queue = shared.queue.lock().unwrap();
-    loop {
-        if let Some(item) = queue.pop_front() {
-            return Some(item);
-        }
-        if shared.acceptor_done.load(Ordering::SeqCst) {
-            return None;
-        }
-        queue = shared.available.wait(queue).unwrap();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some((stream, line)) = next_request(shared) {
-        if handle_request(stream, &line, shared) {
-            initiate_shutdown(shared);
-        }
-    }
-}
-
-/// Flags shutdown; the acceptor's poll loop observes the flag, drains
-/// its pending connections, and exits, which in turn releases the
-/// workers once the queue is empty.
-fn initiate_shutdown(shared: &Shared) {
-    shared.shutdown.store(true, Ordering::SeqCst);
 }
 
 /// Serves one already-read request line (one reply line). Returns
 /// whether a shutdown was requested.
 fn handle_request(stream: TcpStream, line: &str, shared: &Shared) -> bool {
-    Counters::bump(&shared.counters.requests);
+    shared.counters.requests.bump();
     match protocol::parse_request(line) {
         Ok(Request::Run(request)) => {
             let reply = handle_run(&request, shared);
@@ -449,7 +254,7 @@ fn handle_request(stream: TcpStream, line: &str, shared: &Shared) -> bool {
             // Fleet warming: store the rendered document under its key
             // so a later rebalance finds the bytes already local.
             shared.cache.put(key, doc.as_bytes());
-            Counters::bump(&shared.counters.peer_warms);
+            shared.counters.peer_warms.bump();
             write_reply_line(stream, &protocol::peer_put_reply());
             false
         }
@@ -474,7 +279,7 @@ fn handle_run(request: &service::RunRequest, shared: &Shared) -> String {
     }
     match shared.coalescer.claim(prepared.key) {
         Claim::Follower(flight) => {
-            Counters::bump(&shared.counters.coalesced);
+            shared.counters.coalesced.bump();
             flight.wait()
         }
         Claim::Leader(guard) => {
@@ -485,8 +290,8 @@ fn handle_run(request: &service::RunRequest, shared: &Shared) -> String {
                 guard.complete(line.clone());
                 return line;
             }
-            Counters::bump(&shared.counters.misses);
-            Counters::bump(&shared.counters.executions);
+            shared.counters.misses.bump();
+            shared.counters.executions.bump();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 // Workers provide the concurrency; each pipeline runs
                 // serially so `--jobs` workers = `--jobs` concurrent runs.
@@ -523,4 +328,64 @@ pub fn write_reply_line(mut stream: TcpStream, line: &str) {
         .write_all(line.as_bytes())
         .and_then(|()| stream.write_all(b"\n"))
         .and_then(|()| stream.flush());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `stats` reply as it went over the wire before the counter
+    /// names were declared once: every field distinct, in reply order.
+    const STATS_LINE: &str = concat!(
+        r#"{"ok":"stats","requests":1,"executions":2,"coalesced":3,"mem_hits":4,"#,
+        r#""disk_hits":5,"misses":6,"busy_rejects":7,"stage_hits":8,"peer_warms":9}"#
+    );
+
+    #[test]
+    fn stats_wire_format_is_pinned() {
+        let stats = Stats {
+            requests: 1,
+            executions: 2,
+            coalesced: 3,
+            mem_hits: 4,
+            disk_hits: 5,
+            misses: 6,
+            busy_rejects: 7,
+            stage_hits: 8,
+            peer_warms: 9,
+        };
+        assert_eq!(stats.to_json(), STATS_LINE);
+        assert_eq!(Stats::from_json(STATS_LINE), Some(stats));
+        // The router's fleet-wide reply appends fields the parser skips.
+        let fleet_line = STATS_LINE.replace('}', r#","shards":2,"unreachable":0}"#);
+        assert_eq!(Stats::from_json(&fleet_line), Some(stats));
+        assert_eq!(Stats::from_json(r#"{"ok":"pong"}"#), None);
+
+        let mut sum = stats;
+        sum.merge(&Stats {
+            requests: 10,
+            executions: 20,
+            coalesced: 30,
+            mem_hits: 40,
+            disk_hits: 50,
+            misses: 60,
+            busy_rejects: 70,
+            stage_hits: 80,
+            peer_warms: 90,
+        });
+        assert_eq!(
+            sum,
+            Stats {
+                requests: 11,
+                executions: 22,
+                coalesced: 33,
+                mem_hits: 44,
+                disk_hits: 55,
+                misses: 66,
+                busy_rejects: 77,
+                stage_hits: 88,
+                peer_warms: 99,
+            }
+        );
+    }
 }

@@ -40,7 +40,6 @@ fn config(workers: Jobs, cache_dir: Option<PathBuf>) -> ServeConfig {
         cache_dir,
         workers,
         queue_depth: 16,
-        ..ServeConfig::default()
     }
 }
 
@@ -130,9 +129,9 @@ fn cold_memory_and_disk_paths_are_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// (d): with a single worker, a run request queued *behind* a shutdown
-/// request is still served before the server exits — shutdown drains the
-/// queue instead of dropping it.
+/// (d): with a single worker, run requests whose lines arrive *after* a
+/// shutdown request are still served before the server exits — shutdown
+/// drains accepted connections and the queue instead of dropping them.
 #[test]
 fn shutdown_drains_queued_requests() {
     let reference = reference_document();
@@ -140,9 +139,12 @@ fn shutdown_drains_queued_requests() {
     let addr = server.local_addr();
     let handle = server.spawn();
 
-    // Connect three clients in order. The single worker pops the first
-    // connection and blocks reading its (not yet written) request line,
-    // so the shutdown and the second run request pile up in the queue.
+    // Connect three clients in order, then write the shutdown line first.
+    // The acceptor holds each connection until its line is complete, and
+    // after a shutdown it keeps draining the connections it holds, so the
+    // two run lines written after the shutdown line are still served.
+    // (A line queued behind a shutdown is pinned deterministically by the
+    // acceptor's unit tests.)
     let mut first = TcpStream::connect(addr).unwrap();
     let mut shut = TcpStream::connect(addr).unwrap();
     let mut queued = TcpStream::connect(addr).unwrap();

@@ -16,7 +16,12 @@ echo "==> cargo clippy (warnings denied)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (rustdoc warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+# The `sampsim` bin of sampsim-cli and the root `sampsim` lib both write
+# target/doc/sampsim. One invocation runs the two rustdoc jobs in
+# parallel, and they can delete each other's output, so the bin is
+# documented on its own, after everything else.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude sampsim-cli
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p sampsim-cli
 
 echo "==> cargo test"
 cargo test -q --workspace
