@@ -67,8 +67,8 @@ audit flags:
   --update                (re)write the .art summaries in --artifacts DIR
 
 perf flags:
-  --quick                 smoke-test sizes (CI); full sizes otherwise
-  --artifacts <DIR>       benchmark artifact directory (default: artifacts)
+  --quick                 smoke-test sizes (CI): BBVs of 505.mcf_r;
+                          full sizes otherwise: BBVs of 503.bwaves_r
   --validate <FILE>       only validate an existing report, run nothing
   --baseline <FILE>       gate the fresh report against this baseline:
                           fail if any size-normalized rate (ns/access,
@@ -117,9 +117,10 @@ loadgen flags:
   --validate <FILE>       only validate an existing report, run nothing
 
 figure flags:
-  --artifacts <DIR>       suite artifact cache shared by every figure
-                          (default: artifacts); --jobs fans uncached
-                          benchmarks out, output is identical for every count
+  --artifacts <DIR>       on-disk memo of per-benchmark results shared by
+                          every suite figure (default: artifacts); --jobs
+                          fans uncached benchmarks out, output is identical
+                          for every count
 
 <bench> is a SPEC name (e.g. 505.mcf_r) or a unique substring (mcf_r).";
 
@@ -262,8 +263,6 @@ pub enum Command {
         quick: bool,
         /// Report path (`None` = stdout only).
         out: Option<String>,
-        /// Benchmark artifact directory override.
-        artifacts: Option<String>,
         /// Validate this existing report instead of running kernels.
         validate: Option<String>,
         /// Gate the fresh report against this baseline report: fail on
@@ -611,13 +610,19 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
                 update,
             }
         }
-        Some("perf") => Command::Perf {
-            quick,
-            out,
-            artifacts,
-            validate,
-            baseline,
-        },
+        Some("perf") => {
+            if artifacts.is_some() {
+                return Err("perf takes no --artifacts: it always times 503.bwaves_r \
+                            (505.mcf_r with --quick)"
+                    .into());
+            }
+            Command::Perf {
+                quick,
+                out,
+                validate,
+                baseline,
+            }
+        }
         Some("serve") => Command::Serve {
             addr: addr.unwrap_or_else(|| sampsim_serve::DEFAULT_ADDR.to_string()),
             cache_dir,
@@ -928,19 +933,17 @@ mod tests {
             Command::Perf {
                 quick: false,
                 out: None,
-                artifacts: None,
                 validate: None,
                 baseline: None,
             }
         );
         assert_eq!(
-            parse_str("perf --quick -o BENCH_kernels.json --artifacts arts --baseline old.json")
+            parse_str("perf --quick -o BENCH_kernels.json --baseline old.json")
                 .unwrap()
                 .command,
             Command::Perf {
                 quick: true,
                 out: Some("BENCH_kernels.json".into()),
-                artifacts: Some("arts".into()),
                 validate: None,
                 baseline: Some("old.json".into()),
             }
@@ -952,11 +955,11 @@ mod tests {
             Command::Perf {
                 quick: false,
                 out: None,
-                artifacts: None,
                 validate: Some("BENCH_kernels.json".into()),
                 baseline: None,
             }
         );
+        assert!(parse_str("perf --quick --artifacts arts").is_err());
         assert!(parse_str("perf --validate").is_err());
         assert!(parse_str("perf --baseline").is_err());
         assert!(parse_str("perf extra").is_err());

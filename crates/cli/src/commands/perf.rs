@@ -5,9 +5,8 @@ use crate::args::Options;
 use super::{validate_file, CmdResult};
 use sampsim_perf::{compare_reports, run_kernels, validate_report, PerfOptions, SCHEMA};
 use sampsim_util::scale::Scale;
-use std::path::PathBuf;
 
-/// `sampsim perf [--quick] [-o FILE] [--artifacts DIR] [--baseline FILE]`,
+/// `sampsim perf [--quick] [-o FILE] [--baseline FILE]`,
 /// or `sampsim perf --validate FILE` to only schema-check an existing
 /// report (a violation exits 2).
 ///
@@ -21,7 +20,6 @@ use std::path::PathBuf;
 pub fn perf(
     quick: bool,
     out: Option<&str>,
-    artifacts: Option<&str>,
     validate: Option<&str>,
     baseline: Option<&str>,
     options: &Options,
@@ -29,22 +27,17 @@ pub fn perf(
     if let Some(path) = validate {
         return validate_file(path, SCHEMA, validate_report);
     }
-    let mut perf_options = PerfOptions {
+    let perf_options = PerfOptions {
         quick,
         // BBV regeneration executes `scale * full_insts` instructions but
         // keeps the full-scale slice count, so the clustering input is
         // full-size either way (see docs/performance.md).
         scale: Scale::new(0.01),
         jobs: options.jobs,
-        ..PerfOptions::default()
     };
-    if let Some(dir) = artifacts {
-        perf_options.artifacts_dir = PathBuf::from(dir);
-    }
     eprintln!(
-        "timing kernels ({} mode, artifacts from {})...",
-        if quick { "quick" } else { "full" },
-        perf_options.artifacts_dir.display()
+        "timing kernels ({} mode)...",
+        if quick { "quick" } else { "full" }
     );
     let report = run_kernels(&perf_options, |line| eprintln!("  {line}"))?;
     let text = report.to_json();

@@ -1,20 +1,21 @@
 //! `sampsim figure <name>`: regenerates one table, figure or ablation of
 //! the paper's evaluation (DESIGN.md §4 and §5 index them).
 //!
-//! Suite figures share an on-disk artifact store (`--artifacts DIR`,
-//! default `./artifacts`): the first one to run pays the simulation cost
-//! for the suite, later ones reload in milliseconds. Artifacts are keyed
-//! by configuration, scale and program digest, so a stale one is never
-//! read; an empty directory forces a recompute. A `[bench]` operand
-//! restricts suite figures to the benchmarks whose name contains it.
+//! Suite figures share an on-disk memo (`--artifacts DIR`, default
+//! `./artifacts`): the first one to run pays the simulation cost for the
+//! suite, later ones reload in milliseconds. The memo is the serve disk
+//! tier (`TieredCache`, no memory tier): one `<key>.bin` entry per
+//! benchmark result, keyed by benchmark, configuration, scale and program
+//! digest, so a stale one is never read; an empty directory forces a
+//! recompute. A `[bench]` operand restricts suite figures to the
+//! benchmarks whose name contains it.
 
 use crate::args::Options;
 use crate::commands::{validated_strategy, CmdResult, UsageError};
-use sampsim_core::artifacts::ArtifactStore;
 use sampsim_core::bench_result::{BenchResult, StudyConfig};
 use sampsim_core::experiments::Study;
-use sampsim_core::CoreError;
 use sampsim_exec::Jobs;
+use sampsim_serve::cache::TieredCache;
 use sampsim_simpoint::StrategySpec;
 use sampsim_spec2017::BenchmarkId;
 use sampsim_util::scale::Scale;
@@ -65,7 +66,7 @@ figures! {
 struct FigureArgs {
     /// Workload scale.
     scale: Scale,
-    /// Artifact cache directory.
+    /// Memo directory.
     artifacts: String,
     /// Benchmark-name substring filter.
     filter: Option<String>,
@@ -76,10 +77,9 @@ struct FigureArgs {
 }
 
 impl FigureArgs {
-    /// Builds the study described by the flags, printing progress to
-    /// stderr. A non-default `--strategy` flows into the pipeline
-    /// configuration (and therefore into artifact cache keys, which hash
-    /// the full configuration).
+    /// Builds the study described by the flags. A non-default
+    /// `--strategy` selects every benchmark's regions (and enters the memo
+    /// keys, which hash the full configuration).
     fn study(&self) -> Study {
         let mut study = Study::new(self.scale);
         if self.strategy != StrategySpec::default() {
@@ -87,7 +87,6 @@ impl FigureArgs {
             config.pinpoints.strategy = self.strategy.clone();
             study = study.with_config(config);
         }
-        study.verbose = true;
         study
     }
 
@@ -103,12 +102,12 @@ impl FigureArgs {
             .collect()
     }
 
-    /// Computes (or loads) results for the selected benchmarks in Table II
-    /// order; identical for every `--jobs`.
-    fn results(&self) -> Result<Vec<BenchResult>, CoreError> {
-        let store = ArtifactStore::open(&self.artifacts)?;
-        let study = self.study().with_store(store);
-        study.results(&self.benchmarks(), self.jobs)
+    /// Loads or computes results for the selected benchmarks in Table II
+    /// order through the `--artifacts` memo; identical for every `--jobs`.
+    fn results(&self) -> Result<Vec<BenchResult>, Box<dyn std::error::Error>> {
+        let memo = TieredCache::new(0, Some(self.artifacts.as_ref()))
+            .map_err(|e| format!("--artifacts {}: {e}", self.artifacts))?;
+        Ok(self.study().results(&self.benchmarks(), self.jobs, &memo)?)
     }
 }
 

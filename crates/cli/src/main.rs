@@ -24,6 +24,7 @@
 //! or 1.0), `--slice <n>`, `--maxk <n>`, `--jobs <n|auto>` (worker
 //! threads; results are bit-identical for every job count).
 
+use std::error::Error;
 use std::process::ExitCode;
 
 mod args;
@@ -39,15 +40,33 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let result = match parsed.command {
-        args::Command::List => commands::list(),
-        args::Command::Run { bench, out } => commands::run(&bench, out.as_deref(), &parsed.options),
-        args::Command::Profile { bench } => commands::profile(&bench, &parsed.options),
-        args::Command::SimPoints { bench, out } => {
-            commands::simpoints(&bench, out.as_deref(), &parsed.options)
+    match dispatch(parsed.command, &parsed.options) {
+        Ok(code) => ExitCode::from(code),
+        Err(e) => {
+            eprintln!("error: {e}");
+            // Usage-class failures (e.g. an unwritable -o path) exit 2,
+            // matching the parse-error convention above.
+            if e.is::<commands::UsageError>() {
+                return ExitCode::from(2);
+            }
+            ExitCode::FAILURE
         }
-        args::Command::Replay { path } => commands::replay(&path, &parsed.options),
-        args::Command::Report { bench } => commands::report(&bench, &parsed.options),
+    }
+}
+
+/// Runs one command and yields its exit code: 0 on success, except that
+/// `lint` and `audit` map their findings to the code (0 clean, 1 denied
+/// findings).
+fn dispatch(command: args::Command, options: &args::Options) -> Result<u8, Box<dyn Error>> {
+    match command {
+        args::Command::List => commands::list()?,
+        args::Command::Run { bench, out } => commands::run(&bench, out.as_deref(), options)?,
+        args::Command::Profile { bench } => commands::profile(&bench, options)?,
+        args::Command::SimPoints { bench, out } => {
+            commands::simpoints(&bench, out.as_deref(), options)?;
+        }
+        args::Command::Replay { path } => commands::replay(&path, options)?,
+        args::Command::Report { bench } => commands::report(&bench, options)?,
         args::Command::Compare {
             bench,
             out,
@@ -58,8 +77,8 @@ fn main() -> ExitCode {
             out.as_deref(),
             reps,
             validate.as_deref(),
-            &parsed.options,
-        ),
+            options,
+        )?,
         args::Command::Plan {
             bench,
             out,
@@ -68,47 +87,30 @@ fn main() -> ExitCode {
             bench.as_deref(),
             out.as_deref(),
             validate.as_deref(),
-            &parsed.options,
-        ),
+            options,
+        )?,
         args::Command::Trace { bench, out, limit } => {
-            commands::trace(&bench, &out, limit, &parsed.options)
+            commands::trace(&bench, &out, limit, options)?
         }
+        // `--explain` answers from the rule registry alone — no
+        // benchmarks are built, no lint pass runs.
+        args::Command::Lint {
+            explain: Some(id), ..
+        } => commands::explain(&id)?,
         args::Command::Lint {
             bench,
             format,
             deny_warnings,
             artifacts,
-            explain,
+            explain: None,
         } => {
-            // `--explain` answers from the rule registry alone — no
-            // benchmarks are built, no lint pass runs.
-            if let Some(id) = explain {
-                return match commands::explain(&id) {
-                    Ok(()) => ExitCode::SUCCESS,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        ExitCode::from(2)
-                    }
-                };
-            }
-            // Lint maps findings straight to the exit code: 0 clean,
-            // 1 denied findings, 2 usage errors (handled above).
-            return match commands::lint(
+            return commands::lint(
                 bench.as_deref(),
                 format,
                 deny_warnings,
                 artifacts.as_deref(),
-                &parsed.options,
-            ) {
-                Ok(code) => ExitCode::from(code),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    if e.is::<commands::UsageError>() {
-                        return ExitCode::from(2);
-                    }
-                    ExitCode::FAILURE
-                }
-            };
+                options,
+            )
         }
         args::Command::Audit {
             bench,
@@ -117,44 +119,32 @@ fn main() -> ExitCode {
             artifacts,
             update,
         } => {
-            // Same exit-code convention as lint.
-            return match commands::audit(
+            return commands::audit(
                 bench.as_deref(),
                 format,
                 deny_warnings,
                 artifacts.as_deref(),
                 update,
-                &parsed.options,
-            ) {
-                Ok(code) => ExitCode::from(code),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    if e.is::<commands::UsageError>() {
-                        return ExitCode::from(2);
-                    }
-                    ExitCode::FAILURE
-                }
-            };
+                options,
+            )
         }
         args::Command::Perf {
             quick,
             out,
-            artifacts,
             validate,
             baseline,
         } => commands::perf(
             quick,
             out.as_deref(),
-            artifacts.as_deref(),
             validate.as_deref(),
             baseline.as_deref(),
-            &parsed.options,
-        ),
+            options,
+        )?,
         args::Command::Serve {
             addr,
             cache_dir,
             queue_depth,
-        } => commands::serve(&addr, cache_dir.as_deref(), queue_depth, &parsed.options),
+        } => commands::serve(&addr, cache_dir.as_deref(), queue_depth, options)?,
         args::Command::Request {
             bench,
             addr,
@@ -167,20 +157,14 @@ fn main() -> ExitCode {
             op,
             retries,
             out.as_deref(),
-            &parsed.options,
-        ),
+            options,
+        )?,
         args::Command::Fleet {
             shards,
             addr,
             cache_dir,
             queue_depth,
-        } => commands::fleet(
-            shards,
-            &addr,
-            cache_dir.as_deref(),
-            queue_depth,
-            &parsed.options,
-        ),
+        } => commands::fleet(shards, &addr, cache_dir.as_deref(), queue_depth, options)?,
         args::Command::Loadgen {
             shards,
             clients,
@@ -199,32 +183,13 @@ fn main() -> ExitCode {
             quick,
             out.as_deref(),
             validate.as_deref(),
-        ),
+        )?,
         args::Command::Figure {
             name,
             bench,
             artifacts,
-        } => figures::figure(
-            name.as_deref(),
-            bench.as_deref(),
-            &artifacts,
-            &parsed.options,
-        ),
-        args::Command::Help => {
-            println!("{}", args::USAGE);
-            Ok(())
-        }
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            // Usage-class failures (e.g. an unwritable -o path) exit 2,
-            // matching the parse-error convention above.
-            if e.is::<commands::UsageError>() {
-                return ExitCode::from(2);
-            }
-            ExitCode::FAILURE
-        }
+        } => figures::figure(name.as_deref(), bench.as_deref(), &artifacts, options)?,
+        args::Command::Help => println!("{}", args::USAGE),
     }
+    Ok(0)
 }

@@ -913,25 +913,56 @@ fn run_accepts_registered_strategies_and_rejects_unknown_names() {
 fn figure_output_is_identical_across_job_counts_and_cache_state() {
     let root = std::env::temp_dir().join(format!("sampsim-figure-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let table2 = |jobs: &str, artifacts: &str| {
+    // Returns (stdout, stderr) of `figure table2 xz` over memo `dir`.
+    let table2 = |jobs: &str, dir: &str, extra: &[&str]| {
         let out = sampsim()
             .args(["figure", "table2", "xz", "--scale", "0.002", "--jobs", jobs])
+            .args(extra)
             .arg("--artifacts")
-            .arg(root.join(artifacts))
+            .arg(root.join(dir))
             .output()
             .unwrap();
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8(out.stdout).unwrap()
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "stderr: {stderr}");
+        (String::from_utf8(out.stdout).unwrap(), stderr)
     };
-    let reference = table2("1", "a");
+    let (reference, cold_log) = table2("1", "a", &[]);
     assert!(reference.starts_with("Table II"), "{reference}");
     assert!(reference.contains("557.xz_r") && reference.contains("657.xz_s"));
-    assert_eq!(table2("2", "b"), reference, "cold store, two workers");
-    assert_eq!(table2("2", "a"), reference, "warm store");
+    assert!(cold_log.contains("[sampsim] computing"), "{cold_log}");
+    assert_eq!(table2("2", "b", &[]).0, reference, "cold memo, two workers");
+    let (warm, warm_log) = table2("2", "a", &[]);
+    assert_eq!(warm, reference, "warm memo");
+    assert!(
+        !warm_log.contains("computing"),
+        "warm run recomputed: {warm_log}"
+    );
+
+    // `--strategy rss` selects other regions, under other keys of the
+    // same memo, and reads back what it wrote.
+    let (rss, _) = table2("2", "a", &["--strategy", "rss"]);
+    assert_ne!(rss, reference, "--strategy must change the selection");
+    let (rss_warm, rss_log) = table2("1", "a", &["--strategy", "rss"]);
+    assert_eq!(rss_warm, rss, "rss, warm memo");
+    assert!(
+        !rss_log.contains("computing"),
+        "warm run recomputed: {rss_log}"
+    );
+
+    // The memo is the serve disk tier: a format stamp plus one `.bin`
+    // entry per (benchmark, configuration) and never an `.art` file.
+    let mut names: Vec<String> = std::fs::read_dir(root.join("a"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names.iter().filter(|n| n.ends_with(".bin")).count(),
+        4,
+        "{names:?}"
+    );
+    assert!(names.contains(&"CACHE_FORMAT".to_string()), "{names:?}");
+    assert!(!names.iter().any(|n| n.ends_with(".art")), "{names:?}");
     let _ = std::fs::remove_dir_all(&root);
 
     let index = sampsim().arg("figure").output().unwrap();

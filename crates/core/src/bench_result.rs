@@ -2,8 +2,9 @@
 //!
 //! [`BenchResult::compute`] performs every run the paper's evaluation needs
 //! for a benchmark (two whole passes + per-region replays) and the record
-//! is serializable, so the benchmark harness computes each benchmark once
-//! and regenerates all figures from the cached artifact.
+//! is serializable, so `sampsim figure` computes each benchmark once and
+//! regenerates every figure from the memoized record
+//! ([`Study`](crate::experiments::Study)).
 
 use crate::error::CoreError;
 use crate::metrics::{aggregate_weighted, AggregatedMetrics, RunMetrics};
@@ -13,7 +14,7 @@ use sampsim_cache::{configs, HierarchyConfig};
 use sampsim_exec::SERIAL;
 use sampsim_simpoint::select::{reduce_to_percentile, SimPoint};
 use sampsim_simpoint::variance::variance_sweep;
-use sampsim_simpoint::SimPointStrategy;
+use sampsim_simpoint::StrategyInput;
 use sampsim_spec2017::BenchmarkSpec;
 use sampsim_uarch::{native, CoreConfig, NativeConfig, PerfCounters};
 use sampsim_util::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
@@ -103,7 +104,8 @@ pub struct BenchResult {
     pub slice_size: u64,
     /// Number of slices in the whole run.
     pub num_slices: u64,
-    /// Chosen cluster count.
+    /// Number of groups behind the selection (SimPoint's chosen cluster
+    /// count).
     pub chosen_k: usize,
     /// Whole run: functional metrics incl. Table I cache stats; wall time
     /// covers the full profiling pass (checkpoint logging + tools).
@@ -119,7 +121,8 @@ pub struct BenchResult {
 }
 
 impl BenchResult {
-    /// Runs the full study for one benchmark at the given scale.
+    /// Runs the full study for one benchmark at the given scale, selecting
+    /// regions with the configured strategy (`config.pinpoints.strategy`).
     ///
     /// # Errors
     ///
@@ -135,11 +138,21 @@ impl BenchResult {
 
         // One profiling pass: BBVs, slice checkpoints, ldstmix + allcache.
         let (bbvs, starts, whole) = pipeline.profile_jobs(&program, SERIAL);
-        let simpoints = SimPointStrategy::new(config.pinpoints.simpoint).analyze(
-            &bbvs,
-            config.pinpoints.slice_size,
-            SERIAL,
-        )?;
+        let num_slices = bbvs.len() as u64;
+        // Region selection through the configured strategy, the same
+        // calls `Pipeline::run` makes.
+        let (simpoints, _replicates) = config
+            .pinpoints
+            .strategy
+            .build(&config.pinpoints.simpoint)
+            .select(
+                &StrategyInput {
+                    bbvs: &bbvs,
+                    slice_size: config.pinpoints.slice_size,
+                },
+                SERIAL,
+            )?
+            .into_parts(config.pinpoints.slice_size);
         let regional = pipeline.regionals_for(&program, &simpoints, &starts);
 
         // Fig. 4 variance sweep on a subsample of the same BBVs.
@@ -199,7 +212,7 @@ impl BenchResult {
             name: spec.name().to_string(),
             suite_label: spec.suite().label().to_string(),
             slice_size: config.pinpoints.slice_size,
-            num_slices: simpoints.assignments.len() as u64,
+            num_slices,
             chosen_k: simpoints.k,
             whole,
             whole_timing,
@@ -376,7 +389,7 @@ impl Decode for BenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sampsim_simpoint::SimPointOptions;
+    use sampsim_simpoint::{Rss, RssOptions, SamplingStrategy, SimPointOptions, StrategySpec};
     use sampsim_spec2017::BenchmarkId;
 
     fn small_config() -> StudyConfig {
@@ -418,6 +431,31 @@ mod tests {
         let bytes = sampsim_util::codec::to_bytes(&r);
         let back: BenchResult = sampsim_util::codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn rss_study_measures_rss_replicate_zero() {
+        let spec = sampsim_spec2017::benchmark(BenchmarkId::OmnetppS);
+        let scale = Scale::new(0.01);
+        let mut config = small_config();
+        config.pinpoints.strategy = StrategySpec::Rss(RssOptions::default());
+        let r = BenchResult::compute(&spec, scale, &config).unwrap();
+
+        let scaled = config.scaled(scale);
+        let (bbvs, _, _) = Pipeline::new(scaled.pinpoints.clone())
+            .profile_jobs(&spec.scaled(scale).build(), SERIAL);
+        let selection = Rss::new(RssOptions::default())
+            .select(
+                &StrategyInput {
+                    bbvs: &bbvs,
+                    slice_size: scaled.pinpoints.slice_size,
+                },
+                SERIAL,
+            )
+            .unwrap();
+        let regions: Vec<SimPoint> = r.regions.iter().map(RegionMetrics::simpoint).collect();
+        assert_eq!(regions, selection.replicates[0]);
+        assert_eq!(r.num_slices, bbvs.len() as u64);
     }
 
     #[test]

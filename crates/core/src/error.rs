@@ -1,7 +1,6 @@
 //! Crate-wide error type.
 
 use sampsim_analyze::{Diagnostic, Severity};
-use sampsim_pinball::store::StoreError;
 use sampsim_pinball::PinballError;
 use sampsim_simpoint::SimPointError;
 use std::fmt;
@@ -16,8 +15,6 @@ pub enum CoreError {
     SimPoint(SimPointError),
     /// Checkpoint attach/replay failed.
     Pinball(PinballError),
-    /// Artifact or pinball file I/O failed.
-    Store(StoreError),
 }
 
 impl fmt::Display for CoreError {
@@ -32,7 +29,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::SimPoint(e) => write!(f, "simpoint analysis failed: {e}"),
             CoreError::Pinball(e) => write!(f, "pinball error: {e}"),
-            CoreError::Store(e) => write!(f, "artifact store error: {e}"),
         }
     }
 }
@@ -43,7 +39,6 @@ impl std::error::Error for CoreError {
             CoreError::Config(_) => None,
             CoreError::SimPoint(e) => Some(e),
             CoreError::Pinball(e) => Some(e),
-            CoreError::Store(e) => Some(e),
         }
     }
 }
@@ -57,12 +52,6 @@ impl From<SimPointError> for CoreError {
 impl From<PinballError> for CoreError {
     fn from(e: PinballError) -> Self {
         CoreError::Pinball(e)
-    }
-}
-
-impl From<StoreError> for CoreError {
-    fn from(e: StoreError) -> Self {
-        CoreError::Store(e)
     }
 }
 

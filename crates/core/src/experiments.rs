@@ -1,20 +1,21 @@
 //! Table/figure-level experiment drivers.
 //!
-//! [`Study`] computes (and caches) per-benchmark [`BenchResult`]s; the
-//! sweep functions implement the paper's design-space explorations.
-//! `sampsim figure <name>` formats these into the tables and series the
-//! paper reports.
+//! [`Study`] computes per-benchmark [`BenchResult`]s and memoizes them
+//! through a [`StageCache`]; the sweep functions implement the paper's
+//! design-space explorations. `sampsim figure <name>` formats these into
+//! the tables and series the paper reports.
 
-use crate::artifacts::ArtifactStore;
 use crate::bench_result::{BenchResult, StudyConfig};
 use crate::error::CoreError;
 use crate::metrics::{aggregate_weighted, AggregatedMetrics, MissRates};
 use crate::pipeline::Pipeline;
 use crate::runs::{self, WarmupMode};
+use crate::stage_cache::StageCache;
 use sampsim_cache::configs;
 use sampsim_exec::{Jobs, SERIAL};
 use sampsim_simpoint::{SimPointOptions, SimPointStrategy};
 use sampsim_spec2017::{benchmark, BenchmarkId};
+use sampsim_util::codec;
 use sampsim_util::hash::Fnv64;
 use sampsim_util::scale::Scale;
 
@@ -42,14 +43,12 @@ pub struct SweepResult {
     pub rows: Vec<SweepRow>,
 }
 
-/// Computes and caches per-benchmark study results.
+/// Computes per-benchmark study results, memoized through a
+/// [`StageCache`].
 #[derive(Debug)]
 pub struct Study {
     config: StudyConfig,
     scale: Scale,
-    store: Option<ArtifactStore>,
-    /// Print progress lines to stderr while computing.
-    pub verbose: bool,
 }
 
 impl Study {
@@ -58,20 +57,12 @@ impl Study {
         Self {
             config: StudyConfig::default(),
             scale,
-            store: None,
-            verbose: false,
         }
     }
 
     /// Overrides the study configuration.
     pub fn with_config(mut self, config: StudyConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Attaches an on-disk artifact store.
-    pub fn with_store(mut self, store: ArtifactStore) -> Self {
-        self.store = Some(store);
         self
     }
 
@@ -85,58 +76,71 @@ impl Study {
         self.scale
     }
 
-    fn cache_key(&self, id: BenchmarkId) -> String {
+    /// The memo key of one benchmark's result: a domain-tagged FNV-64
+    /// over the benchmark, the full configuration, the scale and the
+    /// program digest. The digest ties the entry to the exact generated
+    /// workload, so a suite re-calibration misses instead of reading a
+    /// stale result. Bump the tag when the `BenchResult` encoding changes.
+    fn memo_key(&self, id: BenchmarkId) -> u64 {
         let mut h = Fnv64::new();
+        h.write_str("sampsim/study/bench-result/v1");
+        h.write_str(id.name());
         h.write_str(&format!("{:?}", self.config));
         h.write_f64(self.scale.factor());
-        // The program digest ties the artifact to the exact generated
-        // workload, so suite re-calibrations invalidate stale results.
         h.write_u64(benchmark(id).scaled(self.scale).build().digest());
-        format!("{}-{:016x}", id.name(), h.finish())
+        h.finish()
     }
 
-    /// Computes (or loads) the full measurement record for one benchmark.
+    /// Loads one benchmark's measurement record from `cache`, or computes
+    /// it (printing progress to stderr) and stores it there. The entry is
+    /// the codec-encoded [`BenchResult`]; an entry that does not decode is
+    /// a miss, so the result is recomputed and overwritten.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError`] when simulation or the artifact store fails.
-    pub fn bench_result(&self, id: BenchmarkId) -> Result<BenchResult, CoreError> {
-        let compute = || {
-            if self.verbose {
-                eprintln!("[sampsim] computing {} ...", id.name());
-            }
-            let started = std::time::Instant::now();
-            let r = BenchResult::compute(&benchmark(id), self.scale, &self.config);
-            if self.verbose {
-                if let Ok(ref r) = r {
-                    eprintln!(
-                        "[sampsim]   {}: {} slices, {} points, {:.1}s",
-                        id.name(),
-                        r.num_slices,
-                        r.num_points(),
-                        started.elapsed().as_secs_f64()
-                    );
-                }
-            }
-            r
-        };
-        match &self.store {
-            Some(store) => store.get_or_compute(&self.cache_key(id), compute),
-            None => compute(),
+    /// Returns [`CoreError`] when simulation fails.
+    pub fn bench_result(
+        &self,
+        id: BenchmarkId,
+        cache: &dyn StageCache,
+    ) -> Result<BenchResult, CoreError> {
+        let key = self.memo_key(id);
+        if let Some(r) = cache
+            .get(key)
+            .and_then(|bytes| codec::from_bytes(&bytes).ok())
+        {
+            return Ok(r);
         }
+        eprintln!("[sampsim] computing {} ...", id.name());
+        let started = std::time::Instant::now();
+        let r = BenchResult::compute(&benchmark(id), self.scale, &self.config)?;
+        eprintln!(
+            "[sampsim]   {}: {} slices, {} points, {:.1}s",
+            id.name(),
+            r.num_slices,
+            r.num_points(),
+            started.elapsed().as_secs_f64()
+        );
+        cache.put(key, &codec::to_bytes(&r));
+        Ok(r)
     }
 
-    /// Computes (or loads) results for `ids`, fanning uncached benchmarks
-    /// out over `jobs` workers. Results come back in `ids` order and each
-    /// benchmark's simulation is internally deterministic, so the output
-    /// is identical for every job count.
+    /// Loads or computes results for `ids` through `cache`, fanning the
+    /// benchmarks out over `jobs` workers. Results come back in `ids`
+    /// order and each benchmark's simulation is internally deterministic,
+    /// so the output is identical for every job count.
     ///
     /// # Errors
     ///
-    /// Returns the lowest-indexed simulation/store failure (the one a
-    /// serial loop would hit first).
-    pub fn results(&self, ids: &[BenchmarkId], jobs: Jobs) -> Result<Vec<BenchResult>, CoreError> {
-        sampsim_exec::try_parallel_map(jobs, ids, |_, &id| self.bench_result(id))
+    /// Returns the lowest-indexed simulation failure (the one a serial
+    /// loop would hit first).
+    pub fn results(
+        &self,
+        ids: &[BenchmarkId],
+        jobs: Jobs,
+        cache: &dyn StageCache,
+    ) -> Result<Vec<BenchResult>, CoreError> {
+        sampsim_exec::try_parallel_map(jobs, ids, |_, &id| self.bench_result(id, cache))
     }
 }
 
@@ -356,6 +360,7 @@ pub fn baseline_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage_cache::MemoryStageCache;
 
     fn tiny_config() -> StudyConfig {
         let mut c = StudyConfig::default();
@@ -370,15 +375,30 @@ mod tests {
 
     #[test]
     fn study_cache_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("sampsim-study-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ArtifactStore::open(&dir).unwrap();
-        let study = Study::new(Scale::new(0.01))
-            .with_config(tiny_config())
-            .with_store(store);
-        let a = study.bench_result(BenchmarkId::OmnetppS).unwrap();
-        let b = study.bench_result(BenchmarkId::OmnetppS).unwrap();
-        assert_eq!(a, b);
+        let study = Study::new(Scale::new(0.01)).with_config(tiny_config());
+        let id = BenchmarkId::OmnetppS;
+        let cache = MemoryStageCache::new();
+        let cold = study.bench_result(id, &cache).unwrap();
+        assert_eq!((cache.hits(), cache.len()), (0, 1));
+        let warm = study.bench_result(id, &cache).unwrap();
+        assert_eq!(cache.hits(), 1, "the second call must come from the memo");
+        assert_eq!(warm, cold);
+
+        // An entry that does not decode is a miss: the result is
+        // recomputed and the entry overwritten with one that decodes.
+        let key = study.memo_key(id);
+        cache.put(key, b"garbage");
+        let again = study.bench_result(id, &cache).unwrap();
+        assert!(again.whole.deterministic_eq(&cold.whole));
+        let points = |r: &BenchResult| -> Vec<(u64, u64)> {
+            r.regions
+                .iter()
+                .map(|m| (m.slice, m.weight.to_bits()))
+                .collect()
+        };
+        assert_eq!(points(&again), points(&cold));
+        let stored = cache.get(key).unwrap();
+        assert_eq!(codec::from_bytes::<BenchResult>(&stored).unwrap(), again);
     }
 
     #[test]
@@ -400,7 +420,9 @@ mod tests {
     #[test]
     fn percentile_sweep_monotone_cost() {
         let study = Study::new(Scale::new(0.01)).with_config(tiny_config());
-        let results = vec![study.bench_result(BenchmarkId::OmnetppS).unwrap()];
+        let results = vec![study
+            .bench_result(BenchmarkId::OmnetppS, &crate::NoCache)
+            .unwrap()];
         let rows = percentile_sweep(&results, &[50, 90, 100]);
         assert_eq!(rows.len(), 3);
         assert!(rows[0].avg_points <= rows[2].avg_points);

@@ -26,9 +26,10 @@
 //! * [`runs`] — executors for the four run kinds over functional tools and
 //!   the timing model.
 //! * [`bench_result`] — everything the paper measures for one benchmark,
-//!   cacheable on disk via [`artifacts`].
+//!   in one codec-encodable record.
 //! * [`experiments`] — the table/figure-level drivers (`MaxK` and slice
-//!   sweeps, percentile sweep, suite runner).
+//!   sweeps, percentile sweep, and the suite runner that memoizes each
+//!   benchmark's record through a [`StageCache`]).
 //!
 //! # Example
 //!
@@ -54,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod artifacts;
 pub mod bench_result;
 pub mod compare;
 pub mod error;

@@ -4,7 +4,8 @@
 //! whole-program profiling pass once, then answer many questions from the
 //! stored simulation points. This module gives the pipeline a pluggable
 //! [`StageCache`] so callers (notably `sampsim-serve`) can persist the
-//! profiling stage between runs and across processes.
+//! profiling stage between runs and across processes; `sampsim figure`
+//! memoizes whole per-benchmark study results through the same trait.
 //!
 //! # Keys
 //!
@@ -20,6 +21,9 @@
 //!   two requests share a response key iff the deterministic pipeline
 //!   output is bit-identical. Strategies deliberately do *not* enter the
 //!   profile key: switching strategies reuses the cached profiling pass.
+//! * [`Study`](crate::experiments::Study)'s memo key — benchmark, full
+//!   study configuration, scale and program digest; its entries are
+//!   codec-encoded [`BenchResult`](crate::BenchResult)s.
 //!
 //! The program's [`digest`](sampsim_workload::Program::digest) is a
 //! content hash over the generated artifact (blocks, schedule, streams),

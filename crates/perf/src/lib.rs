@@ -5,10 +5,11 @@
 //! ([`sampsim_simpoint::project`]) and the packed single-pass cache probe
 //! ([`sampsim_cache::Cache::access_rw`]) — all promise *bit-identical*
 //! results to their naive counterparts. This crate times them against
-//! those counterparts on real pipeline inputs (BBVs regenerated from the
-//! shipped `artifacts/*.art` benchmarks) and emits a machine-checkable
-//! `BENCH_kernels.json` report. Every timed pair is also asserted
-//! bit-identical, so a perf run doubles as a differential test.
+//! those counterparts on real pipeline inputs (BBVs regenerated from a
+//! fixed suite benchmark: `503.bwaves_r`, or `505.mcf_r` in quick mode)
+//! and emits a machine-checkable `BENCH_kernels.json` report. Every timed
+//! pair is also asserted bit-identical, so a perf run doubles as a
+//! differential test.
 //!
 //! Every kernel carries a reference timing and a speedup: the cache probe
 //! is timed against the frozen pre-optimization
@@ -29,9 +30,7 @@
 #![warn(missing_docs)]
 
 use sampsim_cache::{Cache, CacheConfig, ReferenceCache};
-use sampsim_core::artifacts::ArtifactStore;
 use sampsim_core::pipeline::{PinPointsConfig, Pipeline};
-use sampsim_core::BenchResult;
 use sampsim_exec::Jobs;
 use sampsim_simpoint::bbv::Bbv;
 use sampsim_simpoint::kmeans::KmeansResult;
@@ -44,7 +43,6 @@ use sampsim_util::json::{self, num, Bound, Shape, Value};
 use sampsim_util::rng::SplitMix64;
 use sampsim_util::scale::Scale;
 use std::fmt;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Schema identifier written into (and required of) every report.
@@ -58,11 +56,9 @@ pub const REGRESSION_TOLERANCE: f64 = 1.10;
 /// Harness configuration.
 #[derive(Debug, Clone)]
 pub struct PerfOptions {
-    /// Quick mode: smallest shipped benchmark, coarser slices and a
-    /// reduced `k` sweep — a CI smoke test rather than a measurement.
+    /// Quick mode: a smaller benchmark, coarser slices and a reduced `k`
+    /// sweep — a CI smoke test rather than a measurement.
     pub quick: bool,
-    /// Directory holding the shipped `*.art` benchmark artifacts.
-    pub artifacts_dir: PathBuf,
     /// Workload scale used when regenerating BBVs. The slice size scales
     /// with it, so the *number* of slices (the clustering input size)
     /// matches the full-scale benchmark either way.
@@ -77,7 +73,6 @@ impl Default for PerfOptions {
     fn default() -> Self {
         Self {
             quick: false,
-            artifacts_dir: PathBuf::from("artifacts"),
             scale: Scale::TEST,
             jobs: Jobs::Auto,
         }
@@ -87,26 +82,20 @@ impl Default for PerfOptions {
 /// Harness failure.
 #[derive(Debug)]
 pub enum PerfError {
-    /// The selected benchmark name is unknown to the suite.
-    NoBenchmark(String),
     /// A k-means kernel rejected its input.
     Kmeans(KmeansError),
     /// An optimized kernel diverged from its reference — a correctness
     /// bug, not a measurement problem.
     Mismatch(String),
-    /// Artifact store or filesystem failure.
-    Store(String),
 }
 
 impl fmt::Display for PerfError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PerfError::NoBenchmark(name) => write!(f, "unknown benchmark '{name}'"),
             PerfError::Kmeans(e) => write!(f, "k-means failed: {e}"),
             PerfError::Mismatch(what) => {
                 write!(f, "optimized kernel diverged from reference: {what}")
             }
-            PerfError::Store(e) => write!(f, "artifact store: {e}"),
         }
     }
 }
@@ -174,50 +163,17 @@ fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (r, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Picks the benchmark to measure: the largest shipped artifact by
-/// full-scale work (`num_slices * slice_size`) — or the smallest in quick
-/// mode. Falls back to a fixed choice when no artifact decodes.
-pub fn select_benchmark(store: &ArtifactStore, quick: bool) -> String {
-    let mut best: Option<(u128, String)> = None;
-    for key in store.keys() {
-        let Some(r) = store.load::<BenchResult>(&key) else {
-            continue;
-        };
-        let work = u128::from(r.num_slices) * u128::from(r.slice_size);
-        let better = match &best {
-            None => true,
-            Some((w, _)) => {
-                if quick {
-                    work < *w
-                } else {
-                    work > *w
-                }
-            }
-        };
-        if better {
-            best = Some((work, r.name));
-        }
-    }
-    best.map_or_else(
-        || (if quick { "505.mcf_r" } else { "503.bwaves_r" }).to_string(),
-        |(_, name)| name,
-    )
-}
-
-/// Regenerates the BBV input set for the selected benchmark.
+/// Regenerates the BBV input set: `503.bwaves_r`, or the smaller
+/// `505.mcf_r` in quick mode, so every checkout measures the same input.
 ///
 /// Slice size scales with `options.scale`, so the slice *count* equals the
 /// full-scale benchmark's; quick mode coarsens slices 16x on top of that.
-///
-/// # Errors
-///
-/// [`PerfError::Store`] when the artifact directory cannot be opened,
-/// [`PerfError::NoBenchmark`] when the selected name is not in the suite.
-pub fn prepare_input(options: &PerfOptions) -> Result<PerfInput, PerfError> {
-    let store = ArtifactStore::open(options.artifacts_dir.clone())
-        .map_err(|e| PerfError::Store(e.to_string()))?;
-    let name = select_benchmark(&store, options.quick);
-    let id = BenchmarkId::from_name(&name).ok_or_else(|| PerfError::NoBenchmark(name.clone()))?;
+pub fn prepare_input(options: &PerfOptions) -> PerfInput {
+    let id = if options.quick {
+        BenchmarkId::McfR
+    } else {
+        BenchmarkId::BwavesR
+    };
     let program = benchmark(id).scaled(options.scale).build();
     let full_slice: u64 = if options.quick { 160_000 } else { 10_000 };
     let config = PinPointsConfig {
@@ -239,15 +195,15 @@ pub fn prepare_input(options: &PerfOptions) -> Result<PerfInput, PerfError> {
     if ks.is_empty() {
         ks.push(1);
     }
-    Ok(PerfInput {
-        benchmark: name,
+    PerfInput {
+        benchmark: id.name().to_string(),
         bbvs,
         dim: sp.dim,
         ks,
         n_init: sp.n_init,
         max_iter: sp.max_iter,
         seed: sp.seed,
-    })
+    }
 }
 
 fn ensure_identical(a: &KmeansResult, b: &KmeansResult, what: &str) -> Result<(), PerfError> {
@@ -499,7 +455,7 @@ pub fn run_kernels(
     options: &PerfOptions,
     mut progress: impl FnMut(&str),
 ) -> Result<PerfReport, PerfError> {
-    let input = prepare_input(options)?;
+    let input = prepare_input(options);
     progress(&format!(
         "regenerated {} BBV slices from {} (sweep ks = {:?}, {} restarts, {} jobs)",
         input.bbvs.len(),
@@ -893,12 +849,16 @@ mod tests {
     }
 
     #[test]
-    fn select_benchmark_falls_back_without_artifacts() {
-        let dir = std::env::temp_dir().join(format!("sampsim-perf-empty-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ArtifactStore::open(&dir).unwrap();
-        assert_eq!(select_benchmark(&store, false), "503.bwaves_r");
-        assert_eq!(select_benchmark(&store, true), "505.mcf_r");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn prepare_input_measures_fixed_benchmarks() {
+        // The committed BENCH_kernels.json and a clean checkout's quick
+        // run read these names and slice counts; no local state moves them.
+        for (quick, name, slices) in [(true, "505.mcf_r", 600), (false, "503.bwaves_r", 25_601)] {
+            let input = prepare_input(&PerfOptions {
+                quick,
+                scale: Scale::new(0.01),
+                ..PerfOptions::default()
+            });
+            assert_eq!((input.benchmark.as_str(), input.bbvs.len()), (name, slices));
+        }
     }
 }

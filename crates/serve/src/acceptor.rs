@@ -109,13 +109,7 @@ impl Bound {
         queue_depth: usize,
         handler: &H,
     ) -> std::io::Result<()> {
-        let queue = Queue {
-            lines: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            depth: queue_depth.max(1),
-            shutdown: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
-        };
+        let queue = Queue::new(queue_depth);
         let worker_ids: Vec<usize> = (0..workers.get()).collect();
         std::thread::scope(|s| {
             let acceptor = s.spawn(|| {
@@ -194,6 +188,17 @@ struct Queue {
 const POISONED: &str = "the admission queue lock is never held across a panic";
 
 impl Queue {
+    /// An empty queue holding at most `depth` lines (at least one).
+    fn new(depth: usize) -> Queue {
+        Queue {
+            lines: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            depth: depth.max(1),
+            shutdown: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+        }
+    }
+
     fn lock(&self) -> MutexGuard<'_, VecDeque<(TcpStream, String)>> {
         self.lines.lock().expect(POISONED)
     }
@@ -316,8 +321,10 @@ fn sweep_accept(listener: &TcpListener, pending: &mut Vec<Pending>) -> bool {
     }
 }
 
-/// Polls every pending connection once. Returns whether any byte moved
-/// or any connection was retired.
+/// Polls every pending connection once, in accept order. Returns whether
+/// any byte moved or any connection was retired. A retired connection is
+/// removed in place, so lines that complete in the same sweep are
+/// admitted first come, first served.
 fn sweep_reads<H: Handler>(pending: &mut Vec<Pending>, queue: &Queue, handler: &H) -> bool {
     let mut progress = false;
     let mut i = 0;
@@ -325,7 +332,7 @@ fn sweep_reads<H: Handler>(pending: &mut Vec<Pending>, queue: &Queue, handler: &
         match poll_one(&mut pending[i]) {
             Poll::NotReady => {
                 if Instant::now() >= pending[i].deadline {
-                    let p = pending.swap_remove(i);
+                    let p = pending.remove(i);
                     reject(p.stream, "timed out waiting for a request line");
                     progress = true;
                 } else {
@@ -333,17 +340,17 @@ fn sweep_reads<H: Handler>(pending: &mut Vec<Pending>, queue: &Queue, handler: &
                 }
             }
             Poll::Line(line) => {
-                let p = pending.swap_remove(i);
+                let p = pending.remove(i);
                 let _ = p.stream.set_nonblocking(false);
                 queue.admit(p.stream, line, handler);
                 progress = true;
             }
             Poll::Gone => {
-                pending.swap_remove(i);
+                pending.remove(i);
                 progress = true;
             }
             Poll::Reject(message) => {
-                let p = pending.swap_remove(i);
+                let p = pending.remove(i);
                 reject(p.stream, &message);
                 progress = true;
             }
@@ -429,16 +436,22 @@ mod tests {
         }
     }
 
+    impl Collect {
+        fn new() -> Collect {
+            Collect {
+                lines: Mutex::new(Vec::new()),
+                refused: AtomicU64::new(0),
+                held: Barrier::new(2),
+                release: Barrier::new(2),
+            }
+        }
+    }
+
     /// Serves a [`Collect`] on one worker behind a queue of `depth`.
     fn run_collect_with_depth(depth: usize) -> (String, Arc<Collect>, std::thread::JoinHandle<()>) {
         let bound = Bound::bind("127.0.0.1:0").unwrap();
         let addr = bound.addr().to_string();
-        let ctl = Arc::new(Collect {
-            lines: Mutex::new(Vec::new()),
-            refused: AtomicU64::new(0),
-            held: Barrier::new(2),
-            release: Barrier::new(2),
-        });
+        let ctl = Arc::new(Collect::new());
         let ctl2 = ctl.clone();
         let handle =
             std::thread::spawn(move || bound.serve(sampsim_exec::SERIAL, depth, &*ctl2).unwrap());
@@ -563,5 +576,43 @@ mod tests {
         );
         handle.join().unwrap();
         assert_eq!(*ctl.lines.lock().unwrap(), ["hold stop", "after"]);
+    }
+
+    #[test]
+    fn lines_completing_in_one_sweep_are_admitted_in_accept_order() {
+        // Connections a, b and c, accepted in that order, each with its
+        // whole line already buffered; the queue has room for two. One
+        // sweep admits a and b and refuses c: a later client never takes
+        // an earlier one's place.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut clients = Vec::new();
+        let mut pending = Vec::new();
+        for line in ["a", "b", "c"] {
+            clients.push(send(&addr, line));
+            let (stream, _) = listener.accept().unwrap();
+            // Block until the whole line has arrived.
+            let mut peeked = [0u8; 8];
+            loop {
+                let n = stream.peek(&mut peeked).unwrap();
+                if peeked[..n].contains(&b'\n') {
+                    break;
+                }
+            }
+            stream.set_nonblocking(true).unwrap();
+            pending.push(Pending {
+                stream,
+                buf: Vec::new(),
+                deadline: Instant::now() + IDLE_TIMEOUT,
+            });
+        }
+        let queue = Queue::new(2);
+        let handler = Collect::new();
+        assert!(sweep_reads(&mut pending, &queue, &handler));
+        assert!(pending.is_empty());
+        let admitted: Vec<String> = queue.lock().iter().map(|(_, l)| l.clone()).collect();
+        assert_eq!(admitted, ["a", "b"]);
+        assert_eq!(handler.refused.load(Ordering::SeqCst), 1);
+        assert_eq!(reply(clients.pop().unwrap()), protocol::busy_reply(2));
     }
 }

@@ -159,6 +159,22 @@ done
 "$sampsim_bin" lint --explain SA145 > /dev/null
 "$sampsim_bin" lint --explain SA150 > /dev/null
 
+echo "==> sampsim figure smoke (memo: cold == warm, no .art entries)"
+# Renders one suite exhibit twice into a scratch memo: the cold run
+# computes both xz benchmarks, the warm run reads them back, and the two
+# outputs must be byte-identical. The memo holds serve disk-tier `.bin`
+# entries only; an `.art` file there would look like a shipped audit
+# summary.
+figure_dir="$serve_dir/figure-memo"
+for run in cold warm; do
+    "$sampsim_bin" figure table2 xz --scale 0.002 --jobs 2 --artifacts "$figure_dir" \
+        > "$serve_dir/figure-$run.txt" 2> /dev/null
+done
+cmp "$serve_dir/figure-cold.txt" "$serve_dir/figure-warm.txt" \
+    || { echo "figure smoke: warm output != cold output" >&2; exit 1; }
+[ -z "$(find "$figure_dir" -name '*.art')" ] \
+    || { echo "figure smoke: the memo holds .art files" >&2; exit 1; }
+
 echo "==> sampsim perf --quick (kernel smoke + regression gate)"
 # Times the optimized kernels against their naive references at smoke
 # sizes — every timed pair is asserted identical — and gates the
