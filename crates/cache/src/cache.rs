@@ -109,9 +109,15 @@ impl CacheStats {
 const INVALID: u64 = u64::MAX;
 
 /// How the probe loop tracks replacement order. Chosen once at
-/// construction from the policy and associativity.
+/// construction from the policy and the geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProbeMode {
+    /// One way per set, under every policy (one way leaves no choice):
+    /// one word per set holds the line (see [`Cache::access_direct`]).
+    /// Every direct-mapped cache of 4 bytes or more takes it; a 1- or
+    /// 2-byte one has no spare bits for the flags and takes the mode its
+    /// policy would give any other width.
+    Direct,
     /// LRU/FIFO at exactly 8 ways (the perf-kernel and i7 L1 shape):
     /// tags live in `[u64; 8]` rows (one 64 B line per set) and recency
     /// order + dirty bits share a single meta word per set.
@@ -120,9 +126,10 @@ enum ProbeMode {
     /// nibble-list word per set. `refresh` is true for LRU (hits move the
     /// way to the MRU front) and false for FIFO (insertion order only).
     Packed { refresh: bool },
-    /// LRU/FIFO at wider associativity: the original zipped tag+stamp
-    /// scan (see [`crate::reference::ReferenceCache`]).
-    Stamped,
+    /// LRU/FIFO above 16 ways: each set's tags in exact recency order,
+    /// MRU first, their dirty bits moving with them (see
+    /// [`Cache::access_row`]).
+    Row { refresh: bool },
     /// Random / tree-PLRU: the policy selects victims itself and no
     /// recency state is kept in the cache.
     Policy,
@@ -152,131 +159,189 @@ fn nibble_position(order: u64, way: u64, ways: usize) -> usize {
     p
 }
 
+/// Moves bit `p` of one `Row` set's dirty words to bit 0 and shifts bits
+/// `0..p` up one place, as the set's move-to-front does to its tags.
+/// Returns the moved bit.
+#[inline]
+fn dirty_to_front(words: &mut [u64], p: usize) -> u64 {
+    let (below, rest) = words.split_at_mut(p / 64);
+    let word = &mut rest[0];
+    let bit = p % 64;
+    let moved = (*word >> bit) & 1;
+    let mut carry = moved;
+    for w in below {
+        let out = *w >> 63;
+        *w = (*w << 1) | carry;
+        carry = out;
+    }
+    let low = (1u64 << bit) - 1;
+    *word = (*word & !(low | (1 << bit))) | ((*word & low) << 1) | carry;
+    moved
+}
+
+/// Position of the first entry of `row` equal to `tag`, or `row.len()`
+/// when there is none. The first 64 entries are compared into a bit mask
+/// without a branch, which vectorizes; a hit and a miss then cost the
+/// same, and wider rows finish with a plain scan.
+#[inline(always)]
+fn first_match(row: &[u64], tag: u64) -> usize {
+    let (head, tail) = row.split_at(row.len().min(64));
+    let mut found = 0u64;
+    for (i, &t) in head.iter().enumerate() {
+        found |= u64::from(t == tag) << i;
+    }
+    let p = (found.trailing_zeros() as usize).min(head.len());
+    if p < head.len() || tail.is_empty() {
+        return p;
+    }
+    head.len() + tail.iter().position(|&t| t == tag).unwrap_or(tail.len())
+}
+
+/// Drops `row[p]`, shifts `row[..p]` one slot toward the end and puts
+/// `tag` at the front. One select per entry over the whole row, which
+/// vectorizes and costs less than a branch on `p`.
+#[inline(always)]
+fn shift_in(row: &mut [u64], p: usize, tag: u64) {
+    let mut prev = tag;
+    for (i, t) in row.iter_mut().enumerate() {
+        let cur = *t;
+        *t = if i <= p { prev } else { cur };
+        prev = cur;
+    }
+}
+
 /// `Packed8` meta-word layout: recency nibbles in bits 0..32, dirty
 /// bitmask in bits 48..56.
 const META_DIRTY_SHIFT: u32 = 48;
 const META_ORDER_MASK: u64 = 0xFFFF_FFFF;
 
+/// `Direct` word layout: bit 0 marks a valid line, bit 1 a dirty one, and
+/// the bits above hold the line's tag bits above the set index. An empty
+/// set is 0.
+const DIRECT_VALID: u64 = 1;
+const DIRECT_DIRTY: u64 = 2;
+
 /// A set-associative cache.
 ///
-/// Tags are stored in one flat array indexed by `set * ways + way`, so a
-/// set's tags share a cache line and the hit check is a short branchless
-/// scan. For LRU and FIFO at `ways <= 16` the replacement order is *not*
-/// kept as timestamps: each set owns a single packed `u64` listing its
-/// ways in exact recency order (four bits per way, MRU at the LSB). A hit
-/// is a register-only move-to-front, and a miss reads its victim straight
-/// from the top nibble instead of scanning for the minimum stamp. Because
-/// the old stamp clock was strictly increasing, stamps were unique per
-/// set and defined exactly this order, so counters, per-access results
-/// and eviction choices are bit-identical to the stamp implementation —
-/// enforced differentially against [`crate::reference::ReferenceCache`]
-/// in `tests/differential.rs`.
+/// Every probe mode is exact: per-access results, counters, write-backs
+/// and residency (`peek`) equal those of the stamp model,
+/// [`crate::reference::ReferenceCache`], enforced access by access in
+/// `tests/differential.rs`. That model stamps each line from a strictly
+/// increasing clock and evicts the minimum stamp, so its stamps are unique
+/// per set except for never-filled slots (stamp 0, filled lowest index
+/// first), and that order is all its LRU/FIFO victim choice reads. The
+/// modes keep the order instead of the stamps, chosen once from the
+/// policy and the geometry:
+///
+/// - LRU/FIFO at `ways <= 16` packs it into one `u64` per set, four bits
+///   per way, MRU at the LSB: a hit is a register-only move-to-front and a
+///   miss reads its victim from the top nibble. 8-way sets also keep
+///   their dirty bits in that word and their tags in one 64 B row.
+/// - LRU/FIFO above 16 ways (Table I's 32-way L1s) stores each set's tags
+///   MRU-first: the first match from the front is the hit, and the victim
+///   is the last entry.
+/// - Direct-mapped sets (Table I's L2 and L3) have no order to keep: one
+///   word per set holds tag, valid and dirty bits, 0 meaning empty, so a
+///   large cache starts as lazily mapped zero pages.
+/// - Random and tree-PLRU keep flat tags and let the policy choose.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Flat tag array (all modes except `Packed8`).
+    /// Flat tag array, `ways` per set (`Packed`, `Row` and `Policy`; a
+    /// `Row` set lists its tags MRU first).
     tags: Vec<u64>,
     /// One 64 B tag row per set (`Packed8` only; `tags` is empty).
     tags8: Vec<[u64; 8]>,
     /// Combined order+dirty meta word per set (`Packed8` only).
     meta: Vec<u64>,
-    /// Per-way dirty flags (`Stamped`/`Policy` modes; empty for `Packed`,
-    /// which keeps dirty state as one bitmask word per set).
+    /// One word per set (`Direct` only; see [`DIRECT_VALID`]).
+    lines: Vec<u64>,
+    /// Per-way dirty flags (`Policy` only).
     dirty: Vec<bool>,
     stats: CacheStats,
     set_mask: u64,
+    /// log2 of the set count: a `Direct` word drops the set-index bits.
+    set_shift: u32,
     line_shift: u32,
     ways: usize,
     mode: ProbeMode,
     /// One packed recency word per set (`ProbeMode::Packed` only).
     order: Vec<u64>,
-    /// One dirty bitmask word per set (`ProbeMode::Packed` only).
+    /// Dirty bitmask words, `dirty_words` per set (`Packed`: bit `w` is
+    /// way `w`; `Row`: bit `p` is recency position `p`).
     dirty_mask: Vec<u64>,
+    dirty_words: usize,
     /// Mask selecting the `4 * ways` live bits of an order word.
     order_mask: u64,
-    /// Stamp array (`ProbeMode::Stamped` only; empty otherwise).
-    stamps: Vec<u64>,
-    clock: u64,
     policy: PolicyState,
 }
 
 impl Cache {
     /// Creates an empty (all-invalid) cache.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
-        let entries = (sets * u64::from(config.ways)) as usize;
+        let sets = config.sets() as usize;
         let ways = config.ways as usize;
         let policy = PolicyState::new(
             config.policy,
-            sets as usize,
+            sets,
             config.ways,
             0xCAC4E ^ config.size_bytes,
         );
-        let mode = if policy.stamp_based() {
-            if ways == 8 {
-                ProbeMode::Packed8 {
-                    refresh: policy.refresh_on_hit(),
-                }
-            } else if ways <= 16 {
-                ProbeMode::Packed {
-                    refresh: policy.refresh_on_hit(),
-                }
-            } else {
-                ProbeMode::Stamped
-            }
-        } else {
+        let refresh = policy.refresh_on_hit();
+        let mode = if ways == 1 && config.size_bytes >= 4 {
+            ProbeMode::Direct
+        } else if !policy.stamp_based() {
             ProbeMode::Policy
+        } else if ways == 8 {
+            ProbeMode::Packed8 { refresh }
+        } else if ways <= 16 {
+            ProbeMode::Packed { refresh }
+        } else {
+            ProbeMode::Row { refresh }
         };
         let packed = matches!(mode, ProbeMode::Packed { .. });
         let packed8 = matches!(mode, ProbeMode::Packed8 { .. });
+        let flat = packed || matches!(mode, ProbeMode::Row { .. } | ProbeMode::Policy);
+        let dirty_words = match mode {
+            ProbeMode::Packed { .. } => 1,
+            ProbeMode::Row { .. } => ways.div_ceil(64),
+            _ => 0,
+        };
+        let if_mode =
+            |on: bool, len: usize, fill: u64| if on { vec![fill; len] } else { Vec::new() };
         Self {
             config,
-            tags: if packed8 {
-                Vec::new()
-            } else {
-                vec![INVALID; entries]
-            },
+            tags: if_mode(flat, sets * ways, INVALID),
             tags8: if packed8 {
-                vec![[INVALID; 8]; sets as usize]
+                vec![[INVALID; 8]; sets]
             } else {
                 Vec::new()
             },
-            meta: if packed8 {
-                vec![initial_order(8); sets as usize]
+            meta: if_mode(packed8, sets, initial_order(8)),
+            lines: if_mode(mode == ProbeMode::Direct, sets, 0),
+            dirty: if mode == ProbeMode::Policy {
+                vec![false; sets * ways]
             } else {
                 Vec::new()
-            },
-            dirty: if packed || packed8 {
-                Vec::new()
-            } else {
-                vec![false; entries]
             },
             stats: CacheStats::default(),
-            set_mask: sets - 1,
+            set_mask: sets as u64 - 1,
+            set_shift: sets.trailing_zeros(),
             line_shift: config.line_bytes.trailing_zeros(),
             ways,
             mode,
             order: if packed {
-                vec![initial_order(ways); sets as usize]
+                vec![initial_order(ways); sets]
             } else {
                 Vec::new()
             },
-            dirty_mask: if packed {
-                vec![0; sets as usize]
-            } else {
-                Vec::new()
-            },
+            dirty_mask: vec![0; sets * dirty_words],
+            dirty_words,
             order_mask: if ways >= 16 {
                 u64::MAX
             } else {
                 (1u64 << (4 * ways)) - 1
             },
-            stamps: if mode == ProbeMode::Stamped {
-                vec![0; entries]
-            } else {
-                Vec::new()
-            },
-            clock: 0,
             policy,
         }
     }
@@ -302,13 +367,12 @@ impl Cache {
         self.tags.fill(INVALID);
         self.tags8.fill([INVALID; 8]);
         self.meta.fill(initial_order(8));
+        self.lines.fill(0);
         self.dirty.fill(false);
         if !self.order.is_empty() {
             self.order.fill(initial_order(self.ways));
         }
         self.dirty_mask.fill(0);
-        self.stamps.fill(0);
-        self.clock = 0;
         self.reset_stats();
     }
 
@@ -329,6 +393,7 @@ impl Cache {
         let set = (line & self.set_mask) as usize;
         self.stats.accesses += u64::from(count);
         match self.mode {
+            ProbeMode::Direct => self.access_direct(line, is_write, count),
             ProbeMode::Packed8 { refresh } => {
                 self.access_packed8(line, set, is_write, count, refresh)
             }
@@ -336,15 +401,51 @@ impl Cache {
                 let base = set * self.ways;
                 self.access_packed(line, set, base, is_write, count, refresh)
             }
-            ProbeMode::Stamped => {
-                let base = set * self.ways;
-                self.access_stamped(line, set, base, is_write, count)
+            ProbeMode::Row { refresh: true } => self.access_row::<true>(line, set, is_write, count),
+            ProbeMode::Row { refresh: false } => {
+                self.access_row::<false>(line, set, is_write, count)
             }
             ProbeMode::Policy => {
                 let base = set * self.ways;
                 self.access_policy(line, set, base, is_write, count)
             }
         }
+    }
+
+    /// The `Direct` key of `line`: its tag bits above the set index,
+    /// shifted past the flag bits, plus [`DIRECT_VALID`]. The all-ones
+    /// line (1-byte lines, address `u64::MAX`) is the stamp model's
+    /// `INVALID` sentinel, which that model cannot tell from an empty
+    /// slot: it hits an empty set and leaves one behind on a miss. Its key
+    /// is therefore 0, the empty word.
+    #[inline(always)]
+    fn direct_key(&self, line: u64) -> u64 {
+        if line == INVALID {
+            0
+        } else {
+            ((line >> self.set_shift) << 2) | DIRECT_VALID
+        }
+    }
+
+    /// A direct-mapped set: one word compare decides the hit, and a miss
+    /// overwrites the word, counting a write-back when it held a dirty
+    /// line. Only a valid key takes a dirty bit, so an empty set stays 0.
+    #[inline(always)]
+    fn access_direct(&mut self, line: u64, is_write: bool, count: bool) -> bool {
+        let key = self.direct_key(line);
+        let set = (line as usize) & (self.lines.len() - 1);
+        let slot = &mut self.lines[set];
+        let word = *slot;
+        let dirty = (u64::from(is_write) & key) * DIRECT_DIRTY;
+        if word & !DIRECT_DIRTY == key {
+            *slot = word | dirty;
+            return true;
+        }
+        let counted = u64::from(count);
+        self.stats.misses += counted;
+        self.stats.writebacks += counted & ((word & DIRECT_DIRTY) >> 1);
+        *slot = key | dirty;
+        false
     }
 
     /// The 8-way specialization: the tag row is a `[u64; 8]` (one cache
@@ -459,52 +560,63 @@ impl Cache {
         false
     }
 
-    /// LRU/FIFO above 16 ways: the original zipped tag+stamp scan.
-    #[inline(never)]
-    fn access_stamped(
+    /// LRU/FIFO above 16 ways: the set's tags sit in recency order, MRU
+    /// first, so the first match from the front is the hit and the victim
+    /// is the last entry. An LRU hit moves its entry to the front and a
+    /// FIFO hit leaves it; a miss shifts the row one slot, dropping the
+    /// last entry, and installs at the front. Dirty bits move with their
+    /// tags.
+    ///
+    /// The stamp model's victim is the minimum stamp, which is the last
+    /// entry here, and its never-filled slots (stamp 0, tag `INVALID`)
+    /// sit at the end, so they are filled first, as there. Which physical
+    /// way holds a line shows in one case only: the all-ones line (1-byte
+    /// lines, address `u64::MAX`) equals `INVALID`, and the stamp scan
+    /// hits the lowest-index slot holding it. Empty slots are the highest
+    /// indices (cold fills take the lowest first), so that slot is the one
+    /// touched `INVALID` line if the set has one, which sits ahead of the
+    /// empty slots here, and an empty slot otherwise — in both cases the
+    /// first `INVALID` entry of the row.
+    #[inline]
+    fn access_row<const REFRESH: bool>(
         &mut self,
         tag: u64,
-        _set: usize,
-        base: usize,
+        set: usize,
         is_write: bool,
         count: bool,
     ) -> bool {
-        self.clock += 1;
-        let tags = &self.tags[base..base + self.ways];
-        let stamps = &self.stamps[base..base + self.ways];
-        let mut stamp_victim = 0usize;
-        let mut victim_stamp = u64::MAX;
-        let mut hit_way = None;
-        for (w, (&t, &s)) in tags.iter().zip(stamps).enumerate() {
-            if t == tag {
-                hit_way = Some(w);
-                break;
-            }
-            if s < victim_stamp {
-                victim_stamp = s;
-                stamp_victim = w;
-            }
-        }
-        if let Some(w) = hit_way {
-            if self.policy.refresh_on_hit() {
-                self.stamps[base + w] = self.clock;
-            }
-            if is_write {
-                self.dirty[base + w] = true;
-            }
+        let ways = self.ways;
+        let row = &mut self.tags[set * ways..(set + 1) * ways];
+        let dirty = &mut self.dirty_mask[set * self.dirty_words..(set + 1) * self.dirty_words];
+        let write = u64::from(is_write);
+        // A hit on the MRU entry moves nothing: the fetch side's usual case.
+        if row[0] == tag {
+            dirty[0] |= write;
             return true;
         }
-        if count {
-            self.stats.misses += 1;
+        let found = first_match(row, tag);
+        let hit = found < ways;
+        // A compile-time `REFRESH` keeps this branch out of the LRU probe.
+        // Tested at run time, it compiled to a branch on `hit`, which is
+        // unpredictable on a data stream.
+        if !REFRESH && hit {
+            dirty[found / 64] |= write << (found % 64);
+            return true;
         }
-        let slot = base + stamp_victim;
-        if self.tags[slot] != INVALID && self.dirty[slot] && count {
-            self.stats.writebacks += 1;
-        }
-        self.tags[slot] = tag;
-        self.stamps[slot] = self.clock;
-        self.dirty[slot] = is_write;
-        false
+        // An LRU hit and a miss are one move, without a branch between
+        // them: the entry at `p` (the last one on a miss) leaves and `tag`
+        // enters at the front.
+        let p = found.min(ways - 1);
+        let leaving = row[p];
+        shift_in(row, p, tag);
+        let leaving_dirty = dirty_to_front(dirty, p);
+        let missed = u64::from(!hit);
+        let counted = u64::from(count);
+        self.stats.misses += missed & counted;
+        self.stats.writebacks += missed & counted & leaving_dirty & u64::from(leaving != INVALID);
+        // A hit keeps its dirty bit; a miss installs a clean line.
+        dirty[0] = (dirty[0] & !missed) | write;
+        hit
     }
 
     /// Random / tree-PLRU: victims come from the policy; recency state
@@ -548,11 +660,11 @@ impl Cache {
     pub fn peek(&self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
-        if !self.tags8.is_empty() {
-            return self.tags8[set].contains(&line);
+        match self.mode {
+            ProbeMode::Direct => self.lines[set] & !DIRECT_DIRTY == self.direct_key(line),
+            ProbeMode::Packed8 { .. } => self.tags8[set].contains(&line),
+            _ => self.tags[set * self.ways..(set + 1) * self.ways].contains(&line),
         }
-        let base = set * self.ways;
-        self.tags[base..base + self.ways].contains(&line)
     }
 }
 

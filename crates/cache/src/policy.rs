@@ -10,10 +10,10 @@ use sampsim_util::rng::SplitMix64;
 /// Victim-selection policy of a set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplacementPolicy {
-    /// Least-recently-used (exact, stamp-based).
+    /// Least-recently-used (exact).
     #[default]
     Lru,
-    /// First-in-first-out (insertion-order stamps; hits do not refresh).
+    /// First-in-first-out (insertion order; hits do not refresh).
     Fifo,
     /// Uniform random victim.
     Random,
@@ -67,11 +67,12 @@ impl PolicyState {
         if self.policy == ReplacementPolicy::TreePlru {
             self.trees[set] = plru_touch(self.trees[set], way, ways);
         }
-        // LRU/FIFO stamps are maintained by the cache itself.
+        // LRU/FIFO order is kept by the cache itself.
     }
 
-    /// Chooses a victim way for `set` (policies that do not use stamps).
-    /// Returns `None` for stamp-based policies (LRU/FIFO).
+    /// Chooses a victim way for `set` (policies that keep no recency
+    /// order). Returns `None` for LRU/FIFO, whose victim the cache's own
+    /// order decides.
     #[inline]
     pub fn victim(&mut self, set: usize, ways: usize) -> Option<usize> {
         match self.policy {
@@ -87,9 +88,9 @@ impl PolicyState {
         self.policy == ReplacementPolicy::Lru
     }
 
-    /// Whether victim selection reads the cache's stamps ([`Self::victim`]
-    /// returns `None`). The probe loop skips min-stamp tracking entirely
-    /// for policies that pick their own victims.
+    /// Whether victim selection reads the cache's own order ([`Self::victim`]
+    /// returns `None`): stamps in the reference model, recency order in
+    /// [`crate::Cache`]. Policies that pick their own victims keep neither.
     #[inline]
     pub fn stamp_based(&self) -> bool {
         matches!(

@@ -2,12 +2,15 @@
 //! oracles.
 //!
 //! [`ReferenceCache`] is the original zipped tag+stamp implementation of
-//! [`crate::Cache`], kept verbatim so the packed fast path can be checked
+//! [`crate::Cache`], kept verbatim so every probe mode can be checked
 //! against it access-by-access (see `tests/differential.rs`) and so
 //! `sampsim perf` can time the pre-optimization kernel as
-//! `cache_access_rw_reference`. Counters, per-access hit/miss results and
-//! eviction choices are contractual between the two models; internal
-//! bookkeeping (stamps vs. packed recency words) is not.
+//! `cache_access_rw_reference`. It holds the only stamp scan left:
+//! `Cache` keeps each LRU/FIFO set's recency order instead (packed
+//! nibbles up to 16 ways, a recency-ordered row above), and one word per
+//! direct-mapped set. Counters, per-access hit/miss results and eviction
+//! choices are contractual between the two models; internal bookkeeping
+//! (stamps vs. recency order) is not.
 //!
 //! [`ReferenceTlb`] plays the same role for [`crate::Tlb`]: the original
 //! stamp/clock scan, checked against the rank LRU access-by-access.

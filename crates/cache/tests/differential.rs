@@ -1,11 +1,12 @@
-//! Differential suite: the packed-order fast path in [`Cache`] must be
-//! bit-identical to the frozen pre-optimization model
+//! Differential suite: every probe mode of [`Cache`] (packed recency
+//! words, recency-ordered rows, one word per direct-mapped set, and
+//! policy-chosen victims) must be bit-identical to the frozen stamp model
 //! ([`ReferenceCache`]) — per-access hit/miss results, counters,
 //! write-backs and residency (`peek`) — across policies, geometries and
-//! seeded access mixes. Replacement stamps vs. packed recency words are
-//! internal representation; everything observable is contractual. The
-//! rank-LRU [`Tlb`] is held to the frozen stamp scan ([`ReferenceTlb`])
-//! the same way.
+//! seeded access mixes. Stamps vs. recency order is internal
+//! representation; everything observable is contractual. The rank-LRU
+//! [`Tlb`] is held to the frozen stamp scan ([`ReferenceTlb`]) the same
+//! way.
 
 use sampsim_cache::policy::ReplacementPolicy;
 use sampsim_cache::{
@@ -15,14 +16,20 @@ use sampsim_util::rng::SplitMix64;
 
 /// Drives both models through an identical seeded stream of reads,
 /// writes, warmup accesses, flushes and stat resets, asserting
-/// equivalence after every access and at every checkpoint.
+/// equivalence after every access and at every checkpoint. Addresses fall
+/// in `0..ws_bytes`, except that every 23rd access and every other `peek`
+/// go to the all-ones address: with 1-byte lines that line equals the
+/// sentinel both models mark empty slots with.
 fn drive(config: CacheConfig, seed: u64, accesses: usize, ws_bytes: u64) -> CacheStats {
     let mut fast = Cache::new(config);
     let mut reference = ReferenceCache::new(config);
     let mut rng = SplitMix64::new(seed);
     let ws_mask = ws_bytes - 1;
     for i in 0..accesses {
-        let addr = rng.next_u64() & ws_mask;
+        let addr = match i % 23 {
+            5 => u64::MAX,
+            _ => rng.next_u64() & ws_mask,
+        };
         let is_write = i % 4 == 3;
         let count = i % 97 != 0; // sprinkle warmup accesses through the run
         let a = fast.access_rw(addr, is_write, count);
@@ -33,7 +40,10 @@ fn drive(config: CacheConfig, seed: u64, accesses: usize, ws_bytes: u64) -> Cach
             config.policy
         );
         if i % 251 == 0 {
-            let probe = rng.next_u64() & ws_mask;
+            let probe = match i % 502 {
+                0 => u64::MAX,
+                _ => rng.next_u64() & ws_mask,
+            };
             assert_eq!(
                 fast.peek(probe),
                 reference.peek(probe),
@@ -64,9 +74,15 @@ const POLICIES: [ReplacementPolicy; 4] = [
 
 #[test]
 fn small_geometries_all_policies() {
-    // (size, ways, line): direct-mapped through 8-way, all ways pow2 so
-    // tree-PLRU constructs everywhere.
-    let shapes = [(256, 1, 32), (256, 2, 32), (256, 4, 32), (1024, 8, 32)];
+    // (size, ways, line): direct-mapped (one set and eight) through 8-way,
+    // all ways pow2 so tree-PLRU constructs everywhere.
+    let shapes = [
+        (32, 1, 32),
+        (256, 1, 32),
+        (256, 2, 32),
+        (256, 4, 32),
+        (1024, 8, 32),
+    ];
     for &(size, ways, line) in &shapes {
         for policy in POLICIES {
             let config = CacheConfig::new(size, ways, line, 1).with_policy(policy);
@@ -96,12 +112,87 @@ fn sixteen_way_boundary_uses_packed_order() {
 }
 
 #[test]
-fn wide_associativity_falls_back_to_stamps() {
-    // Table I's 32-way L1 exercises the stamp fallback; still must match.
+fn wide_associativity_uses_recency_rows() {
+    // Table I's 32-way L1 (32 KiB, 32 B lines) takes the recency row, with
+    // working sets inside its capacity and 4x and 8x beyond it.
     for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
         let config = CacheConfig::new(32 << 10, 32, 32, 1).with_policy(policy);
-        drive(config, 0x3232, 30_000, 128 << 10);
+        for ws in [16 << 10, 128 << 10, 256 << 10] {
+            drive(config, 0x3232 ^ ws, 30_000, ws);
+        }
     }
+    // Every width above 16 takes it: 17 (odd), 64 (one full dirty word),
+    // 65 and 96 (a second, partial word) and 128 (two full words).
+    for ways in [17, 64, 65, 96, 128] {
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
+            let config =
+                CacheConfig::new(4 * 32 * u64::from(ways), ways, 32, 1).with_policy(policy);
+            drive(config, 0x3232 ^ u64::from(ways), 30_000, 32 << 10);
+        }
+    }
+}
+
+#[test]
+fn table1_direct_mapped_levels_match_reference() {
+    // Table I's direct-mapped L2 (2 MiB) and L3 (16 MiB), 32 B lines, take
+    // one word per set under every policy. Working sets of twice the
+    // capacity, and enough accesses to revisit each set, give hits,
+    // conflict misses and dirty evictions alike.
+    for (size, accesses) in [(2u64 << 20, 400_000), (16 << 20, 2_000_000)] {
+        for policy in POLICIES {
+            let config = CacheConfig::new(size, 1, 32, 1).with_policy(policy);
+            let stats = drive(config, 0xD1 ^ size, accesses, 2 * size);
+            assert!(
+                stats.misses > 0 && stats.misses < stats.accesses && stats.writebacks > 0,
+                "{size} B {policy:?}: {stats:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn all_ones_line_matches_reference() {
+    // With 1-byte lines, address u64::MAX is line u64::MAX, the sentinel
+    // the stamp model marks empty slots with: it hits an empty slot and
+    // leaves an empty-looking one when installed. Direct-mapped sets
+    // (including the 1- and 2-byte caches, which have no room for the
+    // one-word encoding, and the 4-byte one, which has exactly enough) and
+    // 32-way rows, one set or many, must read it the same way.
+    for (size, ways) in [
+        (1, 1),
+        (2, 1),
+        (4, 1),
+        (8, 1),
+        (1024, 1),
+        (32, 32),
+        (1024, 32),
+    ] {
+        for policy in POLICIES {
+            let config = CacheConfig::new(size, ways, 1, 1).with_policy(policy);
+            drive(config, 0xA11 ^ size, 20_000, 4 * size);
+        }
+    }
+    // A one-word encoding that treats the all-ones line as an ordinary tag
+    // counts 4 misses and 1 write-back here.
+    let config = CacheConfig::new(8, 1, 1, 1);
+    let stream = [u64::MAX, 3, u64::MAX, u64::MAX - 8, u64::MAX];
+    let mut fast = Cache::new(config);
+    let mut reference = ReferenceCache::new(config);
+    for (i, &addr) in stream.iter().enumerate() {
+        let is_write = i % 2 == 0;
+        assert_eq!(
+            fast.access_rw(addr, is_write, true),
+            reference.access_rw(addr, is_write, true),
+            "access #{i} diverged (addr {addr:#x})"
+        );
+    }
+    let expected = CacheStats {
+        accesses: 5,
+        misses: 3,
+        writebacks: 0,
+    };
+    assert_eq!(reference.stats(), expected);
+    assert_eq!(fast.stats(), expected);
 }
 
 #[test]

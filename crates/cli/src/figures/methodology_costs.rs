@@ -27,6 +27,13 @@ fn time_share(part: f64, whole: f64) -> String {
     }
 }
 
+/// The line under the table. Every stage but the native walk runs over
+/// `--jobs` workers, so the "vs native" ratios move with the worker count.
+fn workers_note(workers: usize) -> String {
+    let plural = if workers == 1 { "" } else { "s" };
+    format!("\"vs native\": every stage but native execution ran on {workers} worker{plural} (--jobs {workers})")
+}
+
 pub(super) fn render(args: &FigureArgs) -> CmdResult {
     let id = BenchmarkId::GccR;
     let bench = args.bench(id);
@@ -97,6 +104,7 @@ pub(super) fn render(args: &FigureArgs) -> CmdResult {
         fmt_x(replay / native),
     ]);
     table.print();
+    println!("{}", workers_note(args.jobs.get()));
     println!(
         "\none-time cost (logging+clustering) {:.2}s; each subsequent experiment replays",
         logging + clustering,
@@ -114,7 +122,19 @@ pub(super) fn render(args: &FigureArgs) -> CmdResult {
 
 #[cfg(test)]
 mod tests {
-    use super::time_share;
+    use super::{time_share, workers_note};
+
+    #[test]
+    fn workers_note_names_the_worker_count() {
+        assert_eq!(
+            workers_note(1),
+            "\"vs native\": every stage but native execution ran on 1 worker (--jobs 1)"
+        );
+        assert_eq!(
+            workers_note(2),
+            "\"vs native\": every stage but native execution ran on 2 workers (--jobs 2)"
+        );
+    }
 
     #[test]
     fn time_share_reads_right_on_both_sides_of_one() {

@@ -169,10 +169,12 @@ cmp "$serve_dir/figure-cold.txt" "$serve_dir/figure-warm.txt" \
 echo "==> sampsim figure smoke (non-suite exhibit: --jobs 1 == --jobs 2, one memo)"
 # A non-suite exhibit passes --jobs to every stage it measures. The
 # --jobs 2 run reads the whole Table I walk the --jobs 1 run stored in
-# the shared memo, and must print the same bytes.
+# the shared memo, and must print the same bytes. Scale 0.02, not 0.002:
+# at 0.002 every row saturates (100.00 cold and checkpointed, 0.00
+# self-replay), so cmp could not see a replay that depends on --jobs.
 warmup_dir="$serve_dir/warmup-memo"
 for jobs in 1 2; do
-    "$sampsim_bin" figure ablation_warmup --scale 0.002 --jobs "$jobs" \
+    "$sampsim_bin" figure ablation_warmup --scale 0.02 --jobs "$jobs" \
         --artifacts "$warmup_dir" > "$serve_dir/warmup-jobs$jobs.txt" 2> /dev/null
 done
 cmp "$serve_dir/warmup-jobs1.txt" "$serve_dir/warmup-jobs2.txt" \
