@@ -35,9 +35,8 @@ use sampsim_exec::Jobs;
 use sampsim_simpoint::bbv::Bbv;
 use sampsim_simpoint::kmeans::KmeansResult;
 use sampsim_simpoint::project::RandomProjection;
-use sampsim_simpoint::{
-    kmeans_best_of_jobs, kmeans_best_of_reference, KmeansError, SimPointOptions,
-};
+use sampsim_simpoint::reference::kmeans_best_of_reference;
+use sampsim_simpoint::{kmeans_best_of_jobs, KmeansError, SimPointOptions};
 use sampsim_spec2017::{benchmark, BenchmarkId};
 use sampsim_util::json::{self, num, Bound, Shape, Value};
 use sampsim_util::rng::SplitMix64;

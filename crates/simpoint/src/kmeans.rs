@@ -1,33 +1,42 @@
-//! Lloyd's k-means with k-means++ seeding and triangle-inequality pruning.
+//! Lloyd's k-means with k-means++ seeding, triangle-inequality pruning and
+//! eight-lane distance blocks.
 //!
 //! Operates on a flat row-major matrix of projected BBVs. Deterministic for
 //! a given seed; empty clusters are reseeded to the point farthest from its
 //! centroid so every requested cluster survives when the data supports it.
 //!
-//! Two kernels compute the same function:
+//! [`kmeans`] is the production kernel. It computes the same function as
+//! the naive full-scan kernel, [`crate::reference::kmeans_reference`],
+//! bit for bit — assignments, centroids, inertia and iteration counts —
+//! and differs from it in two ways that change no value:
 //!
-//! * [`kmeans`] — the production kernel. It carries Hamerly-style
-//!   per-point bounds (an upper bound on the distance to the assigned
-//!   centroid, a lower bound on the distance to every other centroid) plus
-//!   inter-centroid half-distances, so most points skip the k-way distance
-//!   scan once the iteration settles. Every distance it *does* compute and
-//!   every centroid update uses the exact `sq_dist` and summation order of
-//!   the naive code, and a skip is taken only when the bounds prove — with
-//!   a safety margin far above accumulated floating-point error — that the
-//!   naive scan's argmin could not differ. Assignments, centroids, inertia
-//!   and iteration counts are therefore **bit-identical** to the reference.
-//! * [`kmeans_reference`] — the naive full-scan Lloyd kernel, kept verbatim
-//!   as the differential-testing oracle (see `tests/property_tests.rs` and
-//!   the `pruned_matches_reference_*` tests below).
+//! * **Pruning.** Hamerly-style per-point bounds (an upper bound on the
+//!   distance to the assigned centroid, a lower bound on the distance to
+//!   every other centroid) plus inter-centroid half-distances let most
+//!   points skip the k-way scan once the iteration settles. A skip is
+//!   taken only when the bounds prove — with a safety margin far above
+//!   accumulated floating-point error — that the naive scan's argmin could
+//!   not differ.
+//! * **Lanes.** A scan that does run computes eight distances at once:
+//!   each iteration regroups the centroids into blocks of eight (`dim`
+//!   rows of `[f64; 8]`), and every lane runs `sq_dist`'s operations in
+//!   `sq_dist`'s order, so each lane's value is the scalar call's. The
+//!   argmin over a scan takes no branches and returns the values the
+//!   naive strict-`<` loop returns. The k-means++ D² update runs eight
+//!   points per step the same way, over a lane copy of the points built
+//!   once per call and shared by every restart (and, in
+//!   [`kmeans_sweep`], by every candidate `k`).
 //!
-//! The SimPoint analysis clusters only through [`kmeans_best_of_jobs`]:
-//! the production kernel with `n_init` seeded restarts fanned out over
-//! workers, so every selection is bit-reproducible.
+//! The SimPoint analysis clusters through [`kmeans_sweep`] (every
+//! candidate `k`, each (k, restart) pair one work item) and
+//! [`kmeans_best_of_jobs`] (the chosen `k`), so every selection is
+//! bit-reproducible for every worker count.
 //!
 //! See `docs/performance.md` for the pruning invariants and the
 //! bit-identity argument.
 
-use sampsim_exec::{try_parallel_map, Jobs, SERIAL};
+use crate::analysis::SimPointOptions;
+use sampsim_exec::{parallel_map, Jobs, SERIAL};
 use sampsim_util::rng::Xoshiro256StarStar;
 use std::fmt;
 
@@ -90,7 +99,7 @@ pub struct KmeansResult {
 impl KmeansResult {
     /// Assembles a result, counting cluster sizes once so the accessors
     /// below never allocate.
-    fn assemble(
+    pub(crate) fn assemble(
         k: usize,
         assignments: Vec<u32>,
         centroids: Vec<f64>,
@@ -130,14 +139,149 @@ impl KmeansResult {
             self.inertia / self.assignments.len() as f64
         }
     }
+
+    /// What model selection reads of this result: `k`, the point count,
+    /// the inertia and the cluster sizes.
+    pub fn into_summary(self) -> KmeansSummary {
+        KmeansSummary {
+            k: self.k,
+            n: self.assignments.len(),
+            inertia: self.inertia,
+            sizes: self.sizes,
+        }
+    }
+}
+
+/// A k-means result without its assignments and centroids: what the BIC
+/// ([`crate::bic::bic_score`]) and the Fig. 4 variance sweep read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KmeansSummary {
+    k: usize,
+    n: usize,
+    inertia: f64,
+    sizes: Vec<u64>,
+}
+
+impl KmeansSummary {
+    /// Number of clusters (the requested `k`, capped at the point count).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Number of points clustered.
+    pub fn points(&self) -> usize {
+        self.n
+    }
+
+    /// Sum of squared distances of points to their centroids.
+    pub fn inertia(&self) -> f64 {
+        self.inertia
+    }
+
+    /// Points per cluster.
+    pub fn cluster_sizes(&self) -> &[u64] {
+        &self.sizes
+    }
+
+    /// Average intra-cluster variance: inertia divided by point count,
+    /// the same value as [`KmeansResult::avg_variance`].
+    pub fn avg_variance(&self) -> f64 {
+        self.inertia / self.n as f64
+    }
 }
 
 #[inline]
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-fn validate(data: &[f64], n: usize, dim: usize, k: usize) -> Result<(), KmeansError> {
+/// Vectors per distance block: one AVX-512 register of `f64`s.
+const LANES: usize = 8;
+
+/// Eight values, one per lane of a block.
+type Lanes = [f64; LANES];
+
+/// Regroups the first `count` of the `dim`-long row-major vectors in
+/// `rows` eight to a block: row `b * dim + d` of `out` holds coordinate
+/// `d` of vectors `8b .. 8b + 8`, one per lane. Lanes past `count` hold
+/// `pad`.
+fn to_lanes(rows: &[f64], count: usize, dim: usize, pad: f64, out: &mut Vec<Lanes>) {
+    out.clear();
+    out.resize(count.div_ceil(LANES) * dim, [pad; LANES]);
+    for (v, row) in rows.chunks_exact(dim).take(count).enumerate() {
+        let block = &mut out[v / LANES * dim..][..dim];
+        for (lanes, &x) in block.iter_mut().zip(row) {
+            lanes[v % LANES] = x;
+        }
+    }
+}
+
+/// `sq_dist(x, v)` for the eight vectors `v` of one block (`dim` rows).
+///
+/// Each lane runs `sq_dist`'s operations in `sq_dist`'s order — subtract,
+/// square, add to an accumulator that starts at zero, coordinate by
+/// coordinate — and Rust never fuses `acc + t * t` into an FMA, so each
+/// lane's value is the scalar call's, bit for bit. Round-to-nearest is
+/// symmetric under negation, so `(v - x)²` and `(x - v)²` are the same
+/// bits too, which lets one kernel serve both operand orders.
+#[inline]
+fn lane_sq_dists(x: &[f64], block: &[Lanes]) -> Lanes {
+    let mut acc = [0.0; LANES];
+    for (&xd, row) in x.iter().zip(block) {
+        for (a, &vd) in acc.iter_mut().zip(row) {
+            let t = xd - vd;
+            *a += t * t;
+        }
+    }
+    acc
+}
+
+/// [`lane_sq_dists`] of `x` against every block of `blocks`, into `out`.
+#[inline]
+fn scan(x: &[f64], blocks: &[Lanes], dim: usize, out: &mut [Lanes]) {
+    for (d, block) in out.iter_mut().zip(blocks.chunks_exact(dim)) {
+        *d = lane_sq_dists(x, block);
+    }
+}
+
+/// The least lane of `dists` at any index but `skip`, or +∞ when there is
+/// none. No distance is NaN or −0.0, so equal lanes have equal bits and
+/// the minimum's bits do not depend on which lane supplied it.
+#[inline]
+fn min_except(dists: &[Lanes], skip: usize) -> f64 {
+    let mut m = [f64::INFINITY; LANES];
+    for (b, block) in dists.iter().enumerate() {
+        for (l, (m, &d)) in m.iter_mut().zip(block).enumerate() {
+            let d = if b * LANES + l == skip {
+                f64::INFINITY
+            } else {
+                d
+            };
+            *m = if d < *m { d } else { *m };
+        }
+    }
+    m.into_iter()
+        .fold(f64::INFINITY, |a, d| if d < a { d } else { a })
+}
+
+/// The first index whose distance equals `target`, or 0 when none does
+/// (only a NaN distance can leave none; the naive scan keeps index 0
+/// then too).
+#[inline]
+fn first_index_of(dists: &[Lanes], target: f64) -> usize {
+    let mut first = [usize::MAX; LANES];
+    for (b, block) in dists.iter().enumerate().rev() {
+        for (l, (f, &d)) in first.iter_mut().zip(block).enumerate() {
+            *f = if d == target { b * LANES + l } else { *f };
+        }
+    }
+    match first.into_iter().fold(usize::MAX, usize::min) {
+        usize::MAX => 0,
+        i => i,
+    }
+}
+
+pub(crate) fn validate(data: &[f64], n: usize, dim: usize, k: usize) -> Result<(), KmeansError> {
     if k == 0 {
         return Err(KmeansError::ZeroK);
     }
@@ -164,7 +308,7 @@ fn validate(data: &[f64], n: usize, dim: usize, k: usize) -> Result<(), KmeansEr
 /// already-updated centroids of clusters `< c` and the stale centroids of
 /// clusters `>= c`.
 #[allow(clippy::too_many_arguments)]
-fn update_centroids(
+pub(crate) fn update_centroids(
     data: &[f64],
     n: usize,
     dim: usize,
@@ -211,105 +355,13 @@ fn update_centroids(
     }
 }
 
-/// The naive full-scan Lloyd kernel: every iteration computes all `n * k`
-/// distances. Kept as the differential-testing oracle for [`kmeans`];
-/// identical output, no pruning.
-///
-/// # Errors
-///
-/// Returns a [`KmeansError`] if `k` is zero, `dim` is zero,
-/// `data.len() != n * dim`, or there are no points.
-pub fn kmeans_reference(
-    data: &[f64],
-    n: usize,
-    dim: usize,
-    k: usize,
-    max_iter: u32,
-    seed: u64,
-) -> Result<KmeansResult, KmeansError> {
-    validate(data, n, dim, k)?;
-    let k = k.min(n);
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    let mut centroids = plus_plus_init(data, n, dim, k, &mut rng);
-    let mut assignments = vec![0u32; n];
-    let mut iterations = 0;
-    let mut inertia = f64::INFINITY;
-    let mut sums = vec![0.0f64; k * dim];
-    let mut counts = vec![0u64; k];
-    for iter in 0..max_iter {
-        iterations = iter + 1;
-        // Assignment step.
-        let mut changed = false;
-        let mut new_inertia = 0.0;
-        for i in 0..n {
-            let p = &data[i * dim..(i + 1) * dim];
-            let mut best = 0u32;
-            let mut best_d = f64::INFINITY;
-            for c in 0..k {
-                let d = sq_dist(p, &centroids[c * dim..(c + 1) * dim]);
-                if d < best_d {
-                    best_d = d;
-                    best = c as u32;
-                }
-            }
-            if assignments[i] != best {
-                assignments[i] = best;
-                changed = true;
-            }
-            new_inertia += best_d;
-        }
-        inertia = new_inertia;
-        if !changed && iter > 0 {
-            break;
-        }
-        update_centroids(
-            data,
-            n,
-            dim,
-            k,
-            &assignments,
-            &mut centroids,
-            &mut sums,
-            &mut counts,
-        );
-    }
-    Ok(KmeansResult::assemble(
-        k,
-        assignments,
-        centroids,
-        inertia,
-        iterations,
-    ))
-}
-
-/// Half the distance from each centroid to its nearest other centroid
-/// (Hamerly's `s(c)`; infinite for `k == 1`).
-fn half_dists(centroids: &[f64], k: usize, dim: usize, out: &mut [f64]) {
-    for c in 0..k {
-        let mut m = f64::INFINITY;
-        for o in 0..k {
-            if o == c {
-                continue;
-            }
-            let d = sq_dist(
-                &centroids[c * dim..(c + 1) * dim],
-                &centroids[o * dim..(o + 1) * dim],
-            );
-            if d < m {
-                m = d;
-            }
-        }
-        out[c] = 0.5 * m.sqrt();
-    }
-}
-
 /// Runs k-means on `n` points of `dim` dimensions stored row-major in
 /// `data`.
 ///
-/// This is the bounds-pruned kernel; it returns output bit-identical to
-/// [`kmeans_reference`] (see the module docs for the argument) while
-/// skipping the k-way distance scan for points whose bounds prove the
-/// assignment cannot change.
+/// Output is bit-identical to [`crate::reference::kmeans_reference`]
+/// (see the module docs for the argument); the kernel skips the k-way
+/// distance scan for points whose bounds prove the assignment cannot
+/// change and computes the scans it does run eight distances at a time.
 ///
 /// # Errors
 ///
@@ -324,9 +376,32 @@ pub fn kmeans(
     seed: u64,
 ) -> Result<KmeansResult, KmeansError> {
     validate(data, n, dim, k)?;
+    let points = point_lanes(data, n, dim);
+    Ok(lloyd(data, &points, n, dim, k, max_iter, seed))
+}
+
+/// The lane copy of the points that k-means++ seeding reads: built once
+/// per call and shared by every restart.
+fn point_lanes(data: &[f64], n: usize, dim: usize) -> Vec<Lanes> {
+    let mut points = Vec::new();
+    to_lanes(data, n, dim, 0.0, &mut points);
+    points
+}
+
+/// The production kernel on validated input; `points` is
+/// [`point_lanes`] of `data`.
+fn lloyd(
+    data: &[f64],
+    points: &[Lanes],
+    n: usize,
+    dim: usize,
+    k: usize,
+    max_iter: u32,
+    seed: u64,
+) -> KmeansResult {
     let k = k.min(n);
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    let mut centroids = plus_plus_init(data, n, dim, k, &mut rng);
+    let mut centroids = plus_plus_init(data, points, n, dim, k, &mut rng);
     let mut assignments = vec![0u32; n];
     let mut iterations = 0;
     let mut inertia = f64::INFINITY;
@@ -344,6 +419,10 @@ pub fn kmeans(
     let mut old_centroids = vec![0.0f64; k * dim];
     let mut sums = vec![0.0f64; k * dim];
     let mut counts = vec![0u64; k];
+    // The centroids in blocks of eight, and one scan's distances. Padding
+    // lanes sit at +∞, so their distances are +∞ and never win a minimum.
+    let mut blocks = Vec::new();
+    let mut dists = vec![[0.0; LANES]; k.div_ceil(LANES)];
 
     // A skip is taken only when a bound gap exceeds `eps`, an absolute
     // margin scaled to the data's magnitude. Accumulated floating-point
@@ -364,7 +443,13 @@ pub fn kmeans(
 
     for iter in 0..max_iter {
         iterations = iter + 1;
-        half_dists(&centroids, k, dim, &mut half);
+        to_lanes(&centroids, k, dim, f64::INFINITY, &mut blocks);
+        // Half the distance from each centroid to its nearest other
+        // centroid (Hamerly's `s(c)`; infinite for `k == 1`).
+        for (c, h) in half.iter_mut().enumerate() {
+            scan(&centroids[c * dim..(c + 1) * dim], &blocks, dim, &mut dists);
+            *h = 0.5 * min_except(&dists, c).sqrt();
+        }
         let mut changed = false;
         for i in 0..n {
             let a = assignments[i] as usize;
@@ -376,39 +461,23 @@ pub fn kmeans(
             // Tightening pass: replace the drift-inflated upper bound by
             // the exact distance to the assigned centroid. Pointless on
             // the first visit (upper is vacuous INFINITY), so skip it
-            // there; the squared distance is kept for reuse in the scan.
-            let mut d_a = f64::INFINITY;
+            // there.
             if upper[i].is_finite() {
-                d_a = sq_dist(p, &centroids[a * dim..(a + 1) * dim]);
-                let tight = d_a.sqrt();
+                let tight = sq_dist(p, &centroids[a * dim..(a + 1) * dim]).sqrt();
                 upper[i] = tight;
                 if bound - tight > eps {
                     continue;
                 }
             }
-            // Full scan in reference order: strict `<` keeps the first
-            // minimum, and the second-smallest distance refreshes the
-            // lower bound. The assigned centroid's distance is the value
-            // just computed — same inputs, same call, same bits.
-            let mut best = 0u32;
-            let mut best_d = f64::INFINITY;
-            let mut second_d = f64::INFINITY;
-            for c in 0..k {
-                let d = if c == a && d_a.is_finite() {
-                    d_a
-                } else {
-                    sq_dist(p, &centroids[c * dim..(c + 1) * dim])
-                };
-                if d < best_d {
-                    second_d = best_d;
-                    best_d = d;
-                    best = c as u32;
-                } else if d < second_d {
-                    second_d = d;
-                }
-            }
-            if assignments[i] != best {
-                assignments[i] = best;
+            // Full scan: the reference's strict-`<` loop keeps the first
+            // minimum and, beside it, the least distance to any other
+            // centroid, which refreshes the lower bound.
+            scan(p, &blocks, dim, &mut dists);
+            let best_d = min_except(&dists, usize::MAX);
+            let best = first_index_of(&dists, best_d);
+            let second_d = min_except(&dists, best);
+            if a != best {
+                assignments[i] = best as u32;
                 changed = true;
             }
             upper[i] = best_d.sqrt();
@@ -472,18 +541,16 @@ pub fn kmeans(
             lower[i] -= if a == c1 { d2 } else { d1 };
         }
     }
-    Ok(KmeansResult::assemble(
-        k,
-        assignments,
-        centroids,
-        inertia,
-        iterations,
-    ))
+    KmeansResult::assemble(k, assignments, centroids, inertia, iterations)
 }
 
-/// k-means++ seeding (Arthur & Vassilvitskii, 2007).
+/// k-means++ seeding (Arthur & Vassilvitskii, 2007). The D² update runs
+/// eight points per step over `points`, the lane copy of `data`; the
+/// `total` sum and the pick stay scalar, in point order, so the picks are
+/// those of the scalar seeding in [`crate::reference`].
 fn plus_plus_init(
     data: &[f64],
+    points: &[Lanes],
     n: usize,
     dim: usize,
     k: usize,
@@ -492,18 +559,17 @@ fn plus_plus_init(
     let mut centroids = Vec::with_capacity(k * dim);
     let first = rng.next_below(n as u64) as usize;
     centroids.extend_from_slice(&data[first * dim..(first + 1) * dim]);
-    let mut dists: Vec<f64> = (0..n)
-        .map(|i| sq_dist(&data[i * dim..(i + 1) * dim], &centroids[0..dim]))
-        .collect();
+    let mut dists = vec![[0.0; LANES]; n.div_ceil(LANES)];
+    scan(&centroids[0..dim], points, dim, &mut dists);
     for c in 1..k {
-        let total: f64 = dists.iter().sum();
+        let total: f64 = dists.as_flattened()[..n].iter().sum();
         let chosen = if total <= 0.0 {
             // All points coincide with chosen centroids; any point works.
             rng.next_below(n as u64) as usize
         } else {
             let mut target = rng.next_f64() * total;
             let mut pick = n - 1;
-            for (i, &d) in dists.iter().enumerate() {
+            for (i, &d) in dists.as_flattened()[..n].iter().enumerate() {
                 if target < d {
                     pick = i;
                     break;
@@ -513,13 +579,11 @@ fn plus_plus_init(
             pick
         };
         centroids.extend_from_slice(&data[chosen * dim..(chosen + 1) * dim]);
-        for i in 0..n {
-            let d = sq_dist(
-                &data[i * dim..(i + 1) * dim],
-                &centroids[c * dim..(c + 1) * dim],
-            );
-            if d < dists[i] {
-                dists[i] = d;
+        let centroid = &centroids[c * dim..(c + 1) * dim];
+        for (lanes, block) in dists.iter_mut().zip(points.chunks_exact(dim)) {
+            let d = lane_sq_dists(centroid, block);
+            for (old, d) in lanes.iter_mut().zip(d) {
+                *old = if d < *old { d } else { *old };
             }
         }
     }
@@ -528,7 +592,7 @@ fn plus_plus_init(
 
 /// Per-restart seed: the same derivation the serial loop has always used.
 #[inline]
-fn restart_seed(seed: u64, run: u32) -> u64 {
+pub(crate) fn restart_seed(seed: u64, run: u32) -> u64 {
     seed.wrapping_add(u64::from(run) * 0x9E37)
 }
 
@@ -551,37 +615,6 @@ pub fn kmeans_best_of(
     n_init: u32,
 ) -> Result<KmeansResult, KmeansError> {
     kmeans_best_of_jobs(data, n, dim, k, max_iter, seed, n_init, SERIAL)
-}
-
-/// [`kmeans_best_of`] running every restart through the naive
-/// [`kmeans_reference`] kernel — same seed schedule, same winner fold.
-///
-/// This is the baseline the perf harness times the pruned kernel against;
-/// it must match [`kmeans_best_of`] bit-for-bit.
-///
-/// # Errors
-///
-/// As [`kmeans_best_of`].
-pub fn kmeans_best_of_reference(
-    data: &[f64],
-    n: usize,
-    dim: usize,
-    k: usize,
-    max_iter: u32,
-    seed: u64,
-    n_init: u32,
-) -> Result<KmeansResult, KmeansError> {
-    if n_init == 0 {
-        return Err(KmeansError::ZeroInit);
-    }
-    let mut best: Option<KmeansResult> = None;
-    for run in 0..n_init {
-        let r = kmeans_reference(data, n, dim, k, max_iter, restart_seed(seed, run))?;
-        if best.as_ref().is_none_or(|b| r.inertia < b.inertia) {
-            best = Some(r);
-        }
-    }
-    Ok(best.expect("n_init > 0"))
 }
 
 /// [`kmeans_best_of`] with the restarts fanned out over `jobs` workers.
@@ -607,10 +640,12 @@ pub fn kmeans_best_of_jobs(
     if n_init == 0 {
         return Err(KmeansError::ZeroInit);
     }
+    validate(data, n, dim, k)?;
+    let points = point_lanes(data, n, dim);
     let runs: Vec<u32> = (0..n_init).collect();
-    let results = try_parallel_map(jobs, &runs, |_, &run| {
-        kmeans(data, n, dim, k, max_iter, restart_seed(seed, run))
-    })?;
+    let results = parallel_map(jobs, &runs, |_, &run| {
+        lloyd(data, &points, n, dim, k, max_iter, restart_seed(seed, run))
+    });
     let mut best: Option<KmeansResult> = None;
     for r in results {
         if best.as_ref().is_none_or(|b| r.inertia < b.inertia) {
@@ -620,9 +655,59 @@ pub fn kmeans_best_of_jobs(
     Ok(best.expect("n_init > 0"))
 }
 
+/// The SimPoint sweep: for every `k` in `ks`, [`kmeans_best_of`] under
+/// `options` (`dim`, `max_iter`, `n_init`), seeded with
+/// `options.seed + k`, reduced to its [`KmeansSummary`]. Summaries come
+/// back in the order of `ks`.
+///
+/// Every (k, restart) pair is one work item over `jobs` workers, largest
+/// `k` first, so the longest runs start first and no worker waits at a
+/// `k` boundary for a slower restart. Each `k`'s restarts are folded in
+/// restart order with [`kmeans_best_of`]'s strict `inertia <` rule, so
+/// the summaries are identical for every job count.
+///
+/// # Errors
+///
+/// The first error, in the order of `ks`, that [`kmeans_best_of`] would
+/// return.
+pub fn kmeans_sweep(
+    data: &[f64],
+    n: usize,
+    ks: &[usize],
+    options: &SimPointOptions,
+    jobs: Jobs,
+) -> Result<Vec<KmeansSummary>, KmeansError> {
+    let dim = options.dim;
+    for &k in ks {
+        if options.n_init == 0 {
+            return Err(KmeansError::ZeroInit);
+        }
+        validate(data, n, dim, k)?;
+    }
+    let points = point_lanes(data, n, dim);
+    let mut order: Vec<usize> = (0..ks.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(ks[i]));
+    let items: Vec<(usize, u32)> = order
+        .iter()
+        .flat_map(|&i| (0..options.n_init).map(move |run| (i, run)))
+        .collect();
+    let runs = parallel_map(jobs, &items, |_, &(i, run)| {
+        let seed = restart_seed(options.seed.wrapping_add(ks[i] as u64), run);
+        lloyd(data, &points, n, dim, ks[i], options.max_iter, seed).into_summary()
+    });
+    let mut best: Vec<Option<KmeansSummary>> = vec![None; ks.len()];
+    for (&(i, _), r) in items.iter().zip(runs) {
+        if best[i].as_ref().is_none_or(|b| r.inertia < b.inertia) {
+            best[i] = Some(r);
+        }
+    }
+    Ok(best.into_iter().map(|b| b.expect("n_init > 0")).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{kmeans_best_of_reference, kmeans_reference};
 
     /// Three well-separated 2-D blobs.
     fn blobs() -> (Vec<f64>, usize) {
@@ -636,6 +721,21 @@ mod tests {
             }
         }
         (data, 120)
+    }
+
+    /// Four well-separated 2-D blobs of unequal sizes, so a restart that
+    /// finds the same partition under other labels shows in the
+    /// assignments and in the order of the cluster sizes.
+    fn unequal_blobs() -> (Vec<f64>, usize) {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(5);
+        let mut data = Vec::new();
+        for (c, size) in [30usize, 45, 60, 25].into_iter().enumerate() {
+            for _ in 0..size {
+                data.push(c as f64 * 4.0 + rng.next_f64());
+                data.push((c % 2) as f64 * 3.0 + rng.next_f64());
+            }
+        }
+        (data, 160)
     }
 
     #[test]
@@ -762,7 +862,18 @@ mod tests {
 
     #[test]
     fn pruned_matches_reference_on_random_data() {
-        for (n, dim, k) in [(50, 3, 4), (200, 15, 12), (33, 1, 33)] {
+        // Shapes with exactly one, two and four centroid blocks, a
+        // partial fifth, and point counts off a multiple of eight.
+        let shapes = [
+            (50, 3, 4),
+            (200, 15, 12),
+            (33, 1, 33),
+            (300, 16, 8),
+            (77, 15, 16),
+            (261, 7, 32),
+            (140, 16, 40),
+        ];
+        for (n, dim, k) in shapes {
             let data = random_matrix(n as u64 * 31 + dim as u64, n, dim, 4.0);
             let p = kmeans(&data, n, dim, k, 60, 9).unwrap();
             let r = kmeans_reference(&data, n, dim, k, 60, 9).unwrap();
@@ -815,9 +926,120 @@ mod tests {
             let pruned = kmeans_best_of(&data, n, 2, k, 100, 17, 4).unwrap();
             assert_bit_identical(&naive, &pruned, &format!("best-of k={k}"));
         }
+        // Restarts that find the same partition under other labels tie
+        // on inertia; the first of them must win.
+        let (data, n) = unequal_blobs();
+        let naive = kmeans_best_of_reference(&data, n, 2, 4, 100, 17, 6).unwrap();
+        let pruned = kmeans_best_of(&data, n, 2, 4, 100, 17, 6).unwrap();
+        assert_bit_identical(&naive, &pruned, "best-of unequal blobs");
         assert!(matches!(
             kmeans_best_of_reference(&data, n, 2, 2, 100, 17, 0),
             Err(KmeansError::ZeroInit)
         ));
+    }
+
+    #[test]
+    fn lanes_equal_scalar_sq_dist_bitwise() {
+        // Every lane of a block, in both operand orders, for each
+        // dimension up to 16 and block tails of every length.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(23);
+        for dim in 1..=16 {
+            for count in [1, 5, 8, 9, 16, 19] {
+                let vectors = random_matrix(rng.next_u64(), count, dim, 6.0);
+                let x = random_matrix(rng.next_u64(), 1, dim, 6.0);
+                let mut blocks = Vec::new();
+                to_lanes(&vectors, count, dim, f64::INFINITY, &mut blocks);
+                for (b, block) in blocks.chunks_exact(dim).enumerate() {
+                    let lanes = lane_sq_dists(&x, block);
+                    for (l, &d) in lanes.iter().enumerate() {
+                        let v = b * LANES + l;
+                        if v >= count {
+                            assert_eq!(d, f64::INFINITY, "padding lane {v}");
+                            continue;
+                        }
+                        let row = &vectors[v * dim..(v + 1) * dim];
+                        let what = format!("dim={dim} vector {v}");
+                        assert_eq!(d.to_bits(), sq_dist(&x, row).to_bits(), "{what}");
+                        assert_eq!(d.to_bits(), sq_dist(row, &x).to_bits(), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_argmin_matches_the_strict_first_minimum_loop() {
+        // Distances drawn from a few values, so ties are common; the
+        // padding lanes past `k` hold +inf as in the kernel.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(41);
+        for k in 1..=40usize {
+            for _ in 0..25 {
+                let values: Vec<f64> = (0..k).map(|_| rng.next_below(4) as f64 * 0.5).collect();
+                let mut dists = vec![[f64::INFINITY; LANES]; k.div_ceil(LANES)];
+                dists.as_flattened_mut()[..k].copy_from_slice(&values);
+                let (mut best, mut best_d, mut second_d) = (0, f64::INFINITY, f64::INFINITY);
+                for (c, &d) in values.iter().enumerate() {
+                    if d < best_d {
+                        second_d = best_d;
+                        best_d = d;
+                        best = c;
+                    } else if d < second_d {
+                        second_d = d;
+                    }
+                }
+                let lane_best_d = min_except(&dists, usize::MAX);
+                let lane_best = first_index_of(&dists, lane_best_d);
+                let what = format!("k={k} {values:?}");
+                assert_eq!(lane_best, best, "{what}: best");
+                assert_eq!(lane_best_d.to_bits(), best_d.to_bits(), "{what}: best_d");
+                let lane_second = min_except(&dists, lane_best);
+                assert_eq!(lane_second.to_bits(), second_d.to_bits(), "{what}: second");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_matches_per_k_reference_best_of() {
+        let (data, n) = unequal_blobs();
+        let options = SimPointOptions {
+            dim: 2,
+            n_init: 3,
+            max_iter: 40,
+            seed: 77,
+            ..SimPointOptions::default()
+        };
+        let ks = [3, 1, 9, 4, 17, 2];
+        let expected: Vec<KmeansSummary> = ks
+            .iter()
+            .map(|&k| {
+                kmeans_best_of_reference(&data, n, 2, k, 40, 77 + k as u64, 3)
+                    .unwrap()
+                    .into_summary()
+            })
+            .collect();
+        for jobs in [SERIAL, Jobs::new(2).unwrap(), Jobs::new(5).unwrap()] {
+            let got = kmeans_sweep(&data, n, &ks, &options, jobs).unwrap();
+            assert_eq!(got.len(), ks.len());
+            for ((g, e), k) in got.iter().zip(&expected).zip(ks) {
+                let what = format!("k={k} jobs={jobs}");
+                assert_eq!(g.k(), e.k(), "{what}: k");
+                assert_eq!(g.points(), n, "{what}: points");
+                assert_eq!(g.inertia().to_bits(), e.inertia().to_bits(), "{what}");
+                assert_eq!(g.cluster_sizes(), e.cluster_sizes(), "{what}: sizes");
+            }
+        }
+        let zero_init = SimPointOptions {
+            n_init: 0,
+            ..options
+        };
+        assert_eq!(
+            kmeans_sweep(&data, n, &ks, &zero_init, SERIAL),
+            Err(KmeansError::ZeroInit)
+        );
+        assert_eq!(
+            kmeans_sweep(&data, n, &[2, 0], &options, SERIAL),
+            Err(KmeansError::ZeroK)
+        );
+        assert_eq!(kmeans_sweep(&data, n, &[], &zero_init, SERIAL), Ok(vec![]));
     }
 }

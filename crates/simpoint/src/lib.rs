@@ -50,6 +50,7 @@ pub mod bbv;
 pub mod bic;
 pub mod kmeans;
 pub mod project;
+pub mod reference;
 pub mod select;
 pub mod smarts;
 pub mod strategy;
@@ -59,10 +60,7 @@ pub mod vli;
 mod analysis;
 
 pub use analysis::{SimPointError, SimPointOptions, SimPointsResult};
-pub use kmeans::{
-    kmeans, kmeans_best_of, kmeans_best_of_jobs, kmeans_best_of_reference, kmeans_reference,
-    KmeansError, KmeansResult,
-};
+pub use kmeans::{kmeans, kmeans_best_of, kmeans_best_of_jobs, KmeansError, KmeansResult};
 pub use project::RandomProjection;
 pub use select::SimPoint;
 pub use strategy::{

@@ -13,7 +13,7 @@
 //! and matrix rows are generated once per distinct block and reused from a
 //! flat row-major cache. The per-entry accumulation order is unchanged, so
 //! the output is bit-identical to projecting each BBV in isolation (and to
-//! the dense walk, see [`RandomProjection::project_dense_reference`]).
+//! the dense walk, see [`crate::reference::project_dense_reference`]).
 
 use crate::bbv::Bbv;
 use sampsim_util::rng::SplitMix64;
@@ -81,7 +81,7 @@ impl RandomProjection {
 
     /// The matrix row for `block`: `dim` values uniform in `[-1, 1]`,
     /// generated on demand from the seed.
-    fn row(&self, block: u32, out: &mut [f64]) {
+    pub(crate) fn row(&self, block: u32, out: &mut [f64]) {
         let mut rng = SplitMix64::new(self.seed ^ (u64::from(block).wrapping_mul(0x9E37_79B9)));
         for slot in out.iter_mut() {
             // Map to [-1, 1).
@@ -133,31 +133,6 @@ impl RandomProjection {
                 for (o, &r) in slot.iter_mut().zip(row) {
                     *o += value * r;
                 }
-            }
-        }
-        out
-    }
-
-    /// Dense-walk reference projection for one BBV: materializes the full
-    /// dense vector up to `num_blocks` and multiplies every block —
-    /// present or not — through the matrix. The zero blocks contribute
-    /// exact zero terms, so the result is bit-identical to the sparse
-    /// path; kept as the differential-testing oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bbv` references a block at or beyond `num_blocks`.
-    pub fn project_dense_reference(&self, bbv: &Bbv, num_blocks: u32) -> Vec<f64> {
-        let mut dense = vec![0.0f64; num_blocks as usize];
-        for &(block, value) in bbv.entries() {
-            dense[block as usize] = value;
-        }
-        let mut out = vec![0.0; self.dim];
-        let mut row = vec![0.0; self.dim];
-        for (block, &value) in dense.iter().enumerate() {
-            self.row(block as u32, &mut row);
-            for (o, r) in out.iter_mut().zip(&row) {
-                *o += value * r;
             }
         }
         out
@@ -254,7 +229,7 @@ mod tests {
         let p = RandomProjection::new(15, 123);
         let bbv = Bbv::from_counts(vec![(1, 5), (9, 2), (63, 11)]).normalized();
         let sparse = p.project(&bbv);
-        let dense = p.project_dense_reference(&bbv, 64);
+        let dense = crate::reference::project_dense_reference(&p, &bbv, 64);
         for (a, b) in sparse.iter().zip(&dense) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

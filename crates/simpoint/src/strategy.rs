@@ -36,7 +36,7 @@
 use crate::analysis::{SimPointError, SimPointOptions, SimPointsResult};
 use crate::bbv::Bbv;
 use crate::bic::{bic_score, choose_k};
-use crate::kmeans::{kmeans_best_of_jobs, KmeansResult};
+use crate::kmeans::{kmeans_best_of_jobs, kmeans_sweep};
 use crate::project::RandomProjection;
 use crate::select::{select_simpoints, SimPoint};
 use sampsim_exec::Jobs;
@@ -174,8 +174,9 @@ impl SimPointStrategy {
     }
 
     /// Projection → per-`k` clustering → BIC selection → representative
-    /// selection. This is the reference SimPoint implementation. The k-means
-    /// restarts fan out over `jobs` workers; the restart winner is chosen
+    /// selection. This is the reference SimPoint implementation. Every
+    /// (k, restart) pair of the BIC sweep, and then the chosen `k`'s
+    /// restarts, fan out over `jobs` workers; winners are chosen
     /// deterministically, so the job count changes wall-clock time only.
     ///
     /// # Errors
@@ -196,6 +197,7 @@ impl SimPointStrategy {
         let data = projection.project_all_normalized(bbvs);
 
         // Score candidate k on a subsample when the slice count is large.
+        let sample;
         let (score_data, score_n) = if n > o.sample_size {
             let mut rng = Xoshiro256StarStar::seed_from_u64(o.seed ^ 0x5A5A);
             let mut idx: Vec<usize> = (0..n).collect();
@@ -206,36 +208,33 @@ impl SimPointStrategy {
             for &i in &idx {
                 sub.extend_from_slice(&data[i * o.dim..(i + 1) * o.dim]);
             }
-            (sub, o.sample_size)
+            sample = sub;
+            (sample.as_slice(), o.sample_size)
         } else {
-            (data.clone(), n)
+            (data.as_slice(), n)
         };
 
-        // Full Lloyd with restarts under the per-k seed schedule that
-        // scoring and the final clustering share.
-        let cluster = |data: &[f64], n: usize, k: usize| {
-            let seed = o.seed.wrapping_add(k as u64);
-            kmeans_best_of_jobs(data, n, o.dim, k, o.max_iter, seed, o.n_init, jobs)
-        };
-
-        let max_k = o.max_k.min(score_n);
-        let mut bic_scores = Vec::with_capacity(max_k);
-        for k in 1..=max_k {
-            let r = cluster(&score_data, score_n, k)?;
-            bic_scores.push((k, bic_score(&r, o.dim)));
-        }
+        // Full Lloyd with restarts under the per-k seed schedule
+        // (`seed + k`) that scoring and the final clustering share.
+        let ks: Vec<usize> = (1..=o.max_k.min(score_n)).collect();
+        let bic_scores: Vec<(usize, f64)> = kmeans_sweep(score_data, score_n, &ks, o, jobs)?
+            .iter()
+            .map(|clustering| (clustering.k(), bic_score(clustering, o.dim)))
+            .collect();
         let best_k = choose_k(&bic_scores, o.bic_threshold);
 
         // Final clustering at the chosen k over every slice.
-        let final_result: KmeansResult = cluster(&data, n, best_k)?;
+        let seed = o.seed.wrapping_add(best_k as u64);
+        let final_result =
+            kmeans_best_of_jobs(&data, n, o.dim, best_k, o.max_iter, seed, o.n_init, jobs)?;
         let points = select_simpoints(&final_result, &data, o.dim);
         Ok(SimPointsResult {
             k: best_k,
             slice_size,
-            assignments: final_result.assignments.clone(),
+            avg_variance: final_result.avg_variance(),
+            assignments: final_result.assignments,
             points,
             bic_scores,
-            avg_variance: final_result.avg_variance(),
         })
     }
 }

@@ -5,37 +5,29 @@
 //! clusters shrinks — forcing phases to share clusters costs accuracy.
 
 use crate::bbv::Bbv;
-use crate::kmeans::kmeans_best_of;
+use crate::kmeans::kmeans_sweep;
 use crate::project::RandomProjection;
 use crate::SimPointOptions;
+use sampsim_exec::SERIAL;
 
 /// For each `k` in `ks`, clusters the (normalized, projected) BBVs and
 /// reports the average intra-cluster variance. Returns `(k, variance)`
-/// pairs in the order given.
+/// pairs in the order given. The clusterings are the ones
+/// [`crate::SimPointStrategy::analyze`] scores: [`kmeans_sweep`] under
+/// the same options.
 ///
 /// # Panics
 ///
 /// Panics if `bbvs` is empty or any `k` is zero.
 pub fn variance_sweep(bbvs: &[Bbv], ks: &[usize], options: &SimPointOptions) -> Vec<(usize, f64)> {
     assert!(!bbvs.is_empty(), "no slices to analyze");
+    assert!(ks.iter().all(|&k| k > 0), "k must be positive");
     let projection = RandomProjection::new(options.dim, options.seed);
     let data = projection.project_all_normalized(bbvs);
-    let n = bbvs.len();
+    let sweep = kmeans_sweep(&data, bbvs.len(), ks, options, SERIAL).expect("validated inputs");
     ks.iter()
-        .map(|&k| {
-            assert!(k > 0, "k must be positive");
-            let r = kmeans_best_of(
-                &data,
-                n,
-                options.dim,
-                k,
-                options.max_iter,
-                options.seed.wrapping_add(k as u64),
-                options.n_init,
-            )
-            .expect("validated inputs");
-            (k, r.avg_variance())
-        })
+        .zip(sweep)
+        .map(|(&k, clustering)| (k, clustering.avg_variance()))
         .collect()
 }
 

@@ -192,6 +192,18 @@ for refused in "fig3a --maxk 6" "fig3b --slice 40"; do
         || { echo "figure refusals: 'figure $refused' exited $code, not 2" >&2; exit 1; }
 done
 
+echo "==> sampsim run at MaxK 35 (the full BIC sweep: --jobs 1 == --jobs 3)"
+# Every smoke above runs MaxK 6 on 0.002-scale inputs. 503.bwaves_r at
+# scale 0.01 has 25,601 slices, so the default MaxK 35 scores a
+# subsample and the sweep fans out 70 (k, restart) items; the output
+# must not depend on how they are spread over workers.
+for jobs in 1 3; do
+    "$sampsim_bin" run bwaves_r --scale 0.01 --jobs "$jobs" \
+        > "$serve_dir/bwaves-jobs$jobs.json" 2> /dev/null
+done
+cmp "$serve_dir/bwaves-jobs1.json" "$serve_dir/bwaves-jobs3.json" \
+    || { echo "run smoke: bwaves_r --jobs 3 != --jobs 1" >&2; exit 1; }
+
 echo "==> sampsim perf --quick (kernel smoke + regression gate)"
 # Times the optimized kernels against their naive references at smoke
 # sizes — every timed pair is asserted identical — and gates the

@@ -335,7 +335,8 @@ fn kmeans_restarts_are_bit_identical_across_job_counts() {
     // pick the same winner, bit for bit — including the naive reference
     // kernel, which shares the restart seed schedule.
     use sampsim::simpoint::project::RandomProjection;
-    use sampsim::simpoint::{kmeans_best_of, kmeans_best_of_jobs, kmeans_best_of_reference};
+    use sampsim::simpoint::reference::kmeans_best_of_reference;
+    use sampsim::simpoint::{kmeans_best_of, kmeans_best_of_jobs};
 
     let program = synthetic(77);
     let pipeline = Pipeline::new(config(false));
@@ -358,6 +359,75 @@ fn kmeans_restarts_are_bit_identical_across_job_counts() {
             assert_eq!(par.centroids.len(), serial.centroids.len());
             for (a, b) in par.centroids.iter().zip(&serial.centroids) {
                 assert_f64_bits(*a, *b, &format!("{what}: centroid"));
+            }
+        }
+    }
+}
+
+#[test]
+fn bic_sweep_fan_out_matches_a_per_k_reference_fold() {
+    // `analyze` runs every (k, restart) pair of its BIC sweep as one work
+    // item, largest k first. The oracle is the serial per-k loop over the
+    // naive kernel: `kmeans_best_of_reference` for each k, BIC on its
+    // winner, then the chosen k over every slice. Scoring runs on every
+    // slice (sample_size above n) and on a seeded subsample (below n).
+    use sampsim::simpoint::bic::{bic_score, choose_k};
+    use sampsim::simpoint::project::RandomProjection;
+    use sampsim::simpoint::reference::kmeans_best_of_reference;
+    use sampsim::simpoint::select::select_simpoints;
+    use sampsim::util::rng::Xoshiro256StarStar;
+
+    let program = synthetic(77);
+    let (bbvs, _, _) = Pipeline::new(config(false)).profile_jobs(&program, SERIAL);
+    let n = bbvs.len();
+    for sample_size in [8_000, n / 2] {
+        let o = SimPointOptions {
+            max_k: 10,
+            sample_size,
+            ..config(false).simpoint
+        };
+        let data = RandomProjection::new(o.dim, o.seed).project_all_normalized(&bbvs);
+        let (score, score_n) = if n > o.sample_size {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(o.seed ^ 0x5A5A);
+            let mut idx: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut idx);
+            idx.truncate(o.sample_size);
+            idx.sort_unstable();
+            let rows = idx.iter().flat_map(|&i| &data[i * o.dim..(i + 1) * o.dim]);
+            (rows.copied().collect::<Vec<f64>>(), o.sample_size)
+        } else {
+            (data.clone(), n)
+        };
+        let cluster = |data: &[f64], n: usize, k: usize| {
+            let seed = o.seed.wrapping_add(k as u64);
+            kmeans_best_of_reference(data, n, o.dim, k, o.max_iter, seed, o.n_init).unwrap()
+        };
+        let bic: Vec<(usize, f64)> = (1..=o.max_k.min(score_n))
+            .map(|k| {
+                (
+                    k,
+                    bic_score(&cluster(&score, score_n, k).into_summary(), o.dim),
+                )
+            })
+            .collect();
+        let k = choose_k(&bic, o.bic_threshold);
+        let last = cluster(&data, n, k);
+        let points = select_simpoints(&last, &data, o.dim);
+        for jobs in job_grid() {
+            let what = format!("sample_size {sample_size} of {n} (jobs = {jobs})");
+            let got = SimPointStrategy::new(o)
+                .analyze(&bbvs, 1_000, jobs)
+                .unwrap();
+            assert_eq!(got.k, k, "{what}: k");
+            assert_eq!(got.bic_scores.len(), bic.len(), "{what}: BIC count");
+            for (a, b) in got.bic_scores.iter().zip(&bic) {
+                assert_eq!(a.0, b.0, "{what}: BIC k");
+                assert_f64_bits(a.1, b.1, &format!("{what}: BIC at k={}", b.0));
+            }
+            assert_eq!(got.assignments, last.assignments, "{what}: assignments");
+            assert_eq!(got.points, points, "{what}: points");
+            for (a, b) in got.points.iter().zip(&points) {
+                assert_f64_bits(a.weight, b.weight, &format!("{what}: weight"));
             }
         }
     }

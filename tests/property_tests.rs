@@ -99,11 +99,14 @@ fn kmeans_invariants() {
 /// data that forces duplicate centroids and empty-cluster reseeds.
 #[test]
 fn pruned_kmeans_matches_reference_bitwise() {
-    use sampsim::simpoint::kmeans::kmeans_reference;
+    use sampsim::simpoint::reference::kmeans_reference;
     run_cases("pruned-kmeans-bitwise", 48, |g| {
-        let n = g.usize_in(4..120);
-        let dim = g.usize_in(1..12);
-        let k = g.usize_in(1..24);
+        // Up to 40 clusters (one to five blocks of eight, exactly 8, 16
+        // and 32 among them), up to 300 points (every point-block tail)
+        // and up to 16 dimensions.
+        let n = g.usize_in(4..301);
+        let dim = g.usize_in(1..17);
+        let k = g.usize_in(1..41);
         let max_iter = g.u64_in(0..80) as u32;
         let seed = g.u64_in(0..10_000);
         let mut rng = sampsim::util::rng::Xoshiro256StarStar::seed_from_u64(seed);
@@ -147,6 +150,7 @@ fn pruned_kmeans_matches_reference_bitwise() {
 #[test]
 fn sparse_projection_matches_dense_bitwise() {
     use sampsim::simpoint::project::RandomProjection;
+    use sampsim::simpoint::reference::project_dense_reference;
     run_cases("sparse-projection-bitwise", 48, |g| {
         let dim = g.usize_in(1..20);
         let seed = g.u64_in(0..10_000);
@@ -170,12 +174,12 @@ fn sparse_projection_matches_dense_bitwise() {
         let batch = projection.project_all_normalized(&bbvs);
         assert_eq!(batch.len(), nbbv * dim);
         for (i, bbv) in bbvs.iter().enumerate() {
-            let dense = projection.project_dense_reference(&bbv.normalized(), num_blocks);
+            let dense = project_dense_reference(&projection, &bbv.normalized(), num_blocks);
             for (a, b) in batch[i * dim..(i + 1) * dim].iter().zip(&dense) {
                 assert_eq!(a.to_bits(), b.to_bits(), "normalized {a} vs {b}");
             }
             let sparse_raw = projection.project(bbv);
-            let dense_raw = projection.project_dense_reference(bbv, num_blocks);
+            let dense_raw = project_dense_reference(&projection, bbv, num_blocks);
             for (a, b) in sparse_raw.iter().zip(&dense_raw) {
                 assert_eq!(a.to_bits(), b.to_bits(), "raw {a} vs {b}");
             }
