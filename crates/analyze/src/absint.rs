@@ -11,7 +11,6 @@
 //! from the static IR, so they hold for *every* execution.
 
 use crate::diag::{Diagnostic, Location, Report, Rule};
-use crate::fixpoint::JoinSemiLattice;
 use sampsim_cache::hierarchy::HierarchyConfig;
 use sampsim_cache::CacheConfig;
 use sampsim_workload::block::INST_BYTES;
@@ -59,10 +58,10 @@ impl Interval {
             Interval::Range { lo, hi } => (lo..=hi).contains(&addr),
         }
     }
-}
 
-impl JoinSemiLattice for Interval {
-    fn join(&mut self, other: &Self) -> bool {
+    /// Joins `other` into `self` (the hull of both); returns `true` when
+    /// `self` grew.
+    pub fn join(&mut self, other: &Self) -> bool {
         match (*self, *other) {
             (_, Interval::Empty) => false,
             (Interval::Empty, r) => {

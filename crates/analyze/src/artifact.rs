@@ -1,15 +1,13 @@
-//! Artifact audits (`SA040`–`SA049`): post-hoc validity of SimPoint
-//! results, regional pinballs and BBV matrices.
+//! Artifact audits (`SA040`, `SA041`, `SA047`–`SA049`): post-hoc
+//! validity of regional pinballs.
 //!
 //! These are the checks the PinPoints-release methodology applies before
 //! publishing simulation points: weights must cover the run exactly once,
-//! every point must land inside the profiled window, and checkpoints must
-//! belong to the program they claim to represent.
+//! every region must start on its slice inside the run, and checkpoints
+//! must belong to the program they claim to represent.
 
 use crate::diag::{Diagnostic, Location, Report, Rule};
 use sampsim_pinball::RegionalPinball;
-use sampsim_simpoint::bbv::Bbv;
-use sampsim_simpoint::{SimPoint, SimPointsResult};
 use sampsim_workload::Program;
 
 /// Tolerance on the unit-weight invariant. Weights are ratios of small
@@ -17,90 +15,31 @@ use sampsim_workload::Program;
 /// floating-point rounding.
 pub const WEIGHT_SUM_TOLERANCE: f64 = 1e-6;
 
-/// Audits a SimPoint analysis result. `label` names the artifact in
-/// diagnostics (e.g. a benchmark or file name).
-pub fn audit_simpoints(result: &SimPointsResult, label: &str) -> Report {
-    let mut report = Report::new();
-    let loc = |detail: String| Location::artifact(format!("{label}: {detail}"));
-    let num_slices = result.assignments.len() as u64;
-
-    audit_weights(
-        result.points.iter().map(|p| p.weight),
-        &mut report,
-        label,
-        "point",
-    );
-
-    // SA042: point slices inside the profiled window.
-    for p in &result.points {
-        if num_slices > 0 && p.slice >= num_slices {
-            report.push(Diagnostic::new(
-                Rule::PointOutOfRange,
-                loc(format!("point at slice {}", p.slice)),
-                format!(
-                    "point references slice {} of a {num_slices}-slice run",
-                    p.slice
-                ),
-            ));
-        }
-        // SA043: point cluster ids inside k.
-        if (p.cluster as usize) >= result.k {
-            report.push(Diagnostic::new(
-                Rule::BadAssignment,
-                loc(format!("point at slice {}", p.slice)),
-                format!("point cluster {} is outside k = {}", p.cluster, result.k),
-            ));
-        }
-    }
-
-    // SA043: per-slice assignments inside k.
-    for (i, &a) in result.assignments.iter().enumerate() {
-        if (a as usize) >= result.k {
-            report.push(Diagnostic::new(
-                Rule::BadAssignment,
-                loc(format!("slice {i}")),
-                format!(
-                    "slice {i} is assigned cluster {a}, outside k = {}",
-                    result.k
-                ),
-            ));
-        }
-    }
-
-    // SA044: empty clusters.
-    if !result.assignments.is_empty() {
-        let mut sizes = vec![0u64; result.k];
-        for &a in &result.assignments {
-            if let Some(s) = sizes.get_mut(a as usize) {
-                *s += 1;
-            }
-        }
-        for (c, &size) in sizes.iter().enumerate() {
-            if size == 0 {
-                report.push(Diagnostic::new(
-                    Rule::EmptyCluster,
-                    loc(format!("cluster {c}")),
-                    format!("cluster {c} of k = {} holds no slices", result.k),
-                ));
-            }
-        }
-    }
-
-    report.merge(audit_point_uniqueness(&result.points, label));
-    report
-}
-
 /// Audits regional pinballs against the program they were captured from.
 pub fn audit_regions(regions: &[RegionalPinball], program: &Program, label: &str) -> Report {
     let mut report = Report::new();
     let loc = |detail: String| Location::artifact(format!("{label}: {detail}"));
 
-    audit_weights(
-        regions.iter().map(|pb| pb.weight),
-        &mut report,
-        label,
-        "region",
-    );
+    // SA041: each weight in (0, 1]; SA040: together they cover the run.
+    let mut total = 0.0;
+    for (i, pb) in regions.iter().enumerate() {
+        let w = pb.weight;
+        total += w;
+        if !w.is_finite() || w <= 0.0 || w > 1.0 {
+            report.push(Diagnostic::new(
+                Rule::BadWeight,
+                loc(format!("region {i}")),
+                format!("region {i} has weight {w}, outside (0, 1]"),
+            ));
+        }
+    }
+    if !regions.is_empty() && (total - 1.0).abs() > WEIGHT_SUM_TOLERANCE {
+        report.push(Diagnostic::new(
+            Rule::WeightSumDrift,
+            Location::artifact(label),
+            format!("region weights sum to {total}, expected 1.0"),
+        ));
+    }
 
     for pb in regions {
         let region = format!("region at slice {}", pb.slice_index);
@@ -153,89 +92,6 @@ pub fn audit_regions(regions: &[RegionalPinball], program: &Program, label: &str
                 Rule::DuplicatePoints,
                 loc(format!("region at slice {}", w[0])),
                 format!("two regions checkpoint the same slice {}", w[0]),
-            ));
-        }
-    }
-    report
-}
-
-/// Audits per-slice BBVs against the profiled program's block count.
-pub fn audit_bbvs(bbvs: &[Bbv], num_blocks: usize, label: &str) -> Report {
-    let mut report = Report::new();
-    let loc = |detail: String| Location::artifact(format!("{label}: {detail}"));
-    for (i, bbv) in bbvs.iter().enumerate() {
-        // SA046: empty slices.
-        if bbv.is_empty() {
-            report.push(Diagnostic::new(
-                Rule::EmptyBbv,
-                loc(format!("slice {i}")),
-                format!("slice {i} retired no instructions"),
-            ));
-            continue;
-        }
-        // SA045: dimension consistency.
-        for &(block, _) in bbv.entries() {
-            if (block as usize) >= num_blocks {
-                report.push(Diagnostic::new(
-                    Rule::BbvDimMismatch,
-                    loc(format!("slice {i}")),
-                    format!(
-                        "slice {i} counts block {block}, but the program has \
-                         {num_blocks} block(s)"
-                    ),
-                ));
-            }
-        }
-    }
-    report
-}
-
-/// Shared `SA040`/`SA041` weight checks.
-fn audit_weights(weights: impl Iterator<Item = f64>, report: &mut Report, label: &str, kind: &str) {
-    let mut total = 0.0;
-    let mut any = false;
-    for (i, w) in weights.enumerate() {
-        any = true;
-        total += w;
-        if !w.is_finite() || w <= 0.0 || w > 1.0 {
-            report.push(Diagnostic::new(
-                Rule::BadWeight,
-                Location::artifact(format!("{label}: {kind} {i}")),
-                format!("{kind} {i} has weight {w}, outside (0, 1]"),
-            ));
-        }
-    }
-    if any && (total - 1.0).abs() > WEIGHT_SUM_TOLERANCE {
-        report.push(Diagnostic::new(
-            Rule::WeightSumDrift,
-            Location::artifact(label.to_string()),
-            format!("{kind} weights sum to {total}, expected 1.0"),
-        ));
-    }
-}
-
-/// `SA049` on a raw point set.
-fn audit_point_uniqueness(points: &[SimPoint], label: &str) -> Report {
-    let mut report = Report::new();
-    let mut by_slice: Vec<u64> = points.iter().map(|p| p.slice).collect();
-    by_slice.sort_unstable();
-    for w in by_slice.windows(2) {
-        if w[0] == w[1] {
-            report.push(Diagnostic::new(
-                Rule::DuplicatePoints,
-                Location::artifact(format!("{label}: point at slice {}", w[0])),
-                format!("two points represent the same slice {}", w[0]),
-            ));
-        }
-    }
-    let mut by_cluster: Vec<u32> = points.iter().map(|p| p.cluster).collect();
-    by_cluster.sort_unstable();
-    for w in by_cluster.windows(2) {
-        if w[0] == w[1] {
-            report.push(Diagnostic::new(
-                Rule::DuplicatePoints,
-                Location::artifact(format!("{label}: cluster {}", w[0])),
-                format!("two points represent the same cluster {}", w[0]),
             ));
         }
     }

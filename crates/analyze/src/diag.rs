@@ -43,7 +43,7 @@ macro_rules! rules {
         /// Codes are grouped by family: `SA00x`/`SA01x` workload IR lints,
         /// `SA02x` sampling-configuration lints, `SA03x` cache-geometry
         /// lints, `SA04x` artifact audits, `SA10x` memory abstract
-        /// interpretation, `SA11x` phase-graph structure, `SA12x`
+        /// interpretation, `SA11x` schedule recurrence, `SA12x`
         /// static-vs-dynamic audit oracle, `SA13x` sampling-strategy
         /// validation, `SA14x` statistical soundness. See
         /// `docs/lint-rules.md` and `docs/static-analysis.md` for the full
@@ -254,29 +254,6 @@ rules! {
         "simulation-point weight is outside (0, 1]",
         "each weight is the represented fraction of execution and must \
          be a finite value in (0, 1]"),
-    /// A point's slice index is out of range.
-    PointOutOfRange => ("SA042", Error,
-        "simulation point references a slice beyond the run",
-        "point slice indices must be < the number of profiled slices"),
-    /// A cluster assignment or point cluster id is out of range.
-    BadAssignment => ("SA043", Error,
-        "cluster id is outside the chosen k",
-        "assignments and point cluster ids must be < the result's k"),
-    /// A cluster in `0..k` holds no slices.
-    EmptyCluster => ("SA044", Warning,
-        "a cluster contains no slices",
-        "empty clusters mean the chosen k overstates the distinct \
-         behaviours; the BIC sweep may have been run on degenerate data"),
-    /// A BBV names a block id beyond the program's block table.
-    BbvDimMismatch => ("SA045", Error,
-        "basic-block vector references a block beyond the program",
-        "BBV dimensions must agree with the profiled program's block \
-         count across all slices"),
-    /// A slice's BBV is empty.
-    EmptyBbv => ("SA046", Warning,
-        "slice has an empty basic-block vector",
-        "a slice that retired no instructions distorts normalization; \
-         check the slicing boundaries"),
     /// A pinball's program digest does not match the program.
     DigestMismatch => ("SA047", Error,
         "pinball was captured from a different program build",
@@ -287,9 +264,9 @@ rules! {
         "regional pinball is not aligned to its slice",
         "`start.retired` must equal `slice_index * length` and the region \
          must end at or before the program's end"),
-    /// Two points share a slice or a cluster.
+    /// Two regional pinballs checkpoint the same slice.
     DuplicatePoints => ("SA049", Error,
-        "two simulation points share a slice or cluster",
+        "two simulation points share a slice",
         "each occupied cluster contributes exactly one representative \
          slice; duplicates double-count execution weight"),
 
@@ -324,7 +301,7 @@ rules! {
         "every access of the stream costs a TLB miss; use a sub-page \
          stride or shrink the region below entries * page_bytes"),
 
-    // ---- phase-graph structure (SA11x) ----
+    // ---- schedule recurrence (SA11x) ----
     /// A phase appears exactly once in the schedule of a multi-phase
     /// program.
     NonRecurrentPhase => ("SA110", Note,
@@ -579,6 +556,16 @@ impl Report {
     /// Whether any error-severity diagnostic is present.
     pub fn has_errors(&self) -> bool {
         self.count(Severity::Error) > 0
+    }
+
+    /// The error-severity diagnostics, in emission order: the findings
+    /// that block a run, without the warnings and notes beside them.
+    pub fn errors(&self) -> Vec<Diagnostic> {
+        self.diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .cloned()
+            .collect()
     }
 
     /// Whether the report is completely empty.

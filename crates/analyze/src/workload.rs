@@ -1,5 +1,6 @@
 //! Workload IR lints (`SA001`–`SA014`): structural validity of basic
-//! blocks, phases and the schedule.
+//! blocks, phases and the schedule, plus the schedule's one recurrence
+//! fact (`SA110`).
 //!
 //! [`lint_program`] checks a fully built [`Program`];
 //! [`lint_program_parts`] runs the same rules over loose parts, which lets
@@ -231,15 +232,16 @@ pub fn lint_program_parts(
         }
     }
 
-    // SA003: unreachable phases.
-    let mut scheduled = vec![false; phases.len()];
+    // SA003: unreachable phases. The per-phase segment counts also
+    // decide SA110 below.
+    let mut segments = vec![0u64; phases.len()];
     for seg in schedule.segments() {
-        if let Some(flag) = scheduled.get_mut(seg.phase as usize) {
-            *flag = true;
+        if let Some(count) = segments.get_mut(seg.phase as usize) {
+            *count += 1;
         }
     }
-    for (p, seen) in scheduled.iter().enumerate() {
-        if !seen {
+    for (p, &count) in segments.iter().enumerate() {
+        if count == 0 {
             report.push(Diagnostic::new(
                 Rule::UnreachablePhase,
                 loc(format!("phase {p}")),
@@ -255,6 +257,38 @@ pub fn lint_program_parts(
             loc("schedule".into()),
             "the schedule contains no instructions".to_string(),
         ));
+    }
+
+    // SA110: phases of a multi-phase program that own exactly one
+    // schedule segment, folded into one note per workload.
+    if phases.len() > 1 {
+        let once: Vec<String> = segments
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count == 1)
+            .map(|(p, _)| p.to_string())
+            .collect();
+        if !once.is_empty() {
+            let message = if once.len() == 1 {
+                format!(
+                    "phase {} owns exactly one schedule segment and never recurs",
+                    once[0]
+                )
+            } else {
+                format!(
+                    "{} of {} phases own exactly one schedule segment and \
+                     never recur: {}",
+                    once.len(),
+                    phases.len(),
+                    once.join(", ")
+                )
+            };
+            report.push(Diagnostic::new(
+                Rule::NonRecurrentPhase,
+                loc("schedule".into()),
+                message,
+            ));
+        }
     }
 
     report
@@ -307,6 +341,7 @@ pub fn diagnose_ir_error(name: &str, err: &IrError) -> Diagnostic {
 mod tests {
     use super::*;
     use sampsim_workload::spec::{PhaseSpec, WorkloadSpec};
+    use sampsim_workload::Segment;
 
     #[test]
     fn built_workload_is_clean() {
@@ -384,5 +419,53 @@ mod tests {
             assert_eq!(d.rule, rule, "{err}");
             assert_eq!(d.message, err.to_string());
         }
+    }
+
+    fn sched(phases: &[u32]) -> Schedule {
+        Schedule::new(
+            phases
+                .iter()
+                .map(|&p| Segment {
+                    phase: p,
+                    insts: 100,
+                })
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn non_recurrent_phase_noted() {
+        let program = WorkloadSpec::builder("w", 7)
+            .total_insts(100_000)
+            .phase(PhaseSpec::balanced(1.0))
+            .phase(PhaseSpec::memory_bound(1.0))
+            .phase(PhaseSpec::balanced(1.0))
+            .phase(PhaseSpec::memory_bound(1.0))
+            .build()
+            .build();
+        let (blocks, phases) = (program.blocks(), program.phases());
+        let lint =
+            |n: usize, order: &[u32]| lint_program_parts("w", blocks, &phases[..n], &sched(order));
+
+        let r = lint(3, &[0, 1, 0, 2, 0]);
+        assert!(r.fired(Rule::NonRecurrentPhase));
+        assert_eq!(
+            r.diagnostics().len(),
+            1,
+            "phases 1 and 2 fold into one note"
+        );
+        assert!(
+            r.diagnostics()[0].message.contains("1, 2"),
+            "{:?}",
+            r.diagnostics()[0].message
+        );
+        assert!(lint(2, &[0, 1, 0, 1]).is_empty());
+        assert!(lint(1, &[0]).is_empty(), "single-phase programs are exempt");
+
+        // The note comes last, after the schedule's structural findings.
+        let r = lint(4, &[0, 1, 0, 2, 0]);
+        let rules: Vec<Rule> = r.diagnostics().iter().map(|d| d.rule).collect();
+        assert_eq!(rules, [Rule::UnreachablePhase, Rule::NonRecurrentPhase]);
     }
 }

@@ -2,16 +2,15 @@
 //! one clean counterpart, plus a golden test of the JSON renderer shape.
 
 use sampsim_analyze::{
-    audit_bbvs, audit_bbvs_static, audit_cursors, audit_regions, audit_simpoints,
-    diagnose_ir_error, diagnose_unreadable_artifact, lint_hierarchy, lint_memory, lint_phase_graph,
-    lint_program, lint_program_parts, lint_sampling_config, lint_simpoint_options,
-    render_json_lines, AuditSummary, Diagnostic, Location, Report, Rule, SamplingConfig, Severity,
-    StaticBbvBounds,
+    audit_bbvs_static, audit_cursors, audit_regions, diagnose_ir_error,
+    diagnose_unreadable_artifact, lint_hierarchy, lint_memory, lint_program, lint_program_parts,
+    lint_sampling_config, lint_simpoint_options, render_json_lines, AuditSummary, Diagnostic,
+    Location, Report, Rule, SamplingConfig, Severity, StaticBbvBounds,
 };
 use sampsim_cache::{configs, HierarchyConfig};
 use sampsim_pinball::RegionalPinball;
 use sampsim_simpoint::bbv::Bbv;
-use sampsim_simpoint::{SimPoint, SimPointOptions, SimPointsResult};
+use sampsim_simpoint::SimPointOptions;
 use sampsim_workload::spec::{PhaseSpec, WorkloadSpec};
 use sampsim_workload::{
     AddressPattern, BasicBlock, Cursor, InstKind, MemRegion, Phase, Program, Schedule, Segment,
@@ -114,28 +113,6 @@ fn region(program: &Program, slice_index: u64, length: u64, weight: f64) -> Regi
         weight,
         slice_index as u32,
     )
-}
-
-fn simpoints_result() -> SimPointsResult {
-    SimPointsResult {
-        k: 2,
-        slice_size: 1_000,
-        assignments: vec![0, 1, 0, 1],
-        points: vec![
-            SimPoint {
-                slice: 0,
-                cluster: 0,
-                weight: 0.5,
-            },
-            SimPoint {
-                slice: 1,
-                cluster: 1,
-                weight: 0.5,
-            },
-        ],
-        bic_scores: vec![(1, 0.5), (2, 1.0)],
-        avg_variance: 0.1,
-    }
 }
 
 // ---------------------------------------------------------- workload rules
@@ -439,63 +416,33 @@ fn sa034_bad_tlb() {
 
 #[test]
 fn valid_artifacts_are_clean() {
-    assert!(audit_simpoints(&simpoints_result(), "fixture").is_empty());
     let program = built_program();
     let regions = vec![region(&program, 2, 1_000, 1.0)];
     assert!(audit_regions(&regions, &program, "fixture").is_empty());
-    let bbvs = vec![Bbv::from_counts(vec![(0, 10), (3, 5)])];
-    assert!(audit_bbvs(&bbvs, 4, "fixture").is_empty());
 }
 
 #[test]
 fn sa040_weight_sum_drift() {
-    let mut r = simpoints_result();
-    r.points[0].weight = 0.25; // sums to 0.75
-    assert!(audit_simpoints(&r, "fixture").fired(Rule::WeightSumDrift));
+    let program = built_program();
+    let regions = vec![
+        region(&program, 2, 1_000, 0.5),
+        region(&program, 3, 1_000, 0.25),
+    ]; // sums to 0.75
+    let report = audit_regions(&regions, &program, "fixture");
+    assert!(report.fired(Rule::WeightSumDrift));
+    assert!(!report.fired(Rule::BadWeight), "{:?}", report.diagnostics());
 }
 
 #[test]
 fn sa041_bad_weight() {
-    let mut r = simpoints_result();
-    r.points[0].weight = -0.5;
-    r.points[1].weight = 1.5;
-    assert!(audit_simpoints(&r, "fixture").fired(Rule::BadWeight));
-}
-
-#[test]
-fn sa042_point_out_of_range() {
-    let mut r = simpoints_result();
-    r.points[1].slice = 99; // only 4 slices
-    assert!(audit_simpoints(&r, "fixture").fired(Rule::PointOutOfRange));
-}
-
-#[test]
-fn sa043_bad_assignment() {
-    let mut r = simpoints_result();
-    r.assignments[2] = 9; // outside k = 2
-    assert!(audit_simpoints(&r, "fixture").fired(Rule::BadAssignment));
-    let mut r = simpoints_result();
-    r.points[0].cluster = 5;
-    assert!(audit_simpoints(&r, "fixture").fired(Rule::BadAssignment));
-}
-
-#[test]
-fn sa044_empty_cluster() {
-    let mut r = simpoints_result();
-    r.assignments = vec![0, 0, 0, 0]; // cluster 1 empty
-    assert!(audit_simpoints(&r, "fixture").fired(Rule::EmptyCluster));
-}
-
-#[test]
-fn sa045_bbv_dim_mismatch() {
-    let bbvs = vec![Bbv::from_counts(vec![(9, 10)])];
-    assert!(audit_bbvs(&bbvs, 4, "fixture").fired(Rule::BbvDimMismatch));
-}
-
-#[test]
-fn sa046_empty_bbv() {
-    let bbvs = vec![Bbv::from_counts(Vec::new())];
-    assert!(audit_bbvs(&bbvs, 4, "fixture").fired(Rule::EmptyBbv));
+    let program = built_program();
+    let regions = vec![
+        region(&program, 2, 1_000, -0.5),
+        region(&program, 3, 1_000, 1.5),
+    ]; // sums to 1.0
+    let report = audit_regions(&regions, &program, "fixture");
+    let rules: Vec<Rule> = report.diagnostics().iter().map(|d| d.rule).collect();
+    assert_eq!(rules, [Rule::BadWeight, Rule::BadWeight]);
 }
 
 #[test]
@@ -527,9 +474,6 @@ fn sa049_duplicate_points() {
         region(&program, 2, 1_000, 0.5),
     ];
     assert!(audit_regions(&regions, &program, "fixture").fired(Rule::DuplicatePoints));
-    let mut r = simpoints_result();
-    r.points[1].slice = 0; // duplicate slice among points
-    assert!(audit_simpoints(&r, "fixture").fired(Rule::DuplicatePoints));
 }
 
 // ----------------------------------------- memory abstract interpretation
@@ -633,21 +577,23 @@ fn sa104_tlb_thrashing_stride() {
     assert!(!lint_memory(&stride_program(64, 1 << 20), &h).fired(Rule::TlbThrashingStride));
 }
 
-// --------------------------------------------------------- phase graph
+// ----------------------------------------------------- phase recurrence
 
 #[test]
 fn sa110_non_recurrent_phase() {
     // Phases 1 and 2 each run exactly once: SimPoint cannot tell their
     // one-shot slices from recurring behavior.
-    let report = lint_phase_graph("fixture", 3, &schedule(&[0, 1, 0, 2, 0]));
+    let (blocks, _, _) = clean_parts();
+    let phases = vec![phase(vec![0]), phase(vec![0]), phase(vec![0])];
+    let report = lint_parts(&blocks, &phases, &schedule(&[0, 1, 0, 2, 0]));
     assert!(report.fired(Rule::NonRecurrentPhase));
     // Both phases fold into one per-workload note naming each.
-    assert_eq!(report.diagnostics().len(), 1);
+    assert_eq!(report.diagnostics().len(), 1, "{:?}", report.diagnostics());
     assert!(report.diagnostics()[0].message.contains("1, 2"));
     // Every phase recurs: clean.
-    assert!(lint_phase_graph("fixture", 2, &schedule(&[0, 1, 0, 1])).is_empty());
+    assert!(lint_parts(&blocks, &phases[..2], &schedule(&[0, 1, 0, 1])).is_empty());
     // A single-phase program is exempt (nothing to confuse).
-    assert!(lint_phase_graph("fixture", 1, &schedule(&[0])).is_empty());
+    assert!(lint_parts(&blocks, &phases[..1], &schedule(&[0])).is_empty());
 }
 
 // ------------------------------------------- static-vs-dynamic oracle

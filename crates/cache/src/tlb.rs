@@ -2,7 +2,9 @@
 //!
 //! The paper's `allcache` Pintool simulates "instruction+data TLB+cache
 //! hierarchies"; the evaluation only reports cache miss rates, but the TLBs
-//! are modelled for completeness (and are exercised by the examples).
+//! are modelled for completeness: every fetch and data access of a
+//! `Hierarchy` translates through its ITLB or DTLB. This module's and the
+//! hierarchy's unit tests exercise them; no report prints their counts.
 
 /// TLB configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -135,7 +135,7 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Self {
         Self {
-            scale: Scale::from_env(),
+            scale: Scale::FULL,
             slice: None,
             maxk: None,
             jobs: Jobs::Auto,
@@ -335,14 +335,32 @@ pub enum LintFormat {
     Json,
 }
 
-/// Parses an argument iterator.
+/// A scale factor from `source` (`--scale` or `SAMPSIM_SCALE`), checked
+/// against the one bound every front door shares.
+fn parse_scale(source: &str, value: &str) -> Result<Scale, String> {
+    value
+        .trim()
+        .parse()
+        .ok()
+        .and_then(Scale::checked)
+        .ok_or_else(|| {
+            format!(
+                "bad {source} value: {value} (must be positive and at most {})",
+                Scale::MAX
+            )
+        })
+}
+
+/// Parses an argument iterator. Without `--scale`, the scale comes from
+/// `SAMPSIM_SCALE` when it is set.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on unknown commands/flags or missing
-/// operands.
+/// Returns a human-readable message on unknown commands/flags, missing
+/// operands or a bad scale, naming where the bad scale came from.
 pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
     let mut options = Options::default();
+    let mut scale: Option<Scale> = None;
     let mut positionals: Vec<String> = Vec::new();
     let mut out: Option<String> = None;
     let mut limit: Option<u64> = None;
@@ -366,11 +384,7 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
         match arg.as_str() {
             "--scale" => {
                 let v = iter.next().ok_or("--scale needs a value")?;
-                let f: f64 = v.parse().map_err(|_| format!("bad --scale value: {v}"))?;
-                if !(f.is_finite() && f > 0.0) {
-                    return Err(format!("bad --scale value: {v}"));
-                }
-                options.scale = Scale::new(f);
+                scale = Some(parse_scale("--scale", &v)?);
             }
             "--slice" => {
                 let v = iter.next().ok_or("--slice needs a value")?;
@@ -479,6 +493,11 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
             _ => positionals.push(arg),
         }
     }
+    options.scale = match (scale, std::env::var("SAMPSIM_SCALE")) {
+        (Some(scale), _) => scale,
+        (None, Ok(v)) => parse_scale("SAMPSIM_SCALE", &v)?,
+        (None, Err(_)) => Scale::FULL,
+    };
     let mut positionals = positionals.into_iter();
     let command = match positionals.next().as_deref() {
         None | Some("help") => Command::Help,
@@ -1050,5 +1069,6 @@ mod tests {
         assert!(parse_str("list extra").is_err());
         assert!(parse_str("profile x --scale nope").is_err());
         assert!(parse_str("profile x --scale -1").is_err());
+        assert!(parse_str("plan mcf_r --scale 1e15").is_err());
     }
 }

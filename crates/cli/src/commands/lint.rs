@@ -3,8 +3,8 @@
 
 use crate::args::{LintFormat, Options};
 use sampsim_analyze::{
-    audit_regions, lint_memory, lint_phase_graph, lint_program, lint_soundness, render_human,
-    render_json_lines, Report, Rule, SoundnessInput,
+    audit_regions, lint_memory, lint_program, lint_soundness, render_human, render_json_lines,
+    Report, Rule, SoundnessInput,
 };
 use sampsim_cache::configs;
 use sampsim_pinball::store;
@@ -33,14 +33,8 @@ pub fn lint(
     for spec in &specs {
         let program = spec.scaled(options.scale).build();
         report.merge(lint_program(&program));
-        // The deeper framework passes: phase-transition graph structure
-        // and memory abstract interpretation against the paper's
-        // `allcache` hierarchy (the geometry every profile runs against).
-        report.merge(lint_phase_graph(
-            program.name(),
-            program.phases().len(),
-            program.schedule(),
-        ));
+        // Memory abstract interpretation against the paper's `allcache`
+        // hierarchy (the geometry every profile runs against).
         report.merge(lint_memory(&program, &configs::allcache_table1()));
         // Run-length proportionality rules (SA022/SA028) depend on the
         // program; keep only those here so config-wide findings are not

@@ -99,11 +99,28 @@ fn lint_suite_is_clean() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8(out.stdout).unwrap();
-    // The deeper passes (phase graph, memory abstract interpretation)
-    // legitimately note one-shot phases and dead streams on the shipped
-    // suite; errors and warnings must never fire.
+    // The IR lint (one-shot phases, SA110) and the memory pass (dead
+    // streams, SA102) legitimately note things on the shipped suite;
+    // errors and warnings must never fire.
     assert!(!text.contains("error["), "{text}");
     assert!(!text.contains("warning["), "{text}");
+}
+
+#[test]
+fn lint_suite_json_matches_the_golden_file() {
+    // Every finding of the suite-wide lint, byte for byte: which rules
+    // fire, on which workloads, with which messages, in which order.
+    let out = sampsim()
+        .args(["lint", "--scale", "0.01", "--format", "json"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = include_str!("golden/lint_suite_scale_0.01.jsonl");
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), golden);
 }
 
 #[test]
@@ -339,6 +356,18 @@ fn jobs_zero_is_a_usage_error() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("--jobs must be at least 1"), "{err}");
     assert!(err.contains("usage:"), "{err}");
+}
+
+#[test]
+fn a_bad_sampsim_scale_is_a_usage_error() {
+    let out = sampsim()
+        .args(["plan", "mcf_r"])
+        .env("SAMPSIM_SCALE", "0.01x")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("bad SAMPSIM_SCALE value: 0.01x"), "{err}");
 }
 
 #[test]

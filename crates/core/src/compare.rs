@@ -150,7 +150,7 @@ pub fn compare_strategies(
     let pipeline = Pipeline::new(config.clone());
     let preflight = pipeline.preflight(program);
     if preflight.has_errors() {
-        return Err(CoreError::Config(preflight.into_diagnostics()));
+        return Err(CoreError::Config(preflight.errors()));
     }
     let reps = replicates.max(1);
     let (truth, sampled) = sampsim_exec::join(

@@ -1,6 +1,6 @@
 //! Crate-wide error type.
 
-use sampsim_analyze::{Diagnostic, Severity};
+use sampsim_analyze::Diagnostic;
 use sampsim_pinball::PinballError;
 use sampsim_simpoint::SimPointError;
 use std::fmt;
@@ -22,7 +22,7 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Config(diags) => {
                 write!(f, "invalid pipeline configuration:")?;
-                for d in diags.iter().filter(|d| d.severity == Severity::Error) {
+                for d in diags {
                     write!(f, " [{}] {};", d.rule.code(), d.message)?;
                 }
                 Ok(())

@@ -193,9 +193,7 @@ impl Pipeline {
             }
         };
         if preflight.report.has_errors() {
-            return Err(CoreError::Config(
-                preflight.report.clone().into_diagnostics(),
-            ));
+            return Err(CoreError::Config(preflight.report.errors()));
         }
         let key = profile_stage_key(program, &self.config);
         let cached = options
@@ -232,8 +230,8 @@ impl Pipeline {
     }
 
     /// The full static-analysis preflight: configuration lints plus the
-    /// program-level passes — IR structure, phase-graph shape, and (when a
-    /// cache hierarchy is configured) the memory abstract interpretation
+    /// program-level passes — IR structure and phase recurrence, and (when
+    /// a cache hierarchy is configured) the memory abstract interpretation
     /// against its geometry. [`Pipeline::run`] refuses to execute on
     /// error-severity findings; callers wanting the warnings/notes (CLI
     /// `lint`, the serve daemon) call this directly.
@@ -242,11 +240,6 @@ impl Pipeline {
             .then(|| program.total_insts().div_ceil(self.config.slice_size));
         let mut report = self.config.lint(expected_slices);
         report.merge(sampsim_analyze::lint_program(program));
-        report.merge(sampsim_analyze::lint_phase_graph(
-            program.name(),
-            program.phases().len(),
-            program.schedule(),
-        ));
         if let Some(hierarchy) = &self.config.profile_cache {
             report.merge(sampsim_analyze::lint_memory(program, hierarchy));
         }

@@ -183,12 +183,9 @@ pub fn plan_strategy(
     let pipeline = crate::pipeline::Pipeline::new(config.clone());
     let report = pipeline.preflight(program);
     let structural: Vec<Diagnostic> = report
-        .diagnostics()
-        .iter()
-        .filter(|d| {
-            d.severity == sampsim_analyze::Severity::Error && !d.rule.code().starts_with("SA14")
-        })
-        .cloned()
+        .errors()
+        .into_iter()
+        .filter(|d| !d.rule.code().starts_with("SA14"))
         .collect();
     if !structural.is_empty() {
         return Err(CoreError::Config(structural));

@@ -22,18 +22,12 @@ use sampsim_util::scale::Scale;
 use sampsim_workload::Program;
 use std::fmt;
 
-/// Largest workload scale a request may ask for. The largest suite
-/// program runs about 2.6e11 instructions at this scale; far above it
-/// the generated instruction counts overflow `u64`. No documented use
-/// goes above 1.0.
-pub const MAX_SCALE: f64 = 1e3;
-
 /// A validated run request: everything that determines the response bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRequest {
     /// Benchmark name or unique substring.
     pub bench: String,
-    /// Workload scale factor (finite, positive and at most [`MAX_SCALE`]).
+    /// Workload scale factor (positive and at most [`Scale::MAX`]).
     pub scale: f64,
     /// Slice-size override (`None` = default 10 000, scaled).
     pub slice: Option<u64>,
@@ -78,7 +72,7 @@ pub enum ServiceError {
     /// A request field failed validation.
     BadRequest(String),
     /// The derived pipeline configuration failed the `sampsim-analyze`
-    /// lint pass; carries the structured diagnostics.
+    /// lint pass; carries the error-severity diagnostics that blocked it.
     InvalidConfig(Vec<Diagnostic>),
     /// The pipeline itself failed.
     Internal(String),
@@ -162,9 +156,9 @@ pub fn find_benchmark(pattern: &str) -> Result<BenchmarkSpec, String> {
 
 /// Validates a request end to end: benchmark resolution, scale check,
 /// config construction, and the full `sampsim-analyze` preflight — config
-/// lints plus the program-level passes (IR structure, phase graph, memory
-/// abstract interpretation against the `allcache` hierarchy). Pure —
-/// nothing is executed.
+/// lints plus the program-level passes (IR structure and phase recurrence,
+/// memory abstract interpretation against the `allcache` hierarchy). Pure
+/// — nothing is executed.
 ///
 /// # Errors
 ///
@@ -173,9 +167,7 @@ pub fn prepare(request: &RunRequest) -> Result<Prepared, ServiceError> {
     let (spec, program, config) = build_request(request)?;
     let preflight = Pipeline::new(config.clone()).preflight_checked(&program);
     if preflight.report().has_errors() {
-        return Err(ServiceError::InvalidConfig(
-            preflight.report().clone().into_diagnostics(),
-        ));
+        return Err(ServiceError::InvalidConfig(preflight.report().errors()));
     }
     let key = response_key(&program, &config);
     Ok(Prepared {
@@ -194,13 +186,13 @@ fn build_request(
     request: &RunRequest,
 ) -> Result<(BenchmarkSpec, Program, PinPointsConfig), ServiceError> {
     let spec = find_benchmark(&request.bench).map_err(ServiceError::UnknownBench)?;
-    if !(request.scale > 0.0 && request.scale <= MAX_SCALE) {
-        return Err(ServiceError::BadRequest(format!(
-            "scale must be positive and at most {MAX_SCALE}, got {}",
+    let scale = Scale::checked(request.scale).ok_or_else(|| {
+        ServiceError::BadRequest(format!(
+            "scale must be positive and at most {}, got {}",
+            Scale::MAX,
             request.scale
-        )));
-    }
-    let scale = Scale::new(request.scale);
+        ))
+    })?;
     let program = spec.scaled(scale).build();
     let mut config = PinPointsConfig {
         slice_size: request.slice.unwrap_or_else(|| scale.apply(10_000)),
@@ -221,7 +213,7 @@ fn build_request(
     if let Some(name) = &request.strategy {
         let report = sampsim_analyze::lint_strategy_name(name);
         if report.has_errors() {
-            return Err(ServiceError::InvalidConfig(report.into_diagnostics()));
+            return Err(ServiceError::InvalidConfig(report.errors()));
         }
         config.strategy =
             StrategySpec::parse_spec(name).expect("lint-validated strategy specs always parse");
@@ -409,8 +401,20 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(invalid.code(), "invalid-config");
+        // Only the rule that blocked the run is named: the program's
+        // SA110 and SA102 notes are not reasons to refuse it.
+        assert_eq!(invalid.to_string(), "configuration failed lint: SA020");
         let reply = invalid.reply();
         assert!(reply.contains("\"rules\":"), "{reply}");
+        let doc = sampsim_util::json::parse(&reply).unwrap();
+        let rules = doc.get("error").and_then(|e| e.get("rules"));
+        let severities: Vec<_> = rules
+            .and_then(|r| r.as_array())
+            .unwrap()
+            .iter()
+            .map(|rule| rule.get("severity").and_then(|s| s.as_str()))
+            .collect();
+        assert_eq!(severities, [Some("error")], "{reply}");
         assert!(reply.contains("SA020"), "{reply}");
         let maxk = prepare(&RunRequest {
             maxk: Some(0),
@@ -418,7 +422,7 @@ mod tests {
         })
         .unwrap_err();
         assert!(maxk.reply().contains("SA021"), "{}", maxk.reply());
-        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY, MAX_SCALE * 2.0, 1e300] {
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY, Scale::MAX * 2.0, 1e300] {
             let err = prepare(&RunRequest {
                 scale,
                 ..tiny_request()

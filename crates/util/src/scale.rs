@@ -6,8 +6,10 @@
 //! at full fidelity (benchmark harness), reduced fidelity (examples) or as a
 //! smoke test (unit/integration tests) without changing any code.
 //!
-//! The factor can come from the `SAMPSIM_SCALE` environment variable
-//! (`Scale::from_env`), which the benchmark binaries honour.
+//! Every front door that takes a factor from outside (the CLI's
+//! `--scale` and `SAMPSIM_SCALE`, a served request's `scale`) accepts it
+//! only through [`Scale::checked`], so one bound, [`Scale::MAX`], holds
+//! everywhere.
 
 /// A multiplicative scaling factor applied to workload sizes.
 ///
@@ -31,6 +33,12 @@ impl Scale {
     /// Tiny scale for unit and integration tests.
     pub const TEST: Scale = Scale { factor: 0.01 };
 
+    /// The largest factor [`Scale::checked`] accepts. The largest suite
+    /// program runs about 2.6e11 instructions at this scale; far above it
+    /// the generated instruction counts overflow `u64`. No documented use
+    /// goes above 1.0.
+    pub const MAX: f64 = 1e3;
+
     /// Creates a scale with the given factor.
     ///
     /// # Panics
@@ -44,18 +52,10 @@ impl Scale {
         Self { factor }
     }
 
-    /// Reads `SAMPSIM_SCALE` from the environment, defaulting to 1.0.
-    ///
-    /// Invalid values are ignored (full scale is used) rather than aborting a
-    /// long benchmark run.
-    pub fn from_env() -> Self {
-        match std::env::var("SAMPSIM_SCALE") {
-            Ok(s) => match s.trim().parse::<f64>() {
-                Ok(f) if f.is_finite() && f > 0.0 => Scale::new(f),
-                _ => Scale::FULL,
-            },
-            Err(_) => Scale::FULL,
-        }
+    /// The scale for a factor from outside the program: `None` unless
+    /// the factor is positive and at most [`Scale::MAX`].
+    pub fn checked(factor: f64) -> Option<Self> {
+        (factor > 0.0 && factor <= Self::MAX).then_some(Self { factor })
     }
 
     /// The raw factor.
@@ -90,6 +90,15 @@ mod tests {
     #[should_panic(expected = "scale factor must be finite and positive")]
     fn zero_factor_panics() {
         Scale::new(0.0);
+    }
+
+    #[test]
+    fn checked_accepts_only_positive_factors_up_to_max() {
+        assert_eq!(Scale::checked(0.5), Some(Scale::new(0.5)));
+        assert_eq!(Scale::checked(Scale::MAX), Some(Scale::new(Scale::MAX)));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, Scale::MAX * 2.0, 1e15] {
+            assert_eq!(Scale::checked(bad), None, "{bad}");
+        }
     }
 
     #[test]
