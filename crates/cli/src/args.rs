@@ -1,8 +1,17 @@
 //! Hand-rolled argument parsing (no external dependencies).
+//!
+//! Every command is declared once, in [`COMMANDS`]: its name, how many
+//! operands it takes, the flags it reads and its handler. [`parse`]
+//! checks each flag's value, then refuses any flag the command does not
+//! read, so no command's output can claim a setting it never used.
 
+use crate::commands::{self, UsageError};
+use crate::figures;
 use sampsim_exec::Jobs;
 use sampsim_simpoint::MAX_REPLICATES;
 use sampsim_util::scale::Scale;
+use std::error::Error;
+use std::str::FromStr;
 
 /// Usage text shown by `sampsim help` and on parse errors.
 pub const USAGE: &str = "\
@@ -33,14 +42,25 @@ commands:
                                figures to names containing it
   help                         show this text
 
-flags:
-  --scale <f>    workload scale factor (default: $SAMPSIM_SCALE or 1.0)
-  --slice <n>    slice size in instructions (default: 10000, scaled)
-  --maxk <n>     maximum cluster count (default: 35)
-  --jobs <n>     worker threads ('auto' or >= 1; default: auto). Results
-                 are bit-identical for every job count.
+A command takes the shared flags that name it and the flags of its own
+section below; it refuses any other flag (exit 2).
+
+shared flags:
+  --scale <f>    workload scale factor (default: $SAMPSIM_SCALE or 1.0);
+                 read by run, simpoints, report, profile, replay, trace,
+                 compare, plan, lint, audit, request and figure
+  --slice <n>    slice size in instructions (default: 10000, scaled); read
+                 by run, simpoints, report, compare, plan, lint, audit,
+                 request and figure
+  --maxk <n>     maximum cluster count (default: 35); read by run,
+                 simpoints, report, compare, plan, lint, request and figure
+  --jobs <n>     worker threads ('auto' or >= 1; default: auto); read by
+                 run, simpoints, report, replay, compare, audit, perf,
+                 serve, fleet and figure. Results are bit-identical for
+                 every job count.
   --strategy <name>
-                 region-selection strategy for run/request/plan/figure (one of:
+                 region-selection strategy for run, simpoints, report,
+                 plan, lint, request and figure (one of:
                  simpoint, stratified2p, rss; default: simpoint), with
                  optional parameters, e.g. rss:set_size=8,replicates=4
 
@@ -116,197 +136,300 @@ figure flags:
 
 <bench> is a SPEC name (e.g. 505.mcf_r) or a unique substring (mcf_r).";
 
-/// Global options shared by all commands.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Options {
-    /// Workload scale.
-    pub scale: Scale,
-    /// Slice size override (`None` = default 10 000, scaled).
-    pub slice: Option<u64>,
-    /// MaxK override.
-    pub maxk: Option<usize>,
-    /// Worker threads for parallel replay/profiling.
-    pub jobs: Jobs,
-    /// Sampling-strategy name (`None` = the pipeline default, SimPoint).
-    /// Validated against the strategy registry by the command, not here.
-    pub strategy: Option<String>,
+/// One command: its name, the most operands it takes, the flags it reads
+/// (`-o` also stands for `--out`) and its handler, which yields the exit
+/// code.
+pub struct Command {
+    /// The name on the command line.
+    pub name: &'static str,
+    /// The most operands it takes; the handler checks the ones it needs.
+    operands: usize,
+    /// Every flag it reads; [`parse`] refuses the others.
+    pub flags: &'static [&'static str],
+    /// Runs the command.
+    pub run: fn(&Args) -> Result<u8, Box<dyn Error>>,
 }
 
-impl Default for Options {
+/// Every command, in `USAGE` order.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "list",
+        operands: 0,
+        flags: &[],
+        run: |_| commands::list().map(|()| 0),
+    },
+    Command {
+        name: "run",
+        operands: 1,
+        flags: &["--scale", "--slice", "--maxk", "--strategy", "--jobs", "-o"],
+        run: |a| commands::run(a).map(|()| 0),
+    },
+    Command {
+        name: "profile",
+        operands: 1,
+        flags: &["--scale"],
+        run: |a| commands::profile(a).map(|()| 0),
+    },
+    Command {
+        name: "simpoints",
+        operands: 1,
+        flags: &["--scale", "--slice", "--maxk", "--strategy", "--jobs", "-o"],
+        run: |a| commands::simpoints(a).map(|()| 0),
+    },
+    Command {
+        name: "replay",
+        operands: 1,
+        flags: &["--scale", "--jobs"],
+        run: |a| commands::replay(a).map(|()| 0),
+    },
+    Command {
+        name: "report",
+        operands: 1,
+        flags: &["--scale", "--slice", "--maxk", "--strategy", "--jobs"],
+        run: |a| commands::report(a).map(|()| 0),
+    },
+    Command {
+        name: "compare",
+        operands: 1,
+        flags: &[
+            "--scale",
+            "--slice",
+            "--maxk",
+            "--jobs",
+            "--reps",
+            "-o",
+            "--validate",
+        ],
+        run: |a| commands::compare(a).map(|()| 0),
+    },
+    Command {
+        name: "plan",
+        operands: 1,
+        flags: &[
+            "--scale",
+            "--slice",
+            "--maxk",
+            "--strategy",
+            "-o",
+            "--validate",
+        ],
+        run: |a| commands::plan(a).map(|()| 0),
+    },
+    Command {
+        name: "trace",
+        operands: 1,
+        flags: &["--scale", "-o", "--limit"],
+        run: |a| commands::trace(a).map(|()| 0),
+    },
+    Command {
+        name: "lint",
+        operands: 1,
+        flags: &[
+            "--scale",
+            "--slice",
+            "--maxk",
+            "--strategy",
+            "--format",
+            "--deny-warnings",
+            "--artifacts",
+            "--explain",
+        ],
+        run: commands::lint,
+    },
+    Command {
+        name: "audit",
+        operands: 1,
+        flags: &[
+            "--scale",
+            "--slice",
+            "--jobs",
+            "--format",
+            "--deny-warnings",
+            "--artifacts",
+            "--update",
+        ],
+        run: commands::audit,
+    },
+    Command {
+        name: "perf",
+        operands: 0,
+        flags: &["--jobs", "--quick", "-o", "--validate", "--baseline"],
+        run: |a| commands::perf(a).map(|()| 0),
+    },
+    Command {
+        name: "serve",
+        operands: 0,
+        flags: &["--jobs", "--addr", "--cache-dir", "--queue-depth"],
+        run: |a| commands::serve(a).map(|()| 0),
+    },
+    Command {
+        name: "request",
+        operands: 1,
+        flags: &[
+            "--scale",
+            "--slice",
+            "--maxk",
+            "--strategy",
+            "--addr",
+            "--ping",
+            "--stats",
+            "--shutdown",
+            "--suite",
+            "--retries",
+            "-o",
+        ],
+        run: |a| commands::request(a).map(|()| 0),
+    },
+    Command {
+        name: "fleet",
+        operands: 0,
+        flags: &[
+            "--jobs",
+            "--shards",
+            "--addr",
+            "--cache-dir",
+            "--queue-depth",
+        ],
+        run: |a| commands::fleet(a).map(|()| 0),
+    },
+    Command {
+        name: "figure",
+        operands: 2,
+        flags: &[
+            "--scale",
+            "--slice",
+            "--maxk",
+            "--strategy",
+            "--jobs",
+            "--artifacts",
+        ],
+        run: |a| figures::figure(a).map(|()| 0),
+    },
+    Command {
+        name: "help",
+        operands: 0,
+        flags: &[],
+        run: |_| {
+            println!("{USAGE}");
+            Ok(0)
+        },
+    },
+];
+
+/// A parsed command line: the operands after the command name and every
+/// flag's value. A flag that was not given keeps its default.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Args {
+    /// Operands after the command name, in order.
+    pub operands: Vec<String>,
+    /// The flags given on the command line, in order (`-o` for `--out`).
+    pub given: Vec<&'static str>,
+    /// `--scale`; without it, `$SAMPSIM_SCALE` or full scale.
+    pub scale: Scale,
+    /// `--slice` (`None` = default 10 000, scaled).
+    pub slice: Option<u64>,
+    /// `--maxk`.
+    pub maxk: Option<usize>,
+    /// `--jobs`: worker threads.
+    pub jobs: Jobs,
+    /// `--strategy` (`None` = the pipeline default, SimPoint). Validated
+    /// against the strategy registry by the command, not here.
+    pub strategy: Option<String>,
+    /// `-o`: where the command also writes its output.
+    pub out: Option<String>,
+    /// `--limit`: instruction cap (`None` = whole run).
+    pub limit: Option<u64>,
+    /// `--format`.
+    pub format: LintFormat,
+    /// `--deny-warnings`: warnings count toward the exit code too.
+    pub deny_warnings: bool,
+    /// `--artifacts`: a directory of saved pinballs, audit summaries or
+    /// figure memo entries.
+    pub artifacts: Option<String>,
+    /// `--quick`: smoke-test sizes instead of measurement sizes.
+    pub quick: bool,
+    /// `--update`: rewrite the `.art` summaries in `--artifacts`.
+    pub update: bool,
+    /// `--reps`: replicates per strategy (`None` = `compare`'s default).
+    pub reps: Option<usize>,
+    /// `--validate`: check this saved report instead of running anything.
+    pub validate: Option<String>,
+    /// `--baseline`: gate a fresh perf report against this one.
+    pub baseline: Option<String>,
+    /// `--explain`: print this lint rule's description instead of linting.
+    pub explain: Option<String>,
+    /// `--addr`: listen or daemon address.
+    pub addr: String,
+    /// `--cache-dir`: on-disk cache root (`None` = memory tiers only).
+    pub cache_dir: Option<String>,
+    /// `--queue-depth`: admission-queue depth.
+    pub queue_depth: usize,
+    /// `--ping`, `--stats`, `--shutdown` or `--suite`: the request op.
+    pub op: RequestOp,
+    /// `--retries`: attempt bound for transient failures (`None` =
+    /// default).
+    pub retries: Option<u32>,
+    /// `--shards`: backend shard count.
+    pub shards: usize,
+}
+
+impl Default for Args {
     fn default() -> Self {
         Self {
+            operands: Vec::new(),
+            given: Vec::new(),
             scale: Scale::FULL,
             slice: None,
             maxk: None,
             jobs: Jobs::Auto,
             strategy: None,
+            out: None,
+            limit: None,
+            format: LintFormat::default(),
+            deny_warnings: false,
+            artifacts: None,
+            quick: false,
+            update: false,
+            reps: None,
+            validate: None,
+            baseline: None,
+            explain: None,
+            addr: sampsim_serve::DEFAULT_ADDR.to_string(),
+            cache_dir: None,
+            queue_depth: sampsim_serve::DEFAULT_QUEUE_DEPTH,
+            op: RequestOp::default(),
+            retries: None,
+            shards: 2,
         }
     }
 }
 
-/// A parsed command line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Parsed {
-    /// The subcommand.
-    pub command: Command,
-    /// Global options.
-    pub options: Options,
-}
+impl Args {
+    /// The `i`th operand, if given.
+    pub fn operand(&self, i: usize) -> Option<&str> {
+        self.operands.get(i).map(String::as_str)
+    }
 
-/// Subcommands.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Command {
-    /// `sampsim list`
-    List,
-    /// `sampsim run <bench> [-o FILE]` — the full sampling study with
-    /// deterministic JSON output.
-    Run {
-        /// Benchmark name or substring.
-        bench: String,
-        /// Also write the report to this path (stdout always gets it).
-        out: Option<String>,
-    },
-    /// `sampsim profile <bench>`
-    Profile {
-        /// Benchmark name or substring.
-        bench: String,
-    },
-    /// `sampsim simpoints <bench> [-o DIR]`
-    SimPoints {
-        /// Benchmark name or substring.
-        bench: String,
-        /// Output directory for pinball files.
-        out: Option<String>,
-    },
-    /// `sampsim replay <FILE>`
-    Replay {
-        /// Path to a regional-pinball file.
-        path: String,
-    },
-    /// `sampsim report <bench>`
-    Report {
-        /// Benchmark name or substring.
-        bench: String,
-    },
-    /// `sampsim compare <bench> [--reps N] [-o FILE]` — run every
-    /// registered sampling strategy and report its CPI and cache-miss-rate
-    /// error against the whole-program run, with confidence intervals.
-    Compare {
-        /// Benchmark name or substring (`None` only with `--validate`).
-        bench: Option<String>,
-        /// Also write the JSON report to this path (stdout always gets it).
-        out: Option<String>,
-        /// Replicates per strategy (`None` = the driver default).
-        reps: Option<usize>,
-        /// Validate this existing report instead of running the study.
-        validate: Option<String>,
-    },
-    /// `sampsim plan <bench> [-o FILE]` — statically predict a strategy's
-    /// simulation cost, speedup bound and conservative CI half-width
-    /// bounds without executing anything.
-    Plan {
-        /// Benchmark name or substring (`None` only with `--validate`).
-        bench: Option<String>,
-        /// Also write the JSON plan to this path (stdout always gets it).
-        out: Option<String>,
-        /// Validate this existing plan report instead of planning.
-        validate: Option<String>,
-    },
-    /// `sampsim trace <bench> -o FILE`
-    Trace {
-        /// Benchmark name or substring.
-        bench: String,
-        /// Output trace file.
-        out: String,
-        /// Instruction cap (`None` = whole run).
-        limit: Option<u64>,
-    },
-    /// `sampsim lint [bench]`
-    Lint {
-        /// Benchmark name or substring (`None` = whole suite).
-        bench: Option<String>,
-        /// Output format.
-        format: LintFormat,
-        /// Treat warnings as errors when computing the exit code.
-        deny_warnings: bool,
-        /// Directory of saved `.pb` pinball files to audit.
-        artifacts: Option<String>,
-        /// Print this rule's one-paragraph description and exit instead
-        /// of linting (e.g. `SA140`).
-        explain: Option<String>,
-    },
-    /// `sampsim audit [bench]` — the static-vs-dynamic oracle.
-    Audit {
-        /// Benchmark name or substring (`None` = whole suite).
-        bench: Option<String>,
-        /// Output format.
-        format: LintFormat,
-        /// Treat warnings as errors when computing the exit code.
-        deny_warnings: bool,
-        /// Directory of `.art` audit summaries (and `.pb` pinballs) to
-        /// check instead of running the dynamic pass.
-        artifacts: Option<String>,
-        /// Rewrite the `.art` summaries in `--artifacts`.
-        update: bool,
-    },
-    /// `sampsim perf [--quick] [-o FILE] [--baseline FILE]`
-    Perf {
-        /// Smoke-test sizes instead of measurement sizes.
-        quick: bool,
-        /// Report path (`None` = stdout only).
-        out: Option<String>,
-        /// Validate this existing report instead of running kernels.
-        validate: Option<String>,
-        /// Gate the fresh report against this baseline report: fail on
-        /// any size-normalized rate regressing by more than 10%.
-        baseline: Option<String>,
-    },
-    /// `sampsim serve [--addr A] [--cache-dir DIR] [--queue-depth N]`
-    Serve {
-        /// Listen address.
-        addr: String,
-        /// On-disk cache directory (`None` = memory tier only).
-        cache_dir: Option<String>,
-        /// Admission-queue depth.
-        queue_depth: usize,
-    },
-    /// `sampsim request [bench] [--addr A] [--ping|--stats|--shutdown|--suite]`
-    Request {
-        /// Benchmark name or substring (required for run requests; an
-        /// optional comma-separated list for `--suite`).
-        bench: Option<String>,
-        /// Daemon address.
-        addr: String,
-        /// Which operation to send.
-        op: RequestOp,
-        /// Attempt bound for transient-failure retry (`None` = default).
-        retries: Option<u32>,
-        /// Also write the reply to this path (stdout always gets it).
-        out: Option<String>,
-    },
-    /// `sampsim fleet [--shards N] [--addr A] [--cache-dir DIR]
-    /// [--queue-depth N]`
-    Fleet {
-        /// Backend shard count.
-        shards: usize,
-        /// Router listen address.
-        addr: String,
-        /// Disk-tier root (`None` = memory tiers only).
-        cache_dir: Option<String>,
-        /// Admission-queue depth (router and shards).
-        queue_depth: usize,
-    },
-    /// `sampsim figure [name] [bench]`
-    Figure {
-        /// Exhibit to render (`None` = list them).
-        name: Option<String>,
-        /// Benchmark-name substring filter for suite figures.
-        bench: Option<String>,
-        /// Artifact cache directory.
-        artifacts: String,
-    },
-    /// `sampsim help`
-    Help,
+    /// The first operand; without it, the usage error `message`.
+    pub fn required(&self, message: &str) -> Result<&str, UsageError> {
+        self.operand(0)
+            .ok_or_else(|| UsageError(message.to_string()))
+    }
+
+    /// Refuses the first given flag that `who` does not `read`:
+    /// `<who> refuses <flag>: <why>`. Both a command and a figure
+    /// exhibit refuse through here.
+    pub fn refuse_unread(
+        &self,
+        who: &str,
+        read: impl Fn(&str) -> bool,
+        why: &str,
+    ) -> Result<(), String> {
+        match self.given.iter().find(|flag| !read(flag)) {
+            Some(flag) => Err(format!("{who} refuses {flag}: {why}")),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The operation `sampsim request` sends.
@@ -351,416 +474,228 @@ fn parse_scale(source: &str, value: &str) -> Result<Scale, String> {
         })
 }
 
-/// Parses an argument iterator. Without `--scale`, the scale comes from
-/// `SAMPSIM_SCALE` when it is set.
+/// The value of `flag` as a number.
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad {flag} value: {value}"))
+}
+
+/// The value of `flag` as a count of at least one.
+fn positive<T: FromStr + Default + PartialEq>(flag: &str, value: &str) -> Result<T, String> {
+    let n = number(flag, value)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be >= 1"));
+    }
+    Ok(n)
+}
+
+/// Parses an argument iterator into the command and its arguments.
+/// Without `--scale`, the scale comes from `SAMPSIM_SCALE` when it is
+/// set; that default is never refused.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on unknown commands/flags, missing
-/// operands or a bad scale, naming where the bad scale came from.
-pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Parsed, String> {
-    let mut options = Options::default();
+/// Returns a human-readable message on unknown commands/flags, a bad
+/// flag value (naming where a bad scale came from), a flag the command
+/// does not read, or more operands than it takes.
+pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<(&'static Command, Args), String> {
+    let mut args = Args::default();
     let mut scale: Option<Scale> = None;
-    let mut positionals: Vec<String> = Vec::new();
-    let mut out: Option<String> = None;
-    let mut limit: Option<u64> = None;
-    let mut format = LintFormat::default();
-    let mut deny_warnings = false;
-    let mut artifacts: Option<String> = None;
-    let mut quick = false;
-    let mut update = false;
-    let mut reps: Option<usize> = None;
-    let mut validate: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut explain: Option<String> = None;
-    let mut addr: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut queue_depth: Option<usize> = None;
-    let mut request_op: Option<RequestOp> = None;
-    let mut retries: Option<u32> = None;
-    let mut shards: Option<usize> = None;
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let v = iter.next().ok_or("--scale needs a value")?;
-                scale = Some(parse_scale("--scale", &v)?);
+    let mut words: Vec<String> = Vec::new();
+    let mut argv = argv.into_iter();
+    while let Some(word) = argv.next() {
+        let flag = match word.as_str() {
+            "--help" | "-h" => {
+                words.insert(0, "help".into());
+                continue;
             }
-            "--slice" => {
-                let v = iter.next().ok_or("--slice needs a value")?;
-                options.slice = Some(v.parse().map_err(|_| format!("bad --slice value: {v}"))?);
+            "--out" => "-o",
+            w if !w.starts_with('-') => {
+                words.push(word);
+                continue;
             }
-            "--maxk" => {
-                let v = iter.next().ok_or("--maxk needs a value")?;
-                options.maxk = Some(v.parse().map_err(|_| format!("bad --maxk value: {v}"))?);
-            }
-            "--jobs" => {
-                let v = iter.next().ok_or("--jobs needs a value")?;
-                options.jobs = v.parse()?;
-            }
-            "--strategy" => {
-                options.strategy = Some(iter.next().ok_or("--strategy needs a name")?);
-            }
+            w => COMMANDS
+                .iter()
+                .flat_map(|c| c.flags.iter().copied())
+                .find(|flag| *flag == w)
+                .ok_or_else(|| format!("unknown flag: {w}"))?,
+        };
+        let mut value = |what: &str| argv.next().ok_or_else(|| format!("{flag} needs {what}"));
+        match flag {
+            "--scale" => scale = Some(parse_scale(flag, &value("a value")?)?),
+            "--slice" => args.slice = Some(number(flag, &value("a value")?)?),
+            "--maxk" => args.maxk = Some(number(flag, &value("a value")?)?),
+            "--jobs" => args.jobs = value("a value")?.parse()?,
+            "--strategy" => args.strategy = Some(value("a name")?),
             "--reps" => {
-                let v = iter.next().ok_or("--reps needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --reps value: {v}"))?;
+                let n = number(flag, &value("a value")?)?;
                 if !(1..=MAX_REPLICATES).contains(&n) {
                     return Err(format!("--reps must be in 1..={MAX_REPLICATES}"));
                 }
-                reps = Some(n);
+                args.reps = Some(n);
             }
-            "-o" | "--out" => {
-                out = Some(iter.next().ok_or("-o needs a path")?);
-            }
-            "--limit" => {
-                let v = iter.next().ok_or("--limit needs a value")?;
-                limit = Some(v.parse().map_err(|_| format!("bad --limit value: {v}"))?);
-            }
+            "-o" => args.out = Some(value("a path")?),
+            "--limit" => args.limit = Some(number(flag, &value("a value")?)?),
             "--format" => {
-                let v = iter.next().ok_or("--format needs a value")?;
-                format = match v.as_str() {
+                args.format = match value("a value")?.as_str() {
                     "human" => LintFormat::Human,
                     "json" => LintFormat::Json,
                     other => return Err(format!("bad --format value: {other}")),
                 };
             }
-            "--deny-warnings" => deny_warnings = true,
-            "--quick" => quick = true,
-            "--update" => update = true,
-            "--addr" => {
-                addr = Some(iter.next().ok_or("--addr needs a host:port value")?);
-            }
-            "--cache-dir" => {
-                cache_dir = Some(iter.next().ok_or("--cache-dir needs a path")?);
-            }
-            "--queue-depth" => {
-                let v = iter.next().ok_or("--queue-depth needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --queue-depth value: {v}"))?;
-                if n == 0 {
-                    return Err("--queue-depth must be >= 1".into());
-                }
-                queue_depth = Some(n);
-            }
+            "--deny-warnings" => args.deny_warnings = true,
+            "--quick" => args.quick = true,
+            "--update" => args.update = true,
+            "--addr" => args.addr = value("a host:port value")?,
+            "--cache-dir" => args.cache_dir = Some(value("a path")?),
+            "--queue-depth" => args.queue_depth = positive(flag, &value("a value")?)?,
             "--ping" | "--stats" | "--shutdown" | "--suite" => {
-                let op = match arg.as_str() {
+                let op = match flag {
                     "--ping" => RequestOp::Ping,
                     "--stats" => RequestOp::Stats,
                     "--suite" => RequestOp::Suite,
                     _ => RequestOp::Shutdown,
                 };
-                if request_op.is_some_and(|prev| prev != op) {
+                if args.op != RequestOp::Run && args.op != op {
                     return Err(
                         "--ping, --stats, --shutdown and --suite are mutually exclusive".into(),
                     );
                 }
-                request_op = Some(op);
+                args.op = op;
             }
-            "--retries" => {
-                let v = iter.next().ok_or("--retries needs a value")?;
-                let n: u32 = v.parse().map_err(|_| format!("bad --retries value: {v}"))?;
-                if n == 0 {
-                    return Err("--retries must be >= 1".into());
-                }
-                retries = Some(n);
-            }
-            "--shards" => {
-                let v = iter.next().ok_or("--shards needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --shards value: {v}"))?;
-                if n == 0 {
-                    return Err("--shards must be >= 1".into());
-                }
-                shards = Some(n);
-            }
-            "--validate" => {
-                validate = Some(iter.next().ok_or("--validate needs a path")?);
-            }
-            "--baseline" => {
-                baseline = Some(iter.next().ok_or("--baseline needs a path")?);
-            }
-            "--explain" => {
-                explain = Some(
-                    iter.next()
-                        .ok_or("--explain needs a rule id (e.g. SA140)")?,
-                );
-            }
-            "--artifacts" => {
-                artifacts = Some(iter.next().ok_or("--artifacts needs a path")?);
-            }
-            "--help" | "-h" => positionals.insert(0, "help".into()),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag: {flag}")),
-            _ => positionals.push(arg),
+            "--retries" => args.retries = Some(positive(flag, &value("a value")?)?),
+            "--shards" => args.shards = positive(flag, &value("a value")?)?,
+            "--validate" => args.validate = Some(value("a path")?),
+            "--baseline" => args.baseline = Some(value("a path")?),
+            "--explain" => args.explain = Some(value("a rule id (e.g. SA140)")?),
+            "--artifacts" => args.artifacts = Some(value("a path")?),
+            _ => unreachable!("{flag} is declared by a command but never parsed"),
         }
+        args.given.push(flag);
     }
-    options.scale = match (scale, std::env::var("SAMPSIM_SCALE")) {
+    args.scale = match (scale, std::env::var("SAMPSIM_SCALE")) {
         (Some(scale), _) => scale,
         (None, Ok(v)) => parse_scale("SAMPSIM_SCALE", &v)?,
         (None, Err(_)) => Scale::FULL,
     };
-    let mut positionals = positionals.into_iter();
-    let command = match positionals.next().as_deref() {
-        None | Some("help") => Command::Help,
-        Some("list") => Command::List,
-        Some("run") => Command::Run {
-            bench: positionals.next().ok_or("run needs a benchmark")?,
-            out,
-        },
-        Some("profile") => Command::Profile {
-            bench: positionals.next().ok_or("profile needs a benchmark")?,
-        },
-        Some("simpoints") => Command::SimPoints {
-            bench: positionals.next().ok_or("simpoints needs a benchmark")?,
-            out,
-        },
-        Some("replay") => Command::Replay {
-            path: positionals.next().ok_or("replay needs a pinball file")?,
-        },
-        Some("report") => Command::Report {
-            bench: positionals.next().ok_or("report needs a benchmark")?,
-        },
-        Some("compare") => {
-            let bench = positionals.next();
-            if validate.is_none() && bench.is_none() {
-                return Err("compare needs a benchmark (or --validate <FILE>)".into());
-            }
-            if validate.is_some() && bench.is_some() {
-                return Err("compare --validate takes no benchmark".into());
-            }
-            Command::Compare {
-                bench,
-                out,
-                reps,
-                validate,
-            }
-        }
-        Some("plan") => {
-            let bench = positionals.next();
-            if validate.is_none() && bench.is_none() {
-                return Err("plan needs a benchmark (or --validate <FILE>)".into());
-            }
-            if validate.is_some() && bench.is_some() {
-                return Err("plan --validate takes no benchmark".into());
-            }
-            Command::Plan {
-                bench,
-                out,
-                validate,
-            }
-        }
-        Some("trace") => Command::Trace {
-            bench: positionals.next().ok_or("trace needs a benchmark")?,
-            out: out.take().ok_or("trace needs -o FILE")?,
-            limit,
-        },
-        Some("lint") => Command::Lint {
-            bench: positionals.next(),
-            format,
-            deny_warnings,
-            artifacts,
-            explain,
-        },
-        Some("audit") => {
-            if update && artifacts.is_none() {
-                return Err("audit --update needs --artifacts <DIR>".into());
-            }
-            Command::Audit {
-                bench: positionals.next(),
-                format,
-                deny_warnings,
-                artifacts,
-                update,
-            }
-        }
-        Some("perf") => {
-            if artifacts.is_some() {
-                return Err("perf takes no --artifacts: it always times 503.bwaves_r \
-                            (505.mcf_r with --quick)"
-                    .into());
-            }
-            Command::Perf {
-                quick,
-                out,
-                validate,
-                baseline,
-            }
-        }
-        Some("serve") => Command::Serve {
-            addr: addr.unwrap_or_else(|| sampsim_serve::DEFAULT_ADDR.to_string()),
-            cache_dir,
-            queue_depth: queue_depth.unwrap_or(sampsim_serve::DEFAULT_QUEUE_DEPTH),
-        },
-        Some("request") => {
-            let bench = positionals.next();
-            let op = request_op.unwrap_or_default();
-            if op == RequestOp::Run && bench.is_none() {
-                return Err(
-                    "request needs a benchmark (or one of --ping/--stats/--shutdown/--suite)"
-                        .into(),
-                );
-            }
-            // `--suite` takes an optional comma-separated benchmark list;
-            // the pure control ops take none.
-            if matches!(op, RequestOp::Ping | RequestOp::Stats | RequestOp::Shutdown)
-                && bench.is_some()
-            {
-                return Err(
-                    "control requests (--ping/--stats/--shutdown) take no benchmark".into(),
-                );
-            }
-            Command::Request {
-                bench,
-                addr: addr.unwrap_or_else(|| sampsim_serve::DEFAULT_ADDR.to_string()),
-                op,
-                retries,
-                out,
-            }
-        }
-        Some("fleet") => Command::Fleet {
-            shards: shards.unwrap_or(2),
-            addr: addr.unwrap_or_else(|| sampsim_serve::DEFAULT_ADDR.to_string()),
-            cache_dir,
-            queue_depth: queue_depth.unwrap_or(sampsim_serve::DEFAULT_QUEUE_DEPTH),
-        },
-        Some("figure") => Command::Figure {
-            name: positionals.next(),
-            bench: positionals.next(),
-            artifacts: artifacts.unwrap_or_else(|| "artifacts".into()),
-        },
-        Some(other) => return Err(format!("unknown command: {other}")),
-    };
-    if let Some(extra) = positionals.next() {
+    let mut words = words.into_iter();
+    let name = words.next().unwrap_or_else(|| "help".into());
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command: {name}"))?;
+    args.refuse_unread(
+        command.name,
+        |flag| command.flags.contains(&flag),
+        "the command never reads it",
+    )?;
+    args.operands = words.collect();
+    if let Some(extra) = args.operands.get(command.operands) {
         return Err(format!("unexpected argument: {extra}"));
     }
-    Ok(Parsed { command, options })
+    Ok((command, args))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse_str(s: &str) -> Result<Parsed, String> {
-        parse(s.split_whitespace().map(String::from))
+    fn parse_str(s: &str) -> Result<(&'static str, Args), String> {
+        parse(s.split_whitespace().map(String::from)).map(|(command, args)| (command.name, args))
+    }
+
+    /// The command name and operands of a command line that parses.
+    fn operands(s: &str) -> (&'static str, Vec<String>) {
+        let (name, args) = parse_str(s).unwrap();
+        (name, args.operands)
     }
 
     #[test]
     fn parses_commands() {
-        assert_eq!(parse_str("list").unwrap().command, Command::List);
+        assert_eq!(operands("list"), ("list", vec![]));
+        assert_eq!(operands("profile mcf_r"), ("profile", vec!["mcf_r".into()]));
+        let (name, args) = parse_str("simpoints mcf_r -o out").unwrap();
+        assert_eq!((name, args.operand(0)), ("simpoints", Some("mcf_r")));
+        assert_eq!(args.out.as_deref(), Some("out"));
+        assert_eq!(args.given, ["-o"]);
+        assert_eq!(parse_str("simpoints mcf_r --out out").unwrap().1, args);
         assert_eq!(
-            parse_str("profile mcf_r").unwrap().command,
-            Command::Profile {
-                bench: "mcf_r".into()
-            }
+            operands("replay out/x.pb"),
+            ("replay", vec!["out/x.pb".into()])
         );
-        assert_eq!(
-            parse_str("simpoints mcf_r -o out").unwrap().command,
-            Command::SimPoints {
-                bench: "mcf_r".into(),
-                out: Some("out".into())
-            }
-        );
-        assert_eq!(
-            parse_str("replay out/x.pb").unwrap().command,
-            Command::Replay {
-                path: "out/x.pb".into()
-            }
-        );
-        assert_eq!(parse_str("").unwrap().command, Command::Help);
-        assert_eq!(parse_str("-h").unwrap().command, Command::Help);
+        assert_eq!(operands(""), ("help", vec![]));
+        assert_eq!(operands("-h"), ("help", vec![]));
     }
 
     #[test]
     fn parses_flags() {
-        let p = parse_str("report gcc_r --scale 0.5 --slice 2000 --maxk 10 --jobs 4").unwrap();
-        assert_eq!(p.options.scale.factor(), 0.5);
-        assert_eq!(p.options.slice, Some(2000));
-        assert_eq!(p.options.maxk, Some(10));
-        assert_eq!(p.options.jobs, Jobs::new(4).unwrap());
+        let (_, a) = parse_str("report gcc_r --scale 0.5 --slice 2000 --maxk 10 --jobs 4").unwrap();
+        assert_eq!(a.scale.factor(), 0.5);
+        assert_eq!(a.slice, Some(2000));
+        assert_eq!(a.maxk, Some(10));
+        assert_eq!(a.jobs, Jobs::new(4).unwrap());
+        assert_eq!(a.given, ["--scale", "--slice", "--maxk", "--jobs"]);
     }
 
     #[test]
     fn parses_run_and_jobs() {
-        let p = parse_str("run mcf_r --jobs 2").unwrap();
+        let (name, p) = parse_str("run mcf_r --jobs 2").unwrap();
         assert_eq!(
-            p.command,
-            Command::Run {
-                bench: "mcf_r".into(),
-                out: None,
-            }
+            (name, p.operand(0), p.out.as_deref()),
+            ("run", Some("mcf_r"), None)
         );
+        let (_, o) = parse_str("run mcf_r -o report.json").unwrap();
+        assert_eq!(o.out.as_deref(), Some("report.json"));
+        assert_eq!(p.jobs, Jobs::new(2).unwrap());
+        assert_eq!(parse_str("run mcf_r").unwrap().1.jobs, Jobs::Auto);
         assert_eq!(
-            parse_str("run mcf_r -o report.json").unwrap().command,
-            Command::Run {
-                bench: "mcf_r".into(),
-                out: Some("report.json".into()),
-            }
-        );
-        assert_eq!(p.options.jobs, Jobs::new(2).unwrap());
-        assert_eq!(parse_str("run mcf_r").unwrap().options.jobs, Jobs::Auto);
-        assert_eq!(
-            parse_str("run mcf_r --jobs auto").unwrap().options.jobs,
+            parse_str("run mcf_r --jobs auto").unwrap().1.jobs,
             Jobs::Auto
         );
-        assert!(parse_str("run").is_err(), "missing benchmark");
         assert!(parse_str("run mcf_r --jobs 0").is_err(), "zero jobs");
         assert!(parse_str("run mcf_r --jobs nope").is_err());
         assert!(parse_str("run mcf_r --jobs").is_err(), "missing value");
+        assert_eq!(
+            parse_str("run mcf_r extra").unwrap_err(),
+            "unexpected argument: extra"
+        );
     }
 
     #[test]
     fn parses_trace() {
-        let p = parse_str("trace mcf_r -o t.trace --limit 5000").unwrap();
+        let (name, p) = parse_str("trace mcf_r -o t.trace --limit 5000").unwrap();
+        assert_eq!((name, p.operand(0)), ("trace", Some("mcf_r")));
+        assert_eq!(p.out.as_deref(), Some("t.trace"));
+        assert_eq!(p.limit, Some(5000));
         assert_eq!(
-            p.command,
-            Command::Trace {
-                bench: "mcf_r".into(),
-                out: "t.trace".into(),
-                limit: Some(5000),
-            }
+            parse_str("trace mcf_r --limit x").unwrap_err(),
+            "bad --limit value: x"
         );
-        assert!(parse_str("trace mcf_r").is_err(), "missing -o");
     }
 
     #[test]
     fn parses_compare_and_strategy() {
+        let (name, p) = parse_str("compare mcf_r --reps 3 -o cmp.json").unwrap();
+        assert_eq!((name, p.operand(0)), ("compare", Some("mcf_r")));
+        assert_eq!((p.reps, p.out.as_deref()), (Some(3), Some("cmp.json")));
+        assert_eq!(parse_str("compare mcf_r").unwrap().1.reps, None);
+        let (_, v) = parse_str("compare --validate cmp.json").unwrap();
         assert_eq!(
-            parse_str("compare mcf_r").unwrap().command,
-            Command::Compare {
-                bench: Some("mcf_r".into()),
-                out: None,
-                reps: None,
-                validate: None,
-            }
+            (v.operand(0), v.validate.as_deref()),
+            (None, Some("cmp.json"))
         );
-        assert_eq!(
-            parse_str("compare mcf_r --reps 3 -o cmp.json")
-                .unwrap()
-                .command,
-            Command::Compare {
-                bench: Some("mcf_r".into()),
-                out: Some("cmp.json".into()),
-                reps: Some(3),
-                validate: None,
-            }
-        );
-        assert_eq!(
-            parse_str("compare --validate cmp.json").unwrap().command,
-            Command::Compare {
-                bench: None,
-                out: None,
-                reps: None,
-                validate: Some("cmp.json".into()),
-            }
-        );
-        assert!(parse_str("compare").is_err(), "needs bench or --validate");
-        assert!(parse_str("compare mcf_r --validate cmp.json").is_err());
         assert!(parse_str("compare mcf_r --reps 0").is_err());
         assert!(parse_str("compare mcf_r --reps 1000000000").is_err());
         assert!(parse_str("compare mcf_r --reps nope").is_err());
+        assert!(
+            parse_str("compare mcf_r --strategy rss").is_err(),
+            "runs them all"
+        );
 
-        let p = parse_str("run mcf_r --strategy rss").unwrap();
-        assert_eq!(p.options.strategy.as_deref(), Some("rss"));
-        assert_eq!(parse_str("run mcf_r").unwrap().options.strategy, None);
+        let p = parse_str("run mcf_r --strategy rss").unwrap().1;
+        assert_eq!(p.strategy.as_deref(), Some("rss"));
+        assert_eq!(parse_str("run mcf_r").unwrap().1.strategy, None);
         assert!(parse_str("run mcf_r --strategy").is_err());
 
         // Lloyd is the only clustering kernel, so no flag selects one.
@@ -770,38 +705,18 @@ mod tests {
 
     #[test]
     fn parses_lint() {
+        let (name, p) = parse_str("lint").unwrap();
         assert_eq!(
-            parse_str("lint").unwrap().command,
-            Command::Lint {
-                bench: None,
-                format: LintFormat::Human,
-                deny_warnings: false,
-                artifacts: None,
-                explain: None,
-            }
+            (name, p.operand(0), p.format),
+            ("lint", None, LintFormat::Human)
         );
-        assert_eq!(
-            parse_str("lint mcf_r --format json --deny-warnings --artifacts out")
-                .unwrap()
-                .command,
-            Command::Lint {
-                bench: Some("mcf_r".into()),
-                format: LintFormat::Json,
-                deny_warnings: true,
-                artifacts: Some("out".into()),
-                explain: None,
-            }
-        );
-        assert_eq!(
-            parse_str("lint --explain SA140").unwrap().command,
-            Command::Lint {
-                bench: None,
-                format: LintFormat::Human,
-                deny_warnings: false,
-                artifacts: None,
-                explain: Some("SA140".into()),
-            }
-        );
+        assert!(!p.deny_warnings && p.artifacts.is_none() && p.explain.is_none());
+        let (_, p) = parse_str("lint mcf_r --format json --deny-warnings --artifacts out").unwrap();
+        assert_eq!((p.operand(0), p.format), (Some("mcf_r"), LintFormat::Json));
+        assert!(p.deny_warnings);
+        assert_eq!(p.artifacts.as_deref(), Some("out"));
+        let (_, p) = parse_str("lint --explain SA140").unwrap();
+        assert_eq!(p.explain.as_deref(), Some("SA140"));
         assert!(parse_str("lint --format yaml").is_err());
         assert!(parse_str("lint --artifacts").is_err());
         assert!(parse_str("lint --explain").is_err());
@@ -809,98 +724,59 @@ mod tests {
 
     #[test]
     fn parses_plan() {
+        let (name, p) = parse_str("plan mcf_r --strategy rss -o plan.json").unwrap();
+        assert_eq!((name, p.operand(0)), ("plan", Some("mcf_r")));
+        assert_eq!(p.strategy.as_deref(), Some("rss"));
+        assert_eq!(p.out.as_deref(), Some("plan.json"));
+        let (_, v) = parse_str("plan --validate plan.json").unwrap();
         assert_eq!(
-            parse_str("plan mcf_r").unwrap().command,
-            Command::Plan {
-                bench: Some("mcf_r".into()),
-                out: None,
-                validate: None,
-            }
+            (v.operand(0), v.validate.as_deref()),
+            (None, Some("plan.json"))
         );
         assert_eq!(
-            parse_str("plan mcf_r --strategy rss -o plan.json")
-                .unwrap()
-                .command,
-            Command::Plan {
-                bench: Some("mcf_r".into()),
-                out: Some("plan.json".into()),
-                validate: None,
-            }
+            parse_str("plan mcf_r --jobs 2").unwrap_err(),
+            "plan refuses --jobs: the command never reads it"
         );
-        assert_eq!(
-            parse_str("plan --validate plan.json").unwrap().command,
-            Command::Plan {
-                bench: None,
-                out: None,
-                validate: Some("plan.json".into()),
-            }
-        );
-        assert!(parse_str("plan").is_err(), "needs bench or --validate");
-        assert!(parse_str("plan mcf_r --validate plan.json").is_err());
     }
 
     #[test]
     fn parses_audit() {
-        assert_eq!(
-            parse_str("audit").unwrap().command,
-            Command::Audit {
-                bench: None,
-                format: LintFormat::Human,
-                deny_warnings: false,
-                artifacts: None,
-                update: false,
-            }
-        );
-        assert_eq!(
+        let (name, p) = parse_str("audit").unwrap();
+        assert_eq!((name, p.operand(0), p.update), ("audit", None, false));
+        let (_, p) =
             parse_str("audit mcf_r --format json --deny-warnings --artifacts arts --update")
-                .unwrap()
-                .command,
-            Command::Audit {
-                bench: Some("mcf_r".into()),
-                format: LintFormat::Json,
-                deny_warnings: true,
-                artifacts: Some("arts".into()),
-                update: true,
-            }
+                .unwrap();
+        assert_eq!((p.operand(0), p.format), (Some("mcf_r"), LintFormat::Json));
+        assert!(p.deny_warnings && p.update);
+        assert_eq!(p.artifacts.as_deref(), Some("arts"));
+        assert_eq!(
+            parse_str("audit --jobs 3").unwrap().1.jobs,
+            Jobs::new(3).unwrap()
         );
-        // --update without a directory to write into is a usage error.
-        assert!(parse_str("audit --update").is_err());
+        assert!(parse_str("audit --maxk 6").is_err(), "audit never clusters");
     }
 
     #[test]
     fn parses_perf() {
+        let (name, p) = parse_str("perf").unwrap();
         assert_eq!(
-            parse_str("perf").unwrap().command,
-            Command::Perf {
-                quick: false,
-                out: None,
-                validate: None,
-                baseline: None,
-            }
+            (name, p.quick, p.out, p.baseline),
+            ("perf", false, None, None)
         );
+        let (_, p) = parse_str("perf --quick -o BENCH_kernels.json --baseline old.json").unwrap();
+        assert!(p.quick);
+        assert_eq!(p.out.as_deref(), Some("BENCH_kernels.json"));
+        assert_eq!(p.baseline.as_deref(), Some("old.json"));
+        let (_, p) = parse_str("perf --validate BENCH_kernels.json").unwrap();
+        assert_eq!(p.validate.as_deref(), Some("BENCH_kernels.json"));
         assert_eq!(
-            parse_str("perf --quick -o BENCH_kernels.json --baseline old.json")
-                .unwrap()
-                .command,
-            Command::Perf {
-                quick: true,
-                out: Some("BENCH_kernels.json".into()),
-                validate: None,
-                baseline: Some("old.json".into()),
-            }
+            parse_str("perf --quick --artifacts arts").unwrap_err(),
+            "perf refuses --artifacts: the command never reads it"
         );
-        assert_eq!(
-            parse_str("perf --validate BENCH_kernels.json")
-                .unwrap()
-                .command,
-            Command::Perf {
-                quick: false,
-                out: None,
-                validate: Some("BENCH_kernels.json".into()),
-                baseline: None,
-            }
+        assert!(
+            parse_str("perf --scale 0.5").is_err(),
+            "perf sizes its own inputs"
         );
-        assert!(parse_str("perf --quick --artifacts arts").is_err());
         assert!(parse_str("perf --validate").is_err());
         assert!(parse_str("perf --baseline").is_err());
         assert!(parse_str("perf extra").is_err());
@@ -908,167 +784,160 @@ mod tests {
 
     #[test]
     fn parses_serve() {
+        let (name, p) = parse_str("serve").unwrap();
         assert_eq!(
-            parse_str("serve").unwrap().command,
-            Command::Serve {
-                addr: sampsim_serve::DEFAULT_ADDR.into(),
-                cache_dir: None,
-                queue_depth: sampsim_serve::DEFAULT_QUEUE_DEPTH,
-            }
+            (name, p.addr.as_str()),
+            ("serve", sampsim_serve::DEFAULT_ADDR)
         );
-        assert_eq!(
+        assert_eq!(p.cache_dir, None);
+        assert_eq!(p.queue_depth, sampsim_serve::DEFAULT_QUEUE_DEPTH);
+        let (_, p) =
             parse_str("serve --addr 127.0.0.1:0 --cache-dir /tmp/c --queue-depth 4 --jobs 2")
-                .unwrap()
-                .command,
-            Command::Serve {
-                addr: "127.0.0.1:0".into(),
-                cache_dir: Some("/tmp/c".into()),
-                queue_depth: 4,
-            }
-        );
+                .unwrap();
+        assert_eq!(p.addr, "127.0.0.1:0");
+        assert_eq!(p.cache_dir.as_deref(), Some("/tmp/c"));
+        assert_eq!((p.queue_depth, p.jobs), (4, Jobs::new(2).unwrap()));
         assert!(parse_str("serve --queue-depth 0").is_err());
         assert!(parse_str("serve --queue-depth nope").is_err());
         assert!(parse_str("serve --addr").is_err());
+        assert!(
+            parse_str("serve --maxk 6").is_err(),
+            "requests carry their own"
+        );
     }
 
     #[test]
     fn parses_request() {
+        let (name, p) = parse_str("request mcf_r").unwrap();
         assert_eq!(
-            parse_str("request mcf_r").unwrap().command,
-            Command::Request {
-                bench: Some("mcf_r".into()),
-                addr: sampsim_serve::DEFAULT_ADDR.into(),
-                op: RequestOp::Run,
-                retries: None,
-                out: None,
-            }
+            (name, p.operand(0), p.op),
+            ("request", Some("mcf_r"), RequestOp::Run)
         );
         assert_eq!(
-            parse_str("request --addr 127.0.0.1:9 --shutdown")
-                .unwrap()
-                .command,
-            Command::Request {
-                bench: None,
-                addr: "127.0.0.1:9".into(),
-                op: RequestOp::Shutdown,
-                retries: None,
-                out: None,
-            }
+            (p.addr.as_str(), p.retries),
+            (sampsim_serve::DEFAULT_ADDR, None)
         );
+        let (_, p) = parse_str("request --addr 127.0.0.1:9 --shutdown").unwrap();
         assert_eq!(
-            parse_str("request --ping").unwrap().command,
-            Command::Request {
-                bench: None,
-                addr: sampsim_serve::DEFAULT_ADDR.into(),
-                op: RequestOp::Ping,
-                retries: None,
-                out: None,
-            }
+            (p.addr.as_str(), p.op),
+            ("127.0.0.1:9", RequestOp::Shutdown)
         );
+        assert_eq!(parse_str("request --ping").unwrap().1.op, RequestOp::Ping);
         // --suite takes an optional comma-separated benchmark list.
+        assert_eq!(parse_str("request --suite").unwrap().1.op, RequestOp::Suite);
+        let (_, p) = parse_str("request mcf_r,omnetpp_s --suite --retries 2").unwrap();
         assert_eq!(
-            parse_str("request --suite").unwrap().command,
-            Command::Request {
-                bench: None,
-                addr: sampsim_serve::DEFAULT_ADDR.into(),
-                op: RequestOp::Suite,
-                retries: None,
-                out: None,
-            }
+            (p.operand(0), p.op),
+            (Some("mcf_r,omnetpp_s"), RequestOp::Suite)
         );
-        assert_eq!(
-            parse_str("request mcf_r,omnetpp_s --suite --retries 2")
-                .unwrap()
-                .command,
-            Command::Request {
-                bench: Some("mcf_r,omnetpp_s".into()),
-                addr: sampsim_serve::DEFAULT_ADDR.into(),
-                op: RequestOp::Suite,
-                retries: Some(2),
-                out: None,
-            }
-        );
-        assert!(parse_str("request").is_err(), "run op needs a benchmark");
-        assert!(parse_str("request mcf_r --stats").is_err());
+        assert_eq!(p.retries, Some(2));
         assert!(parse_str("request --ping --shutdown").is_err());
         assert!(parse_str("request mcf_r --retries 0").is_err());
         assert!(parse_str("request mcf_r --retries nope").is_err());
+        assert!(
+            parse_str("request mcf_r --jobs 2").is_err(),
+            "the daemon's workers"
+        );
     }
 
     #[test]
     fn parses_fleet() {
-        assert_eq!(
-            parse_str("fleet").unwrap().command,
-            Command::Fleet {
-                shards: 2,
-                addr: sampsim_serve::DEFAULT_ADDR.into(),
-                cache_dir: None,
-                queue_depth: sampsim_serve::DEFAULT_QUEUE_DEPTH,
-            }
-        );
-        assert_eq!(
+        let (name, p) = parse_str("fleet").unwrap();
+        assert_eq!((name, p.shards, p.queue_depth), ("fleet", 2, 32));
+        assert_eq!(p.addr, sampsim_serve::DEFAULT_ADDR);
+        let (_, p) =
             parse_str("fleet --shards 3 --addr 127.0.0.1:0 --cache-dir /tmp/f --queue-depth 8")
-                .unwrap()
-                .command,
-            Command::Fleet {
-                shards: 3,
-                addr: "127.0.0.1:0".into(),
-                cache_dir: Some("/tmp/f".into()),
-                queue_depth: 8,
-            }
-        );
+                .unwrap();
+        assert_eq!((p.shards, p.addr.as_str()), (3, "127.0.0.1:0"));
+        assert_eq!((p.cache_dir.as_deref(), p.queue_depth), (Some("/tmp/f"), 8));
         assert!(parse_str("fleet --shards 0").is_err());
         assert!(parse_str("fleet --shards nope").is_err());
     }
 
     #[test]
     fn figure_defaults() {
-        let p = parse_str("figure").unwrap();
-        assert_eq!(
-            p.command,
-            Command::Figure {
-                name: None,
-                bench: None,
-                artifacts: "artifacts".into(),
-            }
-        );
-        assert_eq!(p.options, Options::default());
+        let (name, p) = parse_str("figure").unwrap();
+        assert_eq!(name, "figure");
+        assert_eq!(p, Args::default());
     }
 
     #[test]
     fn figure_flags_parse() {
-        let p = parse_str("figure fig5 mcf_r --scale 0.5 --artifacts arts --jobs 3").unwrap();
-        assert_eq!(
-            p.command,
-            Command::Figure {
-                name: Some("fig5".into()),
-                bench: Some("mcf_r".into()),
-                artifacts: "arts".into(),
-            }
-        );
-        assert_eq!(p.options.scale.factor(), 0.5);
-        assert_eq!(p.options.jobs, Jobs::new(3).unwrap());
+        let (_, p) = parse_str("figure fig5 mcf_r --scale 0.5 --artifacts arts --jobs 3").unwrap();
+        assert_eq!((p.operand(0), p.operand(1)), (Some("fig5"), Some("mcf_r")));
+        assert_eq!(p.artifacts.as_deref(), Some("arts"));
+        assert_eq!(p.scale.factor(), 0.5);
+        assert_eq!(p.jobs, Jobs::new(3).unwrap());
         assert!(parse_str("figure fig5 mcf_r extra").is_err());
+        assert!(parse_str("figure fig5 --reps 2").is_err());
     }
 
     #[test]
     fn figure_jobs_defaults_to_auto() {
-        assert_eq!(parse_str("figure").unwrap().options.jobs, Jobs::Auto);
-        assert_eq!(
-            parse_str("figure --jobs auto").unwrap().options.jobs,
-            Jobs::Auto
-        );
+        assert_eq!(parse_str("figure").unwrap().1.jobs, Jobs::Auto);
+        assert_eq!(parse_str("figure --jobs auto").unwrap().1.jobs, Jobs::Auto);
         assert!(parse_str("figure --jobs 0").is_err());
     }
 
     #[test]
     fn rejects_bad_input() {
         assert!(parse_str("frobnicate").is_err());
-        assert!(parse_str("profile").is_err());
         assert!(parse_str("list --wat").is_err());
         assert!(parse_str("list extra").is_err());
         assert!(parse_str("profile x --scale nope").is_err());
         assert!(parse_str("profile x --scale -1").is_err());
         assert!(parse_str("plan mcf_r --scale 1e15").is_err());
+        assert_eq!(
+            parse_str("list --scale 0.5").unwrap_err(),
+            "list refuses --scale: the command never reads it"
+        );
+    }
+
+    /// Every flag a command declares parses, appears in `USAGE`, and
+    /// every flag `USAGE` names is read by some command.
+    #[test]
+    fn usage_names_every_declared_flag_and_no_other() {
+        let declared: Vec<&str> = COMMANDS
+            .iter()
+            .flat_map(|c| c.flags.iter().copied())
+            .collect();
+        let named: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.starts_with('-') && word.len() > 1)
+            .collect();
+        for command in COMMANDS {
+            for &flag in command.flags {
+                assert!(named.contains(&flag), "USAGE never names {flag}");
+                let value = match flag {
+                    "--deny-warnings" | "--quick" | "--update" => "",
+                    "--ping" | "--stats" | "--shutdown" | "--suite" => "",
+                    "--format" => "json",
+                    _ => "1",
+                };
+                let line = format!("{} {flag} {value}", command.name);
+                let parsed = parse(line.split_whitespace().map(String::from));
+                assert!(
+                    parsed
+                        .as_ref()
+                        .is_ok_and(|(c, a)| c.name == command.name && a.given == [flag]),
+                    "{line}: {:?}",
+                    parsed.map(|(_, a)| a)
+                );
+            }
+        }
+        for flag in named {
+            assert!(
+                declared.contains(&flag),
+                "USAGE names {flag}, which no command reads"
+            );
+        }
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        assert_eq!(names.len(), 17);
+        for name in names {
+            assert!(
+                USAGE.contains(&format!("\n  {name} ")),
+                "USAGE never lists {name}"
+            );
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! A clean execution can never fire the dynamic checks, so any finding
 //! is an executor bug or artifact corruption — not a style complaint.
 
-use crate::args::{LintFormat, Options};
+use super::UsageError;
+use crate::args::{Args, LintFormat};
 use sampsim_analyze::{
     audit_bbvs_static, audit_cursors, diagnose_unreadable_artifact, render_human,
     render_json_lines, AuditSummary, Diagnostic, Location, Report, Rule, StaticBbvBounds,
@@ -24,36 +25,33 @@ use std::path::Path;
 
 /// Runs the audit and returns the process exit code (same convention as
 /// `sampsim lint`: 0 clean, 1 findings, 2 usage errors).
-pub fn audit(
-    bench: Option<&str>,
-    format: LintFormat,
-    deny_warnings: bool,
-    artifacts: Option<&str>,
-    update: bool,
-    options: &Options,
-) -> Result<u8, Box<dyn std::error::Error>> {
-    let specs: Vec<BenchmarkSpec> = match bench {
+pub fn audit(args: &Args) -> Result<u8, Box<dyn std::error::Error>> {
+    let artifacts = args.artifacts.as_deref();
+    if args.update && artifacts.is_none() {
+        return Err(Box::new(UsageError(
+            "audit --update needs --artifacts <DIR>".into(),
+        )));
+    }
+    let specs: Vec<BenchmarkSpec> = match args.operand(0) {
         Some(pattern) => vec![super::find_benchmark(pattern)?],
         None => sampsim_spec2017::suite(),
     };
-    let config = super::pipeline_config(options)?;
+    let config = super::pipeline_config(args)?;
     if config.slice_size == 0 {
-        return Err(Box::new(super::UsageError(
+        return Err(Box::new(UsageError(
             "audit needs a positive --slice".into(),
         )));
     }
 
-    if update {
-        let dir = artifacts.expect("parser enforces --artifacts with --update");
-        return write_summaries(Path::new(dir), &specs, config.slice_size, options);
-    }
-
     let report = match artifacts {
-        Some(dir) => check_artifact_dir(Path::new(dir), &specs, config.slice_size, options)?,
-        None => dynamic_differential(&specs, &config, options)?,
+        Some(dir) if args.update => {
+            return write_summaries(Path::new(dir), &specs, config.slice_size, args);
+        }
+        Some(dir) => check_artifact_dir(Path::new(dir), &specs, config.slice_size, args)?,
+        None => dynamic_differential(&specs, &config, args)?,
     };
 
-    match format {
+    match args.format {
         LintFormat::Human => {
             print!("{}", render_human(&report));
             if report.is_empty() {
@@ -62,19 +60,20 @@ pub fn audit(
         }
         LintFormat::Json => print!("{}", render_json_lines(&report)),
     }
-    Ok(report.exit_code(deny_warnings))
+    Ok(report.exit_code(args.deny_warnings))
 }
 
-/// Profiles each benchmark and checks the dynamic BBVs and slice-start
-/// cursors against the statically derived bounds.
+/// Profiles each benchmark over `--jobs` workers and checks the dynamic
+/// BBVs and slice-start cursors against the statically derived bounds.
+/// The profile, and so the report, is identical for every job count.
 fn dynamic_differential(
     specs: &[BenchmarkSpec],
     config: &sampsim_core::pipeline::PinPointsConfig,
-    options: &Options,
+    args: &Args,
 ) -> Result<Report, Box<dyn std::error::Error>> {
     let mut report = Report::new();
     for spec in specs {
-        let program = spec.scaled(options.scale).build();
+        let program = spec.scaled(args.scale).build();
         let bounds = StaticBbvBounds::derive(&program, config.slice_size);
         eprintln!(
             "auditing {} ({} instructions, {} slices)...",
@@ -82,8 +81,7 @@ fn dynamic_differential(
             with_commas(program.total_insts()),
             bounds.num_slices()
         );
-        let (bbvs, cursors, _) =
-            Pipeline::new(config.clone()).profile_jobs(&program, sampsim_exec::SERIAL);
+        let (bbvs, cursors, _) = Pipeline::new(config.clone()).profile_jobs(&program, args.jobs);
         report.merge(audit_bbvs_static(&program, &bounds, &bbvs));
         report.merge(audit_cursors(&program, config.slice_size, &cursors));
     }
@@ -96,7 +94,7 @@ fn check_artifact_dir(
     dir: &Path,
     specs: &[BenchmarkSpec],
     slice_size: u64,
-    options: &Options,
+    args: &Args,
 ) -> Result<Report, Box<dyn std::error::Error>> {
     let mut report = Report::new();
     for spec in specs {
@@ -120,11 +118,11 @@ fn check_artifact_dir(
                 continue;
             }
         };
-        let program = spec.scaled(options.scale).build();
+        let program = spec.scaled(args.scale).build();
         let bounds = StaticBbvBounds::derive(&program, slice_size);
-        report.merge(summary.check(&shown, &program, options.scale.factor(), &bounds));
+        report.merge(summary.check(&shown, &program, args.scale.factor(), &bounds));
     }
-    report.merge(super::lint::audit_artifact_dir(dir, options)?);
+    report.merge(super::lint::audit_artifact_dir(dir, args)?);
     Ok(report)
 }
 
@@ -133,13 +131,13 @@ fn write_summaries(
     dir: &Path,
     specs: &[BenchmarkSpec],
     slice_size: u64,
-    options: &Options,
+    args: &Args,
 ) -> Result<u8, Box<dyn std::error::Error>> {
     std::fs::create_dir_all(dir)?;
     for spec in specs {
-        let program = spec.scaled(options.scale).build();
+        let program = spec.scaled(args.scale).build();
         let bounds = StaticBbvBounds::derive(&program, slice_size);
-        let summary = AuditSummary::capture(&program, options.scale.factor(), &bounds);
+        let summary = AuditSummary::capture(&program, args.scale.factor(), &bounds);
         let path = dir.join(format!("{}.art", spec.name()));
         std::fs::write(&path, summary.to_bytes())?;
     }
@@ -147,7 +145,7 @@ fn write_summaries(
         "wrote {} audit summaries to {} (scale {}, slice {})",
         specs.len(),
         dir.display(),
-        options.scale.factor(),
+        args.scale.factor(),
         slice_size
     );
     Ok(0)

@@ -1,7 +1,7 @@
 //! `sampsim compare` — the cross-strategy efficacy study.
 
-use super::{build, create_report_file, pipeline_config, validate_file, CmdResult};
-use crate::args::Options;
+use super::{build, create_report_file, pipeline_config, validate_file, validating, CmdResult};
+use crate::args::Args;
 use sampsim_core::compare::{self, DEFAULT_REPLICATES, SCHEMA};
 use sampsim_serve::service::find_benchmark;
 use sampsim_simpoint::STRATEGY_NAMES;
@@ -17,21 +17,14 @@ use std::io::Write;
 /// With `--validate`, checks an existing report against the schema and
 /// the strategy registry instead of running anything; schema violations
 /// and registry drift are usage-class failures (exit 2).
-pub fn compare(
-    bench: Option<&str>,
-    out: Option<&str>,
-    reps: Option<usize>,
-    validate: Option<&str>,
-    options: &Options,
-) -> CmdResult {
-    if let Some(path) = validate {
+pub fn compare(args: &Args) -> CmdResult {
+    if let Some(path) = validating(args, "compare")? {
         return validate_file(path, SCHEMA, compare::validate_report);
     }
-    let bench = bench.expect("the parser requires a benchmark without --validate");
-    let spec = find_benchmark(bench)?;
-    let program = build(&spec, options);
-    let config = pipeline_config(options)?;
-    let reps = reps.unwrap_or(DEFAULT_REPLICATES);
+    let spec = find_benchmark(args.required("compare needs a benchmark (or --validate <FILE>)")?)?;
+    let program = build(&spec, args);
+    let config = pipeline_config(args)?;
+    let reps = args.reps.unwrap_or(DEFAULT_REPLICATES);
     eprintln!(
         "comparing {} strategies on {} ({} instructions, {} replicates each)...",
         STRATEGY_NAMES.len(),
@@ -39,8 +32,8 @@ pub fn compare(
         with_commas(program.total_insts()),
         reps
     );
-    let mut sink = out.map(create_report_file).transpose()?;
-    let report = compare::compare_strategies(&program, &config, reps, options.jobs)?;
+    let mut sink = args.out.as_deref().map(create_report_file).transpose()?;
+    let report = compare::compare_strategies(&program, &config, reps, args.jobs)?;
     let document = report.to_json();
     println!("{document}");
     if let Some(file) = &mut sink {

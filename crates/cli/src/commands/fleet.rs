@@ -1,7 +1,7 @@
 //! `sampsim fleet` — the sharded serving topology.
 
 use super::CmdResult;
-use crate::args::Options;
+use crate::args::Args;
 use sampsim_fleet::{Fleet, FleetConfig};
 use std::io::Write;
 use std::path::PathBuf;
@@ -15,24 +15,19 @@ use std::path::PathBuf;
 /// serves until a `shutdown` request arrives. `--jobs` sets each shard's
 /// worker-pool size; with `--cache-dir`, shard `i` keeps its disk tier
 /// under `DIR/shard-<i>`.
-pub fn fleet(
-    shards: usize,
-    addr: &str,
-    cache_dir: Option<&str>,
-    queue_depth: usize,
-    options: &Options,
-) -> CmdResult {
+pub fn fleet(args: &Args) -> CmdResult {
     let config = FleetConfig {
-        addr: addr.to_string(),
-        shards,
-        shard_workers: options.jobs,
-        router_workers: options.jobs,
-        queue_depth,
-        cache_dir: cache_dir.map(PathBuf::from),
+        addr: args.addr.clone(),
+        shards: args.shards,
+        shard_workers: args.jobs,
+        router_workers: args.jobs,
+        queue_depth: args.queue_depth,
+        cache_dir: args.cache_dir.as_ref().map(PathBuf::from),
     };
     let fleet = Fleet::spawn(&config)?;
     println!(
-        "sampsim-fleet ({shards} shards) listening on {}",
+        "sampsim-fleet ({} shards) listening on {}",
+        args.shards,
         fleet.addr()
     );
     std::io::stdout().flush()?;

@@ -1,7 +1,7 @@
 //! `sampsim lint` — static checks over workloads, the pipeline
 //! configuration and (optionally) saved pinball artifacts.
 
-use crate::args::{LintFormat, Options};
+use crate::args::{Args, LintFormat};
 use sampsim_analyze::{
     audit_regions, lint_memory, lint_program, lint_soundness, render_human, render_json_lines,
     Report, Rule, SoundnessInput,
@@ -13,25 +13,25 @@ use std::path::Path;
 
 /// Runs the lint pass and returns the process exit code (0 clean, 1 when
 /// errors — or, with `--deny-warnings`, warnings — were reported).
-pub fn lint(
-    bench: Option<&str>,
-    format: LintFormat,
-    deny_warnings: bool,
-    artifacts: Option<&str>,
-    options: &Options,
-) -> Result<u8, Box<dyn std::error::Error>> {
-    let specs: Vec<BenchmarkSpec> = match bench {
+pub fn lint(args: &Args) -> Result<u8, Box<dyn std::error::Error>> {
+    // `--explain` answers from the rule registry alone — no benchmarks
+    // are built, no lint pass runs.
+    if let Some(id) = &args.explain {
+        explain(id)?;
+        return Ok(0);
+    }
+    let specs: Vec<BenchmarkSpec> = match args.operand(0) {
         Some(pattern) => vec![super::find_benchmark(pattern)?],
         None => sampsim_spec2017::suite(),
     };
-    let config = super::pipeline_config(options)?;
+    let config = super::pipeline_config(args)?;
     let mut report = Report::new();
 
     // The configuration itself, once (run-length independent rules).
     report.merge(config.lint(None));
 
     for spec in &specs {
-        let program = spec.scaled(options.scale).build();
+        let program = spec.scaled(args.scale).build();
         report.merge(lint_program(&program));
         // Memory abstract interpretation against the paper's `allcache`
         // hierarchy (the geometry every profile runs against).
@@ -75,11 +75,11 @@ pub fn lint(
         }
     }
 
-    if let Some(dir) = artifacts {
-        report.merge(audit_artifact_dir(Path::new(dir), options)?);
+    if let Some(dir) = &args.artifacts {
+        report.merge(audit_artifact_dir(Path::new(dir), args)?);
     }
 
-    match format {
+    match args.format {
         LintFormat::Human => {
             print!("{}", render_human(&report));
             if report.is_empty() {
@@ -88,13 +88,13 @@ pub fn lint(
         }
         LintFormat::Json => print!("{}", render_json_lines(&report)),
     }
-    Ok(report.exit_code(deny_warnings))
+    Ok(report.exit_code(args.deny_warnings))
 }
 
 /// `sampsim lint --explain <SA-id>` — prints the rule's one-paragraph
 /// description from the single source of truth (the `sampsim-analyze`
 /// rule registry). An unknown id is a usage-class failure (exit 2).
-pub fn explain(id: &str) -> Result<(), super::UsageError> {
+fn explain(id: &str) -> Result<(), super::UsageError> {
     let rule = Rule::from_code(id).ok_or_else(|| {
         super::UsageError(format!(
             "unknown lint rule '{id}' (rules run from SA001; see docs/lint-rules.md)"
@@ -109,7 +109,7 @@ pub fn explain(id: &str) -> Result<(), super::UsageError> {
 /// audit --artifacts`.
 pub(super) fn audit_artifact_dir(
     dir: &Path,
-    options: &Options,
+    args: &Args,
 ) -> Result<Report, Box<dyn std::error::Error>> {
     let mut report = Report::new();
     let mut paths: Vec<_> = std::fs::read_dir(dir)?
@@ -126,7 +126,7 @@ pub(super) fn audit_artifact_dir(
             continue;
         };
         let spec = super::find_benchmark(&first.program_name)?;
-        let program = spec.scaled(options.scale).build();
+        let program = spec.scaled(args.scale).build();
         report.merge(audit_regions(
             &regions,
             &program,

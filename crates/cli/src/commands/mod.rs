@@ -11,12 +11,12 @@ mod serve;
 pub use audit::audit;
 pub use compare::compare;
 pub use fleet::fleet;
-pub use lint::{explain, lint};
+pub use lint::lint;
 pub use perf::perf;
 pub use plan::plan;
 pub use serve::{request, serve};
 
-use crate::args::Options;
+use crate::args::Args;
 use sampsim_cache::configs;
 use sampsim_core::metrics::{aggregate_weighted, whole_as_aggregate, AggregatedMetrics};
 use sampsim_core::pipeline::{PinPointsConfig, Pipeline, RunOptions};
@@ -55,6 +55,17 @@ fn create_report_file(path: &str) -> Result<std::fs::File, UsageError> {
     std::fs::File::create(path).map_err(|e| UsageError(format!("cannot write {path}: {e}")))
 }
 
+/// The `--validate FILE` of `compare` or `plan`, which takes no
+/// benchmark: that command runs nothing.
+fn validating<'a>(args: &'a Args, command: &str) -> Result<Option<&'a str>, UsageError> {
+    match (args.validate.as_deref(), args.operand(0)) {
+        (Some(_), Some(_)) => Err(UsageError(format!(
+            "{command} --validate takes no benchmark"
+        ))),
+        (validate, _) => Ok(validate),
+    }
+}
+
 /// `--validate FILE` for every report command: checks one saved report
 /// and prints `FILE: valid <schema> report`. An unreadable file or any
 /// violation is a usage-class failure (exit 2), reported by its path.
@@ -70,8 +81,8 @@ fn validate_file(path: &str, schema: &str, validate: fn(&str) -> Result<(), Stri
 /// not parse — unregistered name or malformed parameters — is a
 /// usage-class failure (SA130, exit 2), same class as a bad flag value,
 /// caught before any pipeline work starts.
-fn validated_strategy(options: &Options) -> Result<Option<StrategySpec>, UsageError> {
-    let Some(name) = &options.strategy else {
+fn validated_strategy(args: &Args) -> Result<Option<StrategySpec>, UsageError> {
+    let Some(name) = &args.strategy else {
         return Ok(None);
     };
     let report = sampsim_analyze::lint_strategy_name(name);
@@ -86,25 +97,25 @@ fn validated_strategy(options: &Options) -> Result<Option<StrategySpec>, UsageEr
 /// The pipeline configuration the shared flags describe: `--slice` (or
 /// the default slice, scaled), `--maxk` and `--strategy`. `run`, `report`,
 /// `simpoints` and `figure` all read the flags through here.
-pub(crate) fn pipeline_config(options: &Options) -> Result<PinPointsConfig, UsageError> {
+pub(crate) fn pipeline_config(args: &Args) -> Result<PinPointsConfig, UsageError> {
     let mut config = PinPointsConfig {
-        slice_size: options.slice.unwrap_or_else(|| options.scale.apply(10_000)),
+        slice_size: args.slice.unwrap_or_else(|| args.scale.apply(10_000)),
         ..PinPointsConfig::default()
     };
-    if let Some(maxk) = options.maxk {
+    if let Some(maxk) = args.maxk {
         config.simpoint = SimPointOptions {
             max_k: maxk,
             ..config.simpoint
         };
     }
-    if let Some(spec) = validated_strategy(options)? {
+    if let Some(spec) = validated_strategy(args)? {
         config.strategy = spec;
     }
     Ok(config)
 }
 
-fn build(spec: &BenchmarkSpec, options: &Options) -> Program {
-    spec.scaled(options.scale).build()
+fn build(spec: &BenchmarkSpec, args: &Args) -> Program {
+    spec.scaled(args.scale).build()
 }
 
 /// `sampsim list`.
@@ -140,25 +151,26 @@ pub fn list() -> CmdResult {
 /// is printed with Rust's shortest-round-trip formatting, so the bytes
 /// are identical for every `--jobs` value. The CLI integration tests rely
 /// on this.
-pub fn run(bench: &str, out: Option<&str>, options: &Options) -> CmdResult {
-    validated_strategy(options)?;
+pub fn run(args: &Args) -> CmdResult {
+    let bench = args.required("run needs a benchmark")?;
+    validated_strategy(args)?;
     let request = RunRequest {
         bench: bench.to_string(),
-        scale: options.scale.factor(),
-        slice: options.slice,
-        maxk: options.maxk,
-        strategy: options.strategy.clone(),
+        scale: args.scale.factor(),
+        slice: args.slice,
+        maxk: args.maxk,
+        strategy: args.strategy.clone(),
         kmeans: None,
     };
     let prepared = service::prepare(&request)?;
-    let mut sink = out.map(create_report_file).transpose()?;
+    let mut sink = args.out.as_deref().map(create_report_file).transpose()?;
     eprintln!(
         "running the sampling study for {} ({} instructions, jobs = {})...",
         prepared.name,
         with_commas(prepared.program.total_insts()),
-        options.jobs
+        args.jobs
     );
-    let document = service::execute_prepared(&prepared, options.jobs, &NoCache)?;
+    let document = service::execute_prepared(&prepared, args.jobs, &NoCache)?;
     println!("{document}");
     if let Some(file) = &mut sink {
         writeln!(file, "{document}")?;
@@ -167,9 +179,9 @@ pub fn run(bench: &str, out: Option<&str>, options: &Options) -> CmdResult {
 }
 
 /// `sampsim profile <bench>`.
-pub fn profile(bench: &str, options: &Options) -> CmdResult {
-    let spec = find_benchmark(bench)?;
-    let program = build(&spec, options);
+pub fn profile(args: &Args) -> CmdResult {
+    let spec = find_benchmark(args.required("profile needs a benchmark")?)?;
+    let program = build(&spec, args);
     eprintln!(
         "profiling {} ({} instructions)...",
         spec.name(),
@@ -189,18 +201,23 @@ pub fn profile(bench: &str, options: &Options) -> CmdResult {
     Ok(())
 }
 
-/// `sampsim simpoints <bench> [-o DIR]`.
-pub fn simpoints(bench: &str, out: Option<&str>, options: &Options) -> CmdResult {
-    let spec = find_benchmark(bench)?;
-    let program = build(&spec, options);
-    let config = pipeline_config(options)?;
+/// `sampsim simpoints <bench> [-o DIR]`. The selection, the table and
+/// the saved pinballs are identical for every `--jobs` value.
+pub fn simpoints(args: &Args) -> CmdResult {
+    let spec = find_benchmark(args.required("simpoints needs a benchmark")?)?;
+    let program = build(&spec, args);
+    let config = pipeline_config(args)?;
     eprintln!(
         "slicing {} at {} instructions/slice, MaxK = {}...",
         spec.name(),
         config.slice_size,
         config.simpoint.max_k
     );
-    let result = Pipeline::new(config).run(&program, &RunOptions::default())?;
+    let run_options = RunOptions {
+        jobs: args.jobs,
+        ..Default::default()
+    };
+    let result = Pipeline::new(config).run(&program, &run_options)?;
     let mut table = Table::new(["Slice", "Cluster", "Weight %", "Warmup insts"]);
     table.title(format!(
         "{}: {} slices -> {} simulation points (k = {})",
@@ -218,7 +235,7 @@ pub fn simpoints(bench: &str, out: Option<&str>, options: &Options) -> CmdResult
         ]);
     }
     table.print();
-    if let Some(dir) = out {
+    if let Some(dir) = &args.out {
         std::fs::create_dir_all(dir)?;
         let path = Path::new(dir).join(format!("{}.pb", spec.name()));
         store::save_regions(&path, &result.regional)?;
@@ -235,11 +252,12 @@ pub fn simpoints(bench: &str, out: Option<&str>, options: &Options) -> CmdResult
 }
 
 /// `sampsim replay <FILE>`.
-pub fn replay(path: &str, options: &Options) -> CmdResult {
+pub fn replay(args: &Args) -> CmdResult {
+    let path = args.required("replay needs a pinball file")?;
     let regions = store::load_regions(Path::new(path))?;
     let first = regions.first().ok_or("pinball file contains no regions")?;
     let spec = find_benchmark(&first.program_name)?;
-    let program = build(&spec, options);
+    let program = build(&spec, args);
     eprintln!(
         "replaying {} regions of {} with ldstmix + allcache (warm)...",
         regions.len(),
@@ -250,7 +268,7 @@ pub fn replay(path: &str, options: &Options) -> CmdResult {
         &regions,
         configs::allcache_table1(),
         WarmupMode::Checkpointed,
-        options.jobs,
+        args.jobs,
     )?;
     let agg = aggregate_weighted(&metrics);
     print_aggregate(&format!("{} regional run", first.program_name), &agg);
@@ -263,10 +281,10 @@ pub fn replay(path: &str, options: &Options) -> CmdResult {
 }
 
 /// `sampsim report <bench>`.
-pub fn report(bench: &str, options: &Options) -> CmdResult {
-    let spec = find_benchmark(bench)?;
-    let program = build(&spec, options);
-    let config = pipeline_config(options)?;
+pub fn report(args: &Args) -> CmdResult {
+    let spec = find_benchmark(args.required("report needs a benchmark")?)?;
+    let program = build(&spec, args);
+    let config = pipeline_config(args)?;
     eprintln!(
         "running the full study for {} (whole + regions)...",
         spec.name()
@@ -277,7 +295,7 @@ pub fn report(bench: &str, options: &Options) -> CmdResult {
     let result = pipeline.run(
         &program,
         &RunOptions {
-            jobs: options.jobs,
+            jobs: args.jobs,
             ..Default::default()
         },
     )?;
@@ -315,7 +333,7 @@ pub fn report(bench: &str, options: &Options) -> CmdResult {
             &result.regional,
             configs::allcache_table1(),
             mode,
-            options.jobs,
+            args.jobs,
         )?;
         push(&mut table, label, &aggregate_weighted(&metrics));
     }
@@ -324,12 +342,17 @@ pub fn report(bench: &str, options: &Options) -> CmdResult {
 }
 
 /// `sampsim trace <bench> -o FILE [--limit N]`.
-pub fn trace(bench: &str, out: &str, limit: Option<u64>, options: &Options) -> CmdResult {
+pub fn trace(args: &Args) -> CmdResult {
     use sampsim_pin::engine;
     use sampsim_pin::tools::TraceWriter;
+    let bench = args.required("trace needs a benchmark")?;
+    let out = args
+        .out
+        .as_deref()
+        .ok_or_else(|| UsageError("trace needs -o FILE".into()))?;
     let spec = find_benchmark(bench)?;
-    let program = build(&spec, options);
-    let cap = limit.unwrap_or(u64::MAX);
+    let program = build(&spec, args);
+    let cap = args.limit.unwrap_or(u64::MAX);
     eprintln!(
         "tracing {} ({} instructions max) to {out}...",
         spec.name(),
@@ -385,20 +408,20 @@ mod tests {
 
     #[test]
     fn pipeline_config_respects_flags() {
-        let opts = Options {
+        let opts = Args {
             scale: sampsim_util::scale::Scale::new(0.5),
             slice: Some(1234),
             maxk: Some(7),
-            ..Options::default()
+            ..Args::default()
         };
         let c = pipeline_config(&opts).unwrap();
         assert_eq!(c.slice_size, 1234);
         assert_eq!(c.simpoint.max_k, 7);
-        let defaults = pipeline_config(&Options {
+        let defaults = pipeline_config(&Args {
             scale: sampsim_util::scale::Scale::new(0.5),
             slice: None,
             maxk: None,
-            ..Options::default()
+            ..Args::default()
         })
         .unwrap();
         assert_eq!(defaults.slice_size, 5_000);
@@ -406,9 +429,9 @@ mod tests {
 
     #[test]
     fn pipeline_config_validates_strategy_names() {
-        let named = |name: &str| Options {
+        let named = |name: &str| Args {
             strategy: Some(name.to_string()),
-            ..Options::default()
+            ..Args::default()
         };
         for name in sampsim_simpoint::STRATEGY_NAMES {
             let config = pipeline_config(&named(name)).unwrap();
@@ -424,23 +447,67 @@ mod tests {
         // Lloyd is the only clustering kernel: the old selector flag never
         // reaches pipeline_config, and a plain run keeps the default
         // SimPoint options.
-        let argv = |s: &str| crate::args::parse(s.split_whitespace().map(String::from));
+        let argv = |s: &str| {
+            crate::args::parse(s.split_whitespace().map(String::from)).map(|(_, args)| args)
+        };
         let err = argv("run mcf_r --kmeans-mode minibatch").unwrap_err();
         assert_eq!(err, "unknown flag: --kmeans-mode");
-        let config = pipeline_config(&argv("run mcf_r").unwrap().options).unwrap();
+        let config = pipeline_config(&argv("run mcf_r").unwrap()).unwrap();
         assert_eq!(config.simpoint, SimPointOptions::default());
     }
 
     #[test]
     fn pipeline_config_accepts_parameterized_strategy_specs() {
-        let named = |name: &str| Options {
+        let named = |name: &str| Args {
             strategy: Some(name.to_string()),
-            ..Options::default()
+            ..Args::default()
         };
         let config = pipeline_config(&named("rss:set_size=8,replicates=4")).unwrap();
         assert_eq!(config.strategy.name(), "rss");
         let err = pipeline_config(&named("rss:set_size=nope")).unwrap_err();
         assert!(err.0.contains("SA130"), "{}", err.0);
         assert!(err.0.contains("set_size"), "{}", err.0);
+    }
+
+    /// Each command checks its own operands before it builds, binds or
+    /// writes anything, and a broken rule is a usage error (exit 2).
+    #[test]
+    fn operand_rules_keep_their_messages() {
+        let refused = |line: &str| {
+            let (command, args) =
+                crate::args::parse(line.split_whitespace().map(String::from)).unwrap();
+            let err = (command.run)(&args).unwrap_err();
+            assert!(err.is::<UsageError>(), "{line}: {err}");
+            err.to_string()
+        };
+        for command in ["run", "profile", "simpoints", "report", "trace"] {
+            assert_eq!(refused(command), format!("{command} needs a benchmark"));
+        }
+        assert_eq!(refused("replay"), "replay needs a pinball file");
+        assert_eq!(refused("trace mcf_r"), "trace needs -o FILE");
+        for command in ["compare", "plan"] {
+            assert_eq!(
+                refused(command),
+                format!("{command} needs a benchmark (or --validate <FILE>)")
+            );
+            assert_eq!(
+                refused(&format!("{command} mcf_r --validate r.json")),
+                format!("{command} --validate takes no benchmark")
+            );
+        }
+        assert_eq!(
+            refused("audit mcf_r --update"),
+            "audit --update needs --artifacts <DIR>"
+        );
+        assert_eq!(
+            refused("request"),
+            "request needs a benchmark (or one of --ping/--stats/--shutdown/--suite)"
+        );
+        for op in ["--ping", "--stats", "--shutdown"] {
+            assert_eq!(
+                refused(&format!("request mcf_r {op}")),
+                "control requests (--ping/--stats/--shutdown) take no benchmark"
+            );
+        }
     }
 }

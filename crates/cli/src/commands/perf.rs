@@ -1,6 +1,6 @@
 //! `sampsim perf` — run (or validate) the kernel microbenchmark harness.
 
-use crate::args::Options;
+use crate::args::Args;
 
 use super::{validate_file, CmdResult};
 use sampsim_perf::{compare_reports, run_kernels, validate_report, PerfOptions, SCHEMA};
@@ -17,32 +17,26 @@ use sampsim_util::scale::Scale;
 /// report's size-normalized rates (>10% slower on any shared metric
 /// fails) — the regression check `scripts/check.sh` runs against the
 /// committed `BENCH_kernels.json`.
-pub fn perf(
-    quick: bool,
-    out: Option<&str>,
-    validate: Option<&str>,
-    baseline: Option<&str>,
-    options: &Options,
-) -> CmdResult {
-    if let Some(path) = validate {
+pub fn perf(args: &Args) -> CmdResult {
+    if let Some(path) = &args.validate {
         return validate_file(path, SCHEMA, validate_report);
     }
     let perf_options = PerfOptions {
-        quick,
+        quick: args.quick,
         // BBV regeneration executes `scale * full_insts` instructions but
         // keeps the full-scale slice count, so the clustering input is
         // full-size either way (see docs/performance.md).
         scale: Scale::new(0.01),
-        jobs: options.jobs,
+        jobs: args.jobs,
     };
     eprintln!(
         "timing kernels ({} mode)...",
-        if quick { "quick" } else { "full" }
+        if args.quick { "quick" } else { "full" }
     );
     let report = run_kernels(&perf_options, |line| eprintln!("  {line}"))?;
     let text = report.to_json();
     validate_report(&text).map_err(|e| format!("generated report failed validation: {e}"))?;
-    if let Some(path) = baseline {
+    if let Some(path) = &args.baseline {
         let base_text = std::fs::read_to_string(path)?;
         let compared = compare_reports(&text, &base_text).map_err(|e| format!("{path}: {e}"))?;
         for line in compared {
@@ -50,7 +44,7 @@ pub fn perf(
         }
     }
     print!("{text}");
-    if let Some(path) = out {
+    if let Some(path) = &args.out {
         std::fs::write(path, &text)?;
         eprintln!("wrote {path}");
     }

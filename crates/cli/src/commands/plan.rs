@@ -1,7 +1,7 @@
 //! `sampsim plan` — the static cost/precision planner.
 
-use super::{build, create_report_file, pipeline_config, validate_file, CmdResult};
-use crate::args::Options;
+use super::{build, create_report_file, pipeline_config, validate_file, validating, CmdResult};
+use crate::args::Args;
 use sampsim_core::plan::{self, SCHEMA};
 use sampsim_serve::service::find_benchmark;
 use sampsim_util::stats::with_commas;
@@ -19,26 +19,20 @@ use std::io::Write;
 /// the planned configuration. With `--validate`, checks an existing plan
 /// against the schema and the strategy registry instead; schema
 /// violations and registry drift are usage-class failures (exit 2).
-pub fn plan(
-    bench: Option<&str>,
-    out: Option<&str>,
-    validate: Option<&str>,
-    options: &Options,
-) -> CmdResult {
-    if let Some(path) = validate {
+pub fn plan(args: &Args) -> CmdResult {
+    if let Some(path) = validating(args, "plan")? {
         return validate_file(path, SCHEMA, plan::validate_report);
     }
-    let bench = bench.expect("the parser requires a benchmark without --validate");
-    let spec = find_benchmark(bench)?;
-    let program = build(&spec, options);
-    let config = pipeline_config(options)?;
+    let spec = find_benchmark(args.required("plan needs a benchmark (or --validate <FILE>)")?)?;
+    let program = build(&spec, args);
+    let config = pipeline_config(args)?;
     eprintln!(
         "planning {} on {} ({} instructions) — static analysis only, nothing runs...",
         config.strategy.name(),
         spec.name(),
         with_commas(program.total_insts())
     );
-    let mut sink = out.map(create_report_file).transpose()?;
+    let mut sink = args.out.as_deref().map(create_report_file).transpose()?;
     let report = plan::plan_strategy(&program, &config, None)?;
     let document = report.to_json();
     println!("{document}");

@@ -1,7 +1,7 @@
 //! `sampsim serve` / `sampsim request` — the daemon and its client.
 
-use super::{create_report_file, CmdResult};
-use crate::args::{Options, RequestOp};
+use super::{create_report_file, CmdResult, UsageError};
+use crate::args::{Args, RequestOp};
 use sampsim_serve::client::{self, RetryPolicy};
 use sampsim_serve::service::RunRequest;
 use sampsim_serve::{protocol, ServeConfig, Server};
@@ -13,17 +13,12 @@ use std::path::PathBuf;
 /// Prints the bound address on stdout (flushed) before serving, so
 /// scripts can pass `--addr 127.0.0.1:0` and read back the ephemeral
 /// port. `--jobs` sets the worker-pool size.
-pub fn serve(
-    addr: &str,
-    cache_dir: Option<&str>,
-    queue_depth: usize,
-    options: &Options,
-) -> CmdResult {
+pub fn serve(args: &Args) -> CmdResult {
     let config = ServeConfig {
-        addr: addr.to_string(),
-        cache_dir: cache_dir.map(PathBuf::from),
-        workers: options.jobs,
-        queue_depth,
+        addr: args.addr.clone(),
+        cache_dir: args.cache_dir.as_ref().map(PathBuf::from),
+        workers: args.jobs,
+        queue_depth: args.queue_depth,
     };
     let server = Server::bind(config)?;
     println!("sampsim-serve listening on {}", server.local_addr());
@@ -56,21 +51,32 @@ pub fn serve(
 /// attempts (`--retries 1` disables retry). `--suite` sends the batch op
 /// (benchmarks from the comma-separated operand, or the whole suite) and
 /// streams one envelope line per benchmark as the fleet produces them.
-pub fn request(
-    bench: Option<&str>,
-    addr: &str,
-    op: RequestOp,
-    retries: Option<u32>,
-    out: Option<&str>,
-    options: &Options,
-) -> CmdResult {
-    let mut sink = out.map(create_report_file).transpose()?;
+pub fn request(args: &Args) -> CmdResult {
+    let (bench, op, addr) = (args.operand(0), args.op, args.addr.as_str());
+    match op {
+        RequestOp::Run if bench.is_none() => {
+            return Err(UsageError(
+                "request needs a benchmark (or one of --ping/--stats/--shutdown/--suite)".into(),
+            )
+            .into());
+        }
+        // `--suite` takes an optional comma-separated benchmark list; the
+        // pure control ops take none.
+        RequestOp::Ping | RequestOp::Stats | RequestOp::Shutdown if bench.is_some() => {
+            return Err(UsageError(
+                "control requests (--ping/--stats/--shutdown) take no benchmark".into(),
+            )
+            .into());
+        }
+        _ => {}
+    }
+    let mut sink = args.out.as_deref().map(create_report_file).transpose()?;
     let template = |bench: &str| RunRequest {
         bench: bench.to_string(),
-        scale: options.scale.factor(),
-        slice: options.slice,
-        maxk: options.maxk,
-        strategy: options.strategy.clone(),
+        scale: args.scale.factor(),
+        slice: args.slice,
+        maxk: args.maxk,
+        strategy: args.strategy.clone(),
         kmeans: None,
     };
     if op == RequestOp::Suite {
@@ -102,24 +108,21 @@ pub fn request(
         }
     }
     let line = match op {
-        RequestOp::Run => {
-            let bench = bench.ok_or("request needs a benchmark")?;
-            protocol::run_request_line(
-                bench,
-                options.scale.factor(),
-                options.slice,
-                options.maxk,
-                options.strategy.as_deref(),
-                None,
-            )
-        }
+        RequestOp::Run => protocol::run_request_line(
+            bench.expect("checked above"),
+            args.scale.factor(),
+            args.slice,
+            args.maxk,
+            args.strategy.as_deref(),
+            None,
+        ),
         RequestOp::Ping => "{\"op\":\"ping\"}".to_string(),
         RequestOp::Stats => "{\"op\":\"stats\"}".to_string(),
         RequestOp::Shutdown => "{\"op\":\"shutdown\"}".to_string(),
         RequestOp::Suite => unreachable!("handled above"),
     };
     let policy = RetryPolicy {
-        attempts: retries.unwrap_or(client::DEFAULT_RETRY.attempts),
+        attempts: args.retries.unwrap_or(client::DEFAULT_RETRY.attempts),
         ..client::DEFAULT_RETRY
     };
     let got = client::request_line_with_retry(addr, &line, &policy)?;

@@ -3,7 +3,8 @@
 //!
 //! Every exhibit measures through one [`Study`], whose configuration the
 //! pipeline flags set as they do for `run`; an exhibit refuses (exit 2,
-//! before any simulation) a flag it sweeps, pins or never reads. Exhibits
+//! before any simulation) a flag it sweeps, pins or never reads, through
+//! the check that refuses a flag the command never reads. Exhibits
 //! share an on-disk memo (`--artifacts DIR`, default `./artifacts`), the
 //! serve disk tier (`TieredCache`, no memory tier): one `<key>.bin` entry
 //! per benchmark result and per whole walk, content-keyed, so a stale one
@@ -11,7 +12,7 @@
 //! the benchmarks out over `--jobs`, the others pass it to every stage. A
 //! `[bench]` operand restricts suite figures to matching benchmarks.
 
-use crate::args::Options;
+use crate::args::Args;
 use crate::commands::{pipeline_config, CmdResult, UsageError};
 use sampsim_cache::configs;
 use sampsim_core::bench_result::{BenchResult, StudyConfig};
@@ -90,20 +91,21 @@ struct FigureArgs {
 impl FigureArgs {
     /// The figure study: the paper's configuration with the pipeline
     /// flags applied by [`pipeline_config`], and the Table I hierarchy
-    /// profiled alongside, as every benchmark result needs.
-    fn new(options: &Options, memo: TieredCache, filter: Option<&str>) -> Result<Self, UsageError> {
+    /// profiled alongside, as every benchmark result needs. The second
+    /// operand is the benchmark filter.
+    fn new(args: &Args, memo: TieredCache) -> Result<Self, UsageError> {
         let config = StudyConfig {
             pinpoints: PinPointsConfig {
                 profile_cache: Some(configs::allcache_table1()),
-                ..pipeline_config(options)?
+                ..pipeline_config(args)?
             },
             ..StudyConfig::default()
         };
         Ok(Self {
-            study: Study::new(options.scale).with_config(config),
+            study: Study::new(args.scale).with_config(config),
             memo,
-            filter: filter.map(str::to_string),
-            jobs: options.jobs,
+            filter: args.operand(1).map(str::to_string),
+            jobs: args.jobs,
         })
     }
 
@@ -195,13 +197,8 @@ fn sweep_table(
 /// `sampsim figure [name] [bench]`: renders the named exhibit, or lists
 /// them all when no name is given. A refused pipeline flag is a usage
 /// error, reported before any simulation.
-pub fn figure(
-    name: Option<&str>,
-    bench: Option<&str>,
-    artifacts: &str,
-    options: &Options,
-) -> CmdResult {
-    let Some(name) = name else {
+pub fn figure(args: &Args) -> CmdResult {
+    let Some(name) = args.operand(0) else {
         let mut table = Table::new(["Figure", "Shows"]);
         for (name, about, ..) in FIGURES {
             table.row(vec![name.to_string(), about.to_string()]);
@@ -216,23 +213,16 @@ pub fn figure(
             names.join(", ")
         ))
     })?;
-    let given = [
-        ("--slice", options.slice.is_some()),
-        ("--maxk", options.maxk.is_some()),
-        ("--strategy", options.strategy.is_some()),
-    ];
-    if let Some((flag, _)) = given
-        .iter()
-        .find(|(flag, set)| *set && refuses.contains(flag))
-    {
-        return Err(UsageError(format!(
-            "figure {name} refuses {flag}: the exhibit sweeps or pins it, or never reads it"
-        ))
-        .into());
-    }
+    args.refuse_unread(
+        &format!("figure {name}"),
+        |flag| !refuses.contains(&flag),
+        "the exhibit sweeps or pins it, or never reads it",
+    )
+    .map_err(UsageError)?;
+    let artifacts = args.artifacts.as_deref().unwrap_or("artifacts");
     let memo = TieredCache::new(0, Some(artifacts.as_ref()))
         .map_err(|e| format!("--artifacts {artifacts}: {e}"))?;
-    render(&FigureArgs::new(options, memo, bench)?)
+    render(&FigureArgs::new(args, memo)?)
 }
 
 /// Geometric-mean helper for suite-level factors.
@@ -257,12 +247,11 @@ mod tests {
     use super::*;
 
     fn args(argv: &str) -> FigureArgs {
-        let parsed = crate::args::parse(argv.split_whitespace().map(String::from)).unwrap();
-        let crate::args::Command::Figure { bench, .. } = &parsed.command else {
-            panic!("not a figure command: {argv}");
-        };
+        let (command, args) =
+            crate::args::parse(argv.split_whitespace().map(String::from)).unwrap();
+        assert_eq!(command.name, "figure", "{argv}");
         let memo = TieredCache::new(0, None).unwrap();
-        FigureArgs::new(&parsed.options, memo, bench.as_deref()).unwrap()
+        FigureArgs::new(&args, memo).unwrap()
     }
 
     #[test]

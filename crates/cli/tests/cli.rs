@@ -50,27 +50,32 @@ fn ambiguous_benchmark_is_rejected() {
 fn simpoints_save_and_replay_roundtrip() {
     let dir = std::env::temp_dir().join(format!("sampsim-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let out = sampsim()
-        .args([
-            "simpoints",
-            "omnetpp_s",
-            "--scale",
-            "0.02",
-            "--maxk",
-            "8",
-            "-o",
-        ])
-        .arg(&dir)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
     let pb = dir.join("620.omnetpp_s.pb");
-    assert!(pb.exists());
-    assert!(dir.join("620.omnetpp_s.whole.pb").exists());
+    let whole = dir.join("620.omnetpp_s.whole.pb");
+    // Returns stdout and the bytes of both pinball files.
+    let simpoints = |jobs: &str| {
+        let out = sampsim()
+            .args(["simpoints", "omnetpp_s", "--scale", "0.02", "--maxk", "8"])
+            .args(["--jobs", jobs, "-o"])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "--jobs {jobs}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let read = |path: &std::path::Path| std::fs::read(path).unwrap();
+        (out.stdout, read(&pb), read(&whole))
+    };
+    // The selection, its table and the saved pinballs never depend on
+    // the worker count.
+    let serial = simpoints("1");
+    assert!(!serial.1.is_empty() && !serial.2.is_empty());
+    let parallel = simpoints("3");
+    assert_eq!(parallel.0, serial.0, "--jobs 3 stdout diverged");
+    assert_eq!(parallel.1, serial.1, "--jobs 3 regional pinballs diverged");
+    assert_eq!(parallel.2, serial.2, "--jobs 3 whole pinball diverged");
     let out = sampsim()
         .arg("replay")
         .arg(&pb)
@@ -213,20 +218,24 @@ fn lint_audits_saved_artifacts() {
 #[test]
 fn audit_dynamic_pass_is_clean() {
     // The executor oracle: a real profile can never violate the bounds
-    // the schedule proves statically.
-    let out = sampsim()
-        .args(["audit", "omnetpp_s", "--scale", "0.002"])
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stdout: {} stderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
+    // the schedule proves statically, however many workers profile it.
+    let audit = |jobs: &str| {
+        let out = sampsim()
+            .args(["audit", "omnetpp_s", "--scale", "0.002", "--jobs", jobs])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stdout: {} stderr: {}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let text = audit("1");
     assert!(text.contains("no findings"), "{text}");
+    assert_eq!(audit("3"), text, "--jobs 3 report diverged");
 }
 
 #[test]
@@ -700,26 +709,15 @@ fn plan_output_is_golden_byte_stable_and_validates() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("plan.json");
     let args = ["plan", "omnetpp_s", "--scale", "0.002", "--maxk", "6"];
-    let capture = |jobs: Option<&str>, out_path: Option<&std::path::Path>| -> Vec<u8> {
-        let mut cmd = sampsim();
-        cmd.args(args);
-        if let Some(j) = jobs {
-            cmd.args(["--jobs", j]);
-        }
-        if let Some(p) = out_path {
-            cmd.arg("-o").arg(p);
-        }
-        let out = cmd.output().unwrap();
-        assert!(
-            out.status.success(),
-            "jobs {jobs:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
+    let out = sampsim().args(args).arg("-o").arg(&path).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // One schema-tagged JSON line with the statically derived shape.
-    let serial = capture(Some("1"), Some(&path));
+    let serial = out.stdout;
     let text = String::from_utf8(serial.clone()).unwrap();
     assert_eq!(text.lines().count(), 1, "one JSON line: {text}");
     let doc = json::parse(text.trim()).unwrap();
@@ -743,13 +741,14 @@ fn plan_output_is_golden_byte_stable_and_validates() {
     // MaxK 6 < 30: the plan carries its own SA140 finding.
     assert!(text.contains("\"SA140\""), "{text}");
 
-    // Byte stability: -o mirrors stdout; a static plan trivially never
-    // depends on the job count, but the contract is still asserted.
+    // Byte stability: -o mirrors stdout. A static plan runs nothing, so
+    // it refuses --jobs.
     let file = std::fs::read(&path).unwrap();
     assert_eq!(file, serial, "-o file diverged from stdout");
-    assert_eq!(serial, capture(Some("2"), None), "--jobs 2 diverged");
-    assert_eq!(serial, capture(Some("3"), None), "--jobs 3 diverged");
-    assert_eq!(serial, capture(None, None), "default jobs diverged");
+    let refused = sampsim().args(args).args(["--jobs", "2"]).output().unwrap();
+    assert_eq!(refused.status.code(), Some(2));
+    let err = String::from_utf8(refused.stderr).unwrap();
+    assert!(err.contains("plan refuses --jobs"), "{err}");
 
     // --validate accepts the real plan and exits 0...
     let out = sampsim()
@@ -1048,6 +1047,98 @@ fn figure_refuses_the_flags_it_sweeps_or_ignores() {
         assert!(out.stdout.is_empty(), "{figure} {flag}");
         assert!(!memo.exists(), "{figure} {flag} opened the memo");
     }
+}
+
+/// Runs `cmd` for at most a minute: a command that should refuse its
+/// flags but serves instead is killed, not waited on.
+fn output_within_a_minute(cmd: &mut Command) -> std::process::Output {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    child.wait_with_output().unwrap()
+}
+
+/// Every command refuses a flag it never reads: exit 2 naming the flag,
+/// before it builds, binds or writes anything. No `-o` path appears, no
+/// memo or cache directory, and no daemon announces an address.
+#[test]
+fn every_command_refuses_a_flag_it_never_reads() {
+    let root = std::env::temp_dir().join(format!("sampsim-refuse-all-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let out = root.join("out");
+    let memo = root.join("memo");
+    let (o, m) = (out.to_str().unwrap(), memo.to_str().unwrap());
+    let pb = format!("{o}/620.omnetpp_s.pb");
+    let small = ["--scale", "0.002"];
+    // (command line, the refused flag and its value)
+    let cases: [(Vec<&str>, [&str; 2]); 17] = [
+        (vec!["list"], ["--jobs", "2"]),
+        (vec!["help"], ["--scale", "0.002"]),
+        (
+            vec!["run", "omnetpp_s", "--maxk", "6", "-o", o],
+            ["--reps", "2"],
+        ),
+        (vec!["profile", "mcf_r"], ["--jobs", "2"]),
+        (vec!["simpoints", "omnetpp_s", "-o", o], ["--limit", "5"]),
+        (vec!["replay", &pb], ["--maxk", "6"]),
+        (vec!["report", "omnetpp_s", "--maxk", "6"], ["-o", o]),
+        (
+            vec!["trace", "mcf_r", "--limit", "100", "-o", o],
+            ["--jobs", "2"],
+        ),
+        (
+            vec!["compare", "omnetpp_s", "--reps", "2", "-o", o],
+            ["--strategy", "rss"],
+        ),
+        (vec!["plan", "omnetpp_s", "-o", o], ["--jobs", "2"]),
+        (vec!["lint", "--artifacts", m], ["--jobs", "2"]),
+        (vec!["audit", "--artifacts", m, "--update"], ["--maxk", "6"]),
+        (vec!["perf", "--quick", "-o", o], small),
+        (
+            vec!["serve", "--addr", "127.0.0.1:0", "--cache-dir", m],
+            ["--maxk", "6"],
+        ),
+        (
+            vec!["fleet", "--addr", "127.0.0.1:0", "--cache-dir", m],
+            small,
+        ),
+        (
+            vec!["request", "--ping", "--addr", "127.0.0.1:1", "-o", o],
+            ["--jobs", "2"],
+        ),
+        (
+            vec!["figure", "table2", "xz", "--artifacts", m],
+            ["--reps", "2"],
+        ),
+    ];
+    for (line, [flag, value]) in cases {
+        let mut cmd = sampsim();
+        cmd.args(&line);
+        if !matches!(line[0], "list" | "help" | "perf" | "serve" | "fleet") {
+            cmd.args(small);
+        }
+        let output = output_within_a_minute(cmd.args([flag, value]));
+        let err = String::from_utf8_lossy(&output.stderr);
+        let what = format!("{line:?} {flag}");
+        assert_eq!(output.status.code(), Some(2), "{what}: {err}");
+        assert!(
+            err.contains(&format!("{} refuses {flag}", line[0])),
+            "{what}: {err}"
+        );
+        assert!(output.stdout.is_empty(), "{what} printed to stdout");
+        assert!(!out.exists(), "{what} wrote its -o path");
+        assert!(!memo.exists(), "{what} made its directory");
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// `--validate FILE` is one front door for every report command: a valid

@@ -74,15 +74,6 @@ impl Ring {
         shards.sort_by_key(|&shard| (std::cmp::Reverse(Self::weight(key, shard)), shard));
         shards
     }
-
-    /// The owner of `key` when only `alive` slots remain in service:
-    /// the highest-preference surviving slot. Returns `None` when no
-    /// listed slot is valid for this ring.
-    pub fn route_surviving(&self, key: u64, alive: &[usize]) -> Option<usize> {
-        self.preference(key)
-            .into_iter()
-            .find(|shard| alive.contains(shard))
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +128,12 @@ mod tests {
         let alive = [0usize, 1, 3];
         for key in 0..1000u64 {
             let owner = ring.route(key);
-            let after = ring.route_surviving(key, &alive).unwrap();
+            // The new owner: the first surviving entry of the preference list.
+            let after = ring
+                .preference(key)
+                .into_iter()
+                .find(|shard| alive.contains(shard))
+                .unwrap();
             if owner != DEAD {
                 assert_eq!(after, owner, "key {key} moved without cause");
             } else {

@@ -51,17 +51,6 @@ impl MixCounts {
             *a += b;
         }
     }
-
-    /// Largest absolute difference between two distributions, in
-    /// percentage points — the paper's Fig. 7 error metric.
-    pub fn max_distribution_error(&self, reference: &MixCounts) -> f64 {
-        let a = self.distribution_pct();
-        let b = reference.distribution_pct();
-        a.iter()
-            .zip(&b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
-    }
 }
 
 /// The `ldstmix` Pintool.
@@ -144,13 +133,5 @@ mod tests {
         assert_eq!(a.count(MemClass::NoMem), 11);
         assert_eq!(a.count(MemClass::ReadWrite), 44);
         assert_eq!(a.total(), 110);
-    }
-
-    #[test]
-    fn max_error_metric() {
-        let a = mk([50, 30, 15, 5]);
-        let b = mk([48, 32, 15, 5]);
-        assert!((a.max_distribution_error(&b) - 2.0).abs() < 1e-9);
-        assert_eq!(a.max_distribution_error(&a), 0.0);
     }
 }

@@ -6,7 +6,7 @@
 //! reaches a threshold fraction of the score range (SimPoint's default
 //! is 0.9).
 
-use crate::kmeans::KmeansSummary;
+use crate::kmeans::KmeansResult;
 
 /// BIC score of a clustering over `n` points of dimension `dim`.
 /// Higher is better.
@@ -14,15 +14,15 @@ use crate::kmeans::KmeansSummary;
 /// # Panics
 ///
 /// Panics if the clustering has no points or `dim` is zero.
-pub fn bic_score(clustering: &KmeansSummary, dim: usize) -> f64 {
-    let n = clustering.points();
+pub fn bic_score(clustering: &KmeansResult, dim: usize) -> f64 {
+    let n = clustering.assignments.len();
     assert!(n > 0, "cannot score an empty clustering");
     assert!(dim > 0, "dim must be positive");
-    let k = clustering.k();
+    let k = clustering.k;
     let sizes = clustering.cluster_sizes();
     // Pooled MLE variance under the identical spherical Gaussian model.
     let denom = (n.saturating_sub(k)).max(1) as f64;
-    let sigma2 = (clustering.inertia() / denom).max(1e-12);
+    let sigma2 = (clustering.inertia / denom).max(1e-12);
     let nf = n as f64;
     let d = dim as f64;
     let mut loglik = 0.0;
@@ -102,7 +102,7 @@ mod tests {
         let scores: Vec<(usize, f64)> = (1..=10)
             .map(|k| {
                 let r = kmeans(&data, n, 2, k, 100, 3).unwrap();
-                (k, bic_score(&r.into_summary(), 2))
+                (k, bic_score(&r, 2))
             })
             .collect();
         let chosen = choose_k(&scores, 0.9);
@@ -140,7 +140,7 @@ mod tests {
     fn zero_inertia_does_not_nan() {
         let data = vec![1.0; 10];
         let r = kmeans(&data, 5, 2, 1, 10, 1).unwrap();
-        let s = bic_score(&r.into_summary(), 2);
+        let s = bic_score(&r, 2);
         assert!(s.is_finite());
     }
 }

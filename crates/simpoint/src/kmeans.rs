@@ -28,9 +28,10 @@
 //!   [`kmeans_sweep`], by every candidate `k`).
 //!
 //! The SimPoint analysis clusters through [`kmeans_sweep`] (every
-//! candidate `k`, each (k, restart) pair one work item) and
-//! [`kmeans_best_of_jobs`] (the chosen `k`), so every selection is
-//! bit-reproducible for every worker count.
+//! candidate `k`, each (k, restart) pair one work item) and, when it
+//! scores the candidates on a subsample, [`kmeans_best_of_jobs`] (the
+//! chosen `k` over every slice), so every selection is bit-reproducible
+//! for every worker count.
 //!
 //! See `docs/performance.md` for the pruning invariants and the
 //! bit-identity argument.
@@ -125,11 +126,6 @@ impl KmeansResult {
         &self.sizes
     }
 
-    /// Number of clusters that actually contain points.
-    pub fn occupied_clusters(&self) -> usize {
-        self.sizes.iter().filter(|&&s| s > 0).count()
-    }
-
     /// Average intra-cluster variance: inertia divided by point count
     /// (the Fig. 4 metric).
     pub fn avg_variance(&self) -> f64 {
@@ -138,55 +134,6 @@ impl KmeansResult {
         } else {
             self.inertia / self.assignments.len() as f64
         }
-    }
-
-    /// What model selection reads of this result: `k`, the point count,
-    /// the inertia and the cluster sizes.
-    pub fn into_summary(self) -> KmeansSummary {
-        KmeansSummary {
-            k: self.k,
-            n: self.assignments.len(),
-            inertia: self.inertia,
-            sizes: self.sizes,
-        }
-    }
-}
-
-/// A k-means result without its assignments and centroids: what the BIC
-/// ([`crate::bic::bic_score`]) and the Fig. 4 variance sweep read.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KmeansSummary {
-    k: usize,
-    n: usize,
-    inertia: f64,
-    sizes: Vec<u64>,
-}
-
-impl KmeansSummary {
-    /// Number of clusters (the requested `k`, capped at the point count).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of points clustered.
-    pub fn points(&self) -> usize {
-        self.n
-    }
-
-    /// Sum of squared distances of points to their centroids.
-    pub fn inertia(&self) -> f64 {
-        self.inertia
-    }
-
-    /// Points per cluster.
-    pub fn cluster_sizes(&self) -> &[u64] {
-        &self.sizes
-    }
-
-    /// Average intra-cluster variance: inertia divided by point count,
-    /// the same value as [`KmeansResult::avg_variance`].
-    pub fn avg_variance(&self) -> f64 {
-        self.inertia / self.n as f64
     }
 }
 
@@ -657,14 +604,13 @@ pub fn kmeans_best_of_jobs(
 
 /// The SimPoint sweep: for every `k` in `ks`, [`kmeans_best_of`] under
 /// `options` (`dim`, `max_iter`, `n_init`), seeded with
-/// `options.seed + k`, reduced to its [`KmeansSummary`]. Summaries come
-/// back in the order of `ks`.
+/// `options.seed + k`. Results come back in the order of `ks`.
 ///
 /// Every (k, restart) pair is one work item over `jobs` workers, largest
 /// `k` first, so the longest runs start first and no worker waits at a
 /// `k` boundary for a slower restart. Each `k`'s restarts are folded in
 /// restart order with [`kmeans_best_of`]'s strict `inertia <` rule, so
-/// the summaries are identical for every job count.
+/// the results are identical for every job count.
 ///
 /// # Errors
 ///
@@ -676,7 +622,7 @@ pub fn kmeans_sweep(
     ks: &[usize],
     options: &SimPointOptions,
     jobs: Jobs,
-) -> Result<Vec<KmeansSummary>, KmeansError> {
+) -> Result<Vec<KmeansResult>, KmeansError> {
     let dim = options.dim;
     for &k in ks {
         if options.n_init == 0 {
@@ -693,9 +639,9 @@ pub fn kmeans_sweep(
         .collect();
     let runs = parallel_map(jobs, &items, |_, &(i, run)| {
         let seed = restart_seed(options.seed.wrapping_add(ks[i] as u64), run);
-        lloyd(data, &points, n, dim, ks[i], options.max_iter, seed).into_summary()
+        lloyd(data, &points, n, dim, ks[i], options.max_iter, seed)
     });
-    let mut best: Vec<Option<KmeansSummary>> = vec![None; ks.len()];
+    let mut best: Vec<Option<KmeansResult>> = vec![None; ks.len()];
     for (&(i, _), r) in items.iter().zip(runs) {
         if best[i].as_ref().is_none_or(|b| r.inertia < b.inertia) {
             best[i] = Some(r);
@@ -742,7 +688,6 @@ mod tests {
     fn recovers_blobs() {
         let (data, n) = blobs();
         let r = kmeans(&data, n, 2, 3, 100, 1).unwrap();
-        assert_eq!(r.occupied_clusters(), 3);
         let sizes = r.cluster_sizes();
         assert!(sizes.iter().all(|&s| s == 40), "sizes {sizes:?}");
         // Points in the same blob share a cluster.
@@ -1009,23 +954,21 @@ mod tests {
             ..SimPointOptions::default()
         };
         let ks = [3, 1, 9, 4, 17, 2];
-        let expected: Vec<KmeansSummary> = ks
+        let expected: Vec<KmeansResult> = ks
             .iter()
-            .map(|&k| {
-                kmeans_best_of_reference(&data, n, 2, k, 40, 77 + k as u64, 3)
-                    .unwrap()
-                    .into_summary()
-            })
+            .map(|&k| kmeans_best_of_reference(&data, n, 2, k, 40, 77 + k as u64, 3).unwrap())
             .collect();
         for jobs in [SERIAL, Jobs::new(2).unwrap(), Jobs::new(5).unwrap()] {
             let got = kmeans_sweep(&data, n, &ks, &options, jobs).unwrap();
             assert_eq!(got.len(), ks.len());
             for ((g, e), k) in got.iter().zip(&expected).zip(ks) {
                 let what = format!("k={k} jobs={jobs}");
-                assert_eq!(g.k(), e.k(), "{what}: k");
-                assert_eq!(g.points(), n, "{what}: points");
-                assert_eq!(g.inertia().to_bits(), e.inertia().to_bits(), "{what}");
+                assert_eq!(g.k, e.k, "{what}: k");
+                assert_eq!(g.assignments, e.assignments, "{what}: assignments");
+                assert_eq!(g.inertia.to_bits(), e.inertia.to_bits(), "{what}");
                 assert_eq!(g.cluster_sizes(), e.cluster_sizes(), "{what}: sizes");
+                let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&g.centroids), bits(&e.centroids), "{what}: centroids");
             }
         }
         let zero_init = SimPointOptions {

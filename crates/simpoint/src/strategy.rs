@@ -175,9 +175,11 @@ impl SimPointStrategy {
 
     /// Projection → per-`k` clustering → BIC selection → representative
     /// selection. This is the reference SimPoint implementation. Every
-    /// (k, restart) pair of the BIC sweep, and then the chosen `k`'s
-    /// restarts, fan out over `jobs` workers; winners are chosen
-    /// deterministically, so the job count changes wall-clock time only.
+    /// (k, restart) pair of the BIC sweep fans out over `jobs` workers.
+    /// When the sweep scored every slice, the chosen `k`'s clustering is
+    /// the sweep's; after a subsample, the chosen `k`'s restarts over
+    /// every slice fan out too. Winners are chosen deterministically, so
+    /// the job count changes wall-clock time only.
     ///
     /// # Errors
     ///
@@ -217,16 +219,21 @@ impl SimPointStrategy {
         // Full Lloyd with restarts under the per-k seed schedule
         // (`seed + k`) that scoring and the final clustering share.
         let ks: Vec<usize> = (1..=o.max_k.min(score_n)).collect();
-        let bic_scores: Vec<(usize, f64)> = kmeans_sweep(score_data, score_n, &ks, o, jobs)?
+        let mut sweep = kmeans_sweep(score_data, score_n, &ks, o, jobs)?;
+        let bic_scores: Vec<(usize, f64)> = sweep
             .iter()
-            .map(|clustering| (clustering.k(), bic_score(clustering, o.dim)))
+            .map(|clustering| (clustering.k, bic_score(clustering, o.dim)))
             .collect();
         let best_k = choose_k(&bic_scores, o.bic_threshold);
 
-        // Final clustering at the chosen k over every slice.
-        let seed = o.seed.wrapping_add(best_k as u64);
-        let final_result =
-            kmeans_best_of_jobs(&data, n, o.dim, best_k, o.max_iter, seed, o.n_init, jobs)?;
+        // The chosen k over every slice: the sweep's own clustering when
+        // it scored every slice (`ks` starts at 1), else a final pass.
+        let final_result = if score_n == n {
+            sweep.swap_remove(best_k - 1)
+        } else {
+            let seed = o.seed.wrapping_add(best_k as u64);
+            kmeans_best_of_jobs(&data, n, o.dim, best_k, o.max_iter, seed, o.n_init, jobs)?
+        };
         let points = select_simpoints(&final_result, &data, o.dim);
         Ok(SimPointsResult {
             k: best_k,
@@ -1033,6 +1040,42 @@ mod tests {
             .into_parts(1_000);
         assert_eq!(via_trait, direct);
         assert!(reps.is_empty());
+    }
+
+    #[test]
+    fn simpoint_takes_the_chosen_k_from_the_sweep() {
+        // Every slice is scored (n <= sample_size), so the chosen k's
+        // clustering is the sweep's: the naive best-of at `seed + k`.
+        let bbvs = synthetic_bbvs(4, 30);
+        let o = SimPointOptions {
+            max_k: 8,
+            ..Default::default()
+        };
+        assert!(bbvs.len() <= o.sample_size);
+        let data = RandomProjection::new(o.dim, o.seed).project_all_normalized(&bbvs);
+        for jobs in [sampsim_exec::SERIAL, Jobs::new(3).unwrap()] {
+            let got = SimPointStrategy::new(o)
+                .analyze(&bbvs, 1_000, jobs)
+                .unwrap();
+            assert!(got.k > 1, "k = {}", got.k);
+            let seed = o.seed.wrapping_add(got.k as u64);
+            let want = crate::reference::kmeans_best_of_reference(
+                &data,
+                bbvs.len(),
+                o.dim,
+                got.k,
+                o.max_iter,
+                seed,
+                o.n_init,
+            )
+            .unwrap();
+            assert_eq!(got.assignments, want.assignments, "jobs = {jobs}");
+            assert_eq!(
+                got.avg_variance.to_bits(),
+                want.avg_variance().to_bits(),
+                "jobs = {jobs}"
+            );
+        }
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl TimingStats {
             self.cycles / self.instructions as f64
         }
     }
-
-    /// Simulated wall-clock seconds at `frequency_ghz`.
-    pub fn seconds_at(&self, frequency_ghz: f64) -> f64 {
-        self.cycles / (frequency_ghz * 1e9)
-    }
 }
 
 /// Interval-model timing simulator over a cache hierarchy and branch
@@ -255,16 +250,6 @@ mod tests {
         assert_eq!(sim.stats().instructions, 1);
         // The warmed line hits L1: only base cycles.
         assert!((sim.stats().cycles - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn seconds_at_frequency() {
-        let s = TimingStats {
-            instructions: 100,
-            cycles: 3.4e9,
-            ..Default::default()
-        };
-        assert!((s.seconds_at(3.4) - 1.0).abs() < 1e-12);
     }
 }
 

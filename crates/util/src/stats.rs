@@ -167,19 +167,6 @@ pub fn relative_error_pct(measured: f64, reference: f64) -> f64 {
     }
 }
 
-/// Signed relative difference of `measured` against `reference`, in percent.
-pub fn signed_relative_error_pct(measured: f64, reference: f64) -> f64 {
-    if reference == 0.0 {
-        if measured == 0.0 {
-            0.0
-        } else {
-            100.0 * measured
-        }
-    } else {
-        100.0 * (measured - reference) / reference.abs()
-    }
-}
-
 /// Weighted arithmetic mean of `values` under `weights`.
 ///
 /// # Panics
@@ -277,7 +264,6 @@ mod tests {
         assert_eq!(relative_error_pct(0.0, 0.0), 0.0);
         assert_eq!(relative_error_pct(0.5, 0.0), 50.0);
         assert!((relative_error_pct(0.9, 1.0) - 10.0).abs() < 1e-12);
-        assert!((signed_relative_error_pct(0.9, 1.0) + 10.0).abs() < 1e-12);
     }
 
     #[test]

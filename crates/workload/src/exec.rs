@@ -189,11 +189,6 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// Whether the whole schedule has been executed.
-    pub fn is_finished(&self) -> bool {
-        self.retired >= self.program.total_insts()
-    }
-
     #[inline]
     fn select_block(&mut self, phase_idx: usize) {
         let cums = &self.cums[phase_idx];
@@ -436,7 +431,6 @@ mod tests {
         }
         assert_eq!(n, 1000);
         assert_eq!(e.retired(), 1000);
-        assert!(e.is_finished());
         assert!(e.next_inst().is_none(), "stays finished");
     }
 

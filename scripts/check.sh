@@ -180,16 +180,25 @@ done
 cmp "$serve_dir/warmup-jobs1.txt" "$serve_dir/warmup-jobs2.txt" \
     || { echo "figure smoke: ablation_warmup --jobs 2 != --jobs 1" >&2; exit 1; }
 
-echo "==> sampsim figure refusals (a swept flag exits 2)"
-# fig3a sweeps MaxK and fig3b the slice size: each refuses the flag it
-# sweeps with a usage error before any simulation.
-for refused in "fig3a --maxk 6" "fig3b --slice 40"; do
+echo "==> sampsim refusals (a flag the command or exhibit never reads exits 2)"
+# fig3a sweeps MaxK and fig3b the slice size; compare runs every
+# strategy, plan runs nothing and serve takes its settings from each
+# request. Each case ends in a flag that its exhibit or command never
+# reads, and must exit 2 with an empty stdout before any simulation:
+# serve never binds, so it announces no address (the timeout stops a
+# daemon that serves instead).
+for refused in "figure fig3a --scale 0.002 --artifacts $figure_dir --maxk 6" \
+    "figure fig3b --scale 0.002 --artifacts $figure_dir --slice 40" \
+    "compare omnetpp_s --scale 0.002 --strategy rss" \
+    "plan omnetpp_s --scale 0.002 --jobs 2" \
+    "serve --addr 127.0.0.1:0 --maxk 6"; do
     code=0
-    # shellcheck disable=SC2086 # the exhibit and its flag are two words
-    "$sampsim_bin" figure $refused --scale 0.002 --artifacts "$figure_dir" \
-        > /dev/null 2>&1 || code=$?
+    # shellcheck disable=SC2086 # the command and its flags are several words
+    timeout 60 "$sampsim_bin" $refused > "$serve_dir/refused.out" 2> /dev/null || code=$?
     [ "$code" -eq 2 ] \
-        || { echo "figure refusals: 'figure $refused' exited $code, not 2" >&2; exit 1; }
+        || { echo "refusals: '$refused' exited $code, not 2" >&2; exit 1; }
+    [ ! -s "$serve_dir/refused.out" ] \
+        || { echo "refusals: '$refused' printed to stdout" >&2; exit 1; }
 done
 
 echo "==> sampsim run at MaxK 35 (the full BIC sweep: --jobs 1 == --jobs 3)"

@@ -403,12 +403,7 @@ fn bic_sweep_fan_out_matches_a_per_k_reference_fold() {
             kmeans_best_of_reference(data, n, o.dim, k, o.max_iter, seed, o.n_init).unwrap()
         };
         let bic: Vec<(usize, f64)> = (1..=o.max_k.min(score_n))
-            .map(|k| {
-                (
-                    k,
-                    bic_score(&cluster(&score, score_n, k).into_summary(), o.dim),
-                )
-            })
+            .map(|k| (k, bic_score(&cluster(&score, score_n, k), o.dim)))
             .collect();
         let k = choose_k(&bic, o.bic_threshold);
         let last = cluster(&data, n, k);
