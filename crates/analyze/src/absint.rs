@@ -6,8 +6,8 @@
 //! an [`Interval`] footprint plus a [`StrideClass`] — and per-phase
 //! working-set bounds. [`lint_memory`] then checks those abstractions
 //! against a concrete [`HierarchyConfig`]: a stride that lands every
-//! access in one cache set, a stride that defeats the DTLB, a region the
-//! phase declares but never touches. All conditions are decided purely
+//! access in one cache set, a stride that degenerates the walk, a region
+//! the phase declares but never touches. All conditions are decided purely
 //! from the static IR, so they hold for *every* execution.
 
 use crate::diag::{Diagnostic, Location, Report, Rule};
@@ -291,23 +291,6 @@ pub fn lint_memory(program: &Program, hierarchy: &HierarchyConfig) -> Report {
                 ));
                 break;
             }
-        }
-
-        // SA104: page-granular strides sweeping past the DTLB reach.
-        let dtlb = hierarchy.dtlb;
-        if stride >= dtlb.page_bytes && size > u64::from(dtlb.entries) * dtlb.page_bytes {
-            report.push(Diagnostic::new(
-                Rule::TlbThrashingStride,
-                loc(),
-                format!(
-                    "stream {s} of phase {p}: stride {stride} touches a new {}-byte page \
-                     every access over a {size}-byte region; the {}-entry DTLB covers only \
-                     {} bytes",
-                    dtlb.page_bytes,
-                    dtlb.entries,
-                    u64::from(dtlb.entries) * dtlb.page_bytes
-                ),
-            ));
         }
     }
 

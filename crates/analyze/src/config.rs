@@ -1,4 +1,4 @@
-//! Sampling-configuration lints (`SA020`–`SA034`): slicing and clustering
+//! Sampling-configuration lints (`SA020`–`SA033`): slicing and clustering
 //! parameters plus cache-hierarchy geometry.
 //!
 //! The pipeline's configuration type lives in `sampsim-core`, which depends
@@ -6,7 +6,7 @@
 //! that callers assemble before linting.
 
 use crate::diag::{Diagnostic, Location, Report, Rule};
-use sampsim_cache::{CacheConfig, HierarchyConfig, TlbConfig};
+use sampsim_cache::{CacheConfig, HierarchyConfig};
 use sampsim_simpoint::SimPointOptions;
 
 /// A dependency-neutral view of a sampling-pipeline configuration.
@@ -140,7 +140,7 @@ pub fn lint_strategy_name(name: &str) -> Report {
     report
 }
 
-/// Lints a cache hierarchy (`SA030`–`SA034`). `field` prefixes the
+/// Lints a cache hierarchy (`SA030`–`SA033`). `field` prefixes the
 /// location (e.g. `profile_cache`).
 pub fn lint_hierarchy(config: &HierarchyConfig, field: &str) -> Report {
     let mut report = Report::new();
@@ -193,10 +193,6 @@ pub fn lint_hierarchy(config: &HierarchyConfig, field: &str) -> Report {
         }
     }
 
-    // SA034: TLBs.
-    for (name, tlb) in [("itlb", &config.itlb), ("dtlb", &config.dtlb)] {
-        report.merge(lint_tlb(tlb, &format!("{field}.{name}")));
-    }
     report
 }
 
@@ -240,21 +236,6 @@ fn lint_cache_level(cache: &CacheConfig, field: &str) -> Report {
                 ),
             ));
         }
-    }
-    report
-}
-
-fn lint_tlb(tlb: &TlbConfig, field: &str) -> Report {
-    let mut report = Report::new();
-    if tlb.entries == 0 || !tlb.page_bytes.is_power_of_two() {
-        report.push(Diagnostic::new(
-            Rule::BadTlb,
-            Location::config(field.to_string()),
-            format!(
-                "{} entries with {} B pages is not a valid TLB",
-                tlb.entries, tlb.page_bytes
-            ),
-        ));
     }
     report
 }

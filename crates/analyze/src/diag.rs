@@ -238,10 +238,6 @@ rules! {
         "inner cache level has larger lines than an outer level",
         "a demand fill from the outer level cannot fill a whole inner \
          line; verify this is intentional"),
-    /// A TLB has zero entries or a non-power-of-two page size.
-    BadTlb => ("SA034", Error,
-        "TLB configuration is invalid",
-        "a TLB needs at least one entry and a power-of-two page size"),
 
     // ---- artifact audits (SA04x) ----
     /// Point weights do not sum to ~1.0.
@@ -294,12 +290,6 @@ rules! {
         "static code footprint exceeds the L1 instruction cache",
         "instruction fetch will miss persistently; this is realistic for \
          large codes but worth confirming against the modelled frontend"),
-    /// A page-sized stride sweeps more pages than the DTLB holds.
-    TlbThrashingStride => ("SA104", Warning,
-        "stride touches a new page every access across more pages than \
-         the DTLB holds",
-        "every access of the stream costs a TLB miss; use a sub-page \
-         stride or shrink the region below entries * page_bytes"),
 
     // ---- schedule recurrence (SA11x) ----
     /// A phase appears exactly once in the schedule of a multi-phase

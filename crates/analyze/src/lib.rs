@@ -14,10 +14,10 @@
 //! * `SA001`–`SA014` — workload IR, and `SA110` — phases that never recur
 //!   ([`lint_program`])
 //! * `SA020`–`SA028` — sampling configuration ([`lint_sampling_config`])
-//! * `SA030`–`SA034` — cache-hierarchy geometry ([`lint_hierarchy`])
+//! * `SA030`–`SA033` — cache-hierarchy geometry ([`lint_hierarchy`])
 //! * `SA040`, `SA041`, `SA047`–`SA049` — regional-pinball audits
 //!   ([`audit_regions`])
-//! * `SA100`–`SA104` — memory abstract interpretation ([`lint_memory`])
+//! * `SA100`–`SA103` — memory abstract interpretation ([`lint_memory`])
 //! * `SA120`–`SA125` — static-vs-dynamic audit oracle
 //!   ([`audit_bbvs_static`], [`audit_cursors`], [`AuditSummary`])
 //! * `SA130` — sampling-strategy validation ([`lint_strategy_name`])

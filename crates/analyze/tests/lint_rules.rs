@@ -402,16 +402,6 @@ fn sa033_line_size_mismatch() {
     assert!(lint_hierarchy(&h, "cache").fired(Rule::LineSizeMismatch));
 }
 
-#[test]
-fn sa034_bad_tlb() {
-    let mut h = hierarchy();
-    h.dtlb.entries = 0;
-    assert!(lint_hierarchy(&h, "cache").fired(Rule::BadTlb));
-    let mut h = hierarchy();
-    h.itlb.page_bytes = 5_000;
-    assert!(lint_hierarchy(&h, "cache").fired(Rule::BadTlb));
-}
-
 // ------------------------------------------------------- artifact rules
 
 #[test]
@@ -563,18 +553,6 @@ fn sa103_code_footprint_exceeds_l1i() {
     )
     .unwrap();
     assert!(!lint_memory(&p, &hierarchy()).fired(Rule::CodeFootprintExceedsL1I));
-}
-
-#[test]
-fn sa104_tlb_thrashing_stride() {
-    // Page-sized strides over 1 MiB touch 256 pages; the 64-entry DTLB
-    // (4 KiB pages) covers only 256 KiB.
-    let h = hierarchy();
-    assert!(lint_memory(&stride_program(4096, 1 << 20), &h).fired(Rule::TlbThrashingStride));
-    // Same stride over a region the TLB reach covers: clean.
-    assert!(!lint_memory(&stride_program(4096, 128 * 1024), &h).fired(Rule::TlbThrashingStride));
-    // Sub-page strides: clean regardless of region size.
-    assert!(!lint_memory(&stride_program(64, 1 << 20), &h).fired(Rule::TlbThrashingStride));
 }
 
 // ----------------------------------------------------- phase recurrence

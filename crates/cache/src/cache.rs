@@ -47,18 +47,7 @@ impl CacheConfig {
     }
 
     /// Overrides the replacement policy (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if tree-PLRU is requested with a non-power-of-two
-    /// associativity.
     pub fn with_policy(mut self, policy: ReplacementPolicy) -> Self {
-        if policy == ReplacementPolicy::TreePlru {
-            assert!(
-                self.ways.is_power_of_two(),
-                "tree-PLRU requires power-of-two associativity"
-            );
-        }
         self.policy = policy;
         self
     }
@@ -118,46 +107,27 @@ enum ProbeMode {
     /// 2-byte one has no spare bits for the flags and takes the mode its
     /// policy would give any other width.
     Direct,
-    /// LRU/FIFO at exactly 8 ways (the perf-kernel and i7 L1 shape):
-    /// tags live in `[u64; 8]` rows (one 64 B line per set) and recency
-    /// order + dirty bits share a single meta word per set.
+    /// LRU/FIFO at exactly 8 ways (the perf-kernel and i7 L1 and L2
+    /// shape): tags live in `[u64; 8]` rows (one 64 B line per set) and
+    /// recency order + dirty bits share a single meta word per set.
+    /// `refresh` is true for LRU (hits move the way to the MRU front) and
+    /// false for FIFO (insertion order only).
     Packed8 { refresh: bool },
-    /// LRU/FIFO at `ways <= 16`: exact recency order packed into one
-    /// nibble-list word per set. `refresh` is true for LRU (hits move the
-    /// way to the MRU front) and false for FIFO (insertion order only).
-    Packed { refresh: bool },
-    /// LRU/FIFO above 16 ways: each set's tags in exact recency order,
-    /// MRU first, their dirty bits moving with them (see
+    /// LRU/FIFO at every other width: each set's tags in exact recency
+    /// order, MRU first, their dirty bits moving with them (see
     /// [`Cache::access_row`]).
     Row { refresh: bool },
-    /// Random / tree-PLRU: the policy selects victims itself and no
-    /// recency state is kept in the cache.
+    /// Random: the policy selects victims itself and no recency state is
+    /// kept in the cache.
     Policy,
 }
 
-/// Returns the packed order word of an empty set: recency position `p`
-/// (nibble `p`, LSB first, position 0 = MRU) holds way `ways - 1 - p`, so
-/// the first victim — the nibble at position `ways - 1` — is way 0. That
-/// matches the stamp scan's tie-break on an all-invalid set (lowest index
-/// wins), and by induction the whole cold-fill sequence (way 0, 1, ...).
-fn initial_order(ways: usize) -> u64 {
-    let mut order = 0u64;
-    for p in 0..ways {
-        order |= ((ways - 1 - p) as u64) << (4 * p);
-    }
-    order
-}
-
-/// Position of `way` in a packed order word (nibble index from the LSB).
-#[inline]
-fn nibble_position(order: u64, way: u64, ways: usize) -> usize {
-    let mut p = 0;
-    while (order >> (4 * p)) & 0xF != way {
-        p += 1;
-        debug_assert!(p < ways, "way {way} missing from order {order:#x}");
-    }
-    p
-}
+/// The `Packed8` order nibbles of an empty set: recency position `p`
+/// (nibble `p`, LSB first, position 0 = MRU) holds way `7 - p`, so the
+/// first victim — the nibble at position 7 — is way 0. That matches the
+/// stamp scan's tie-break on an all-invalid set (lowest index wins), and
+/// by induction the whole cold-fill sequence (way 0, 1, ...).
+const INITIAL_ORDER8: u64 = 0x0123_4567;
 
 /// Moves bit `p` of one `Row` set's dirty words to bit 0 and shifts bits
 /// `0..p` up one place, as the set's move-to-front does to its tags.
@@ -233,22 +203,22 @@ const DIRECT_DIRTY: u64 = 2;
 /// modes keep the order instead of the stamps, chosen once from the
 /// policy and the geometry:
 ///
-/// - LRU/FIFO at `ways <= 16` packs it into one `u64` per set, four bits
-///   per way, MRU at the LSB: a hit is a register-only move-to-front and a
-///   miss reads its victim from the top nibble. 8-way sets also keep
-///   their dirty bits in that word and their tags in one 64 B row.
-/// - LRU/FIFO above 16 ways (Table I's 32-way L1s) stores each set's tags
-///   MRU-first: the first match from the front is the hit, and the victim
-///   is the last entry.
+/// - LRU/FIFO at 8 ways (Table III's L1s and L2) packs it into one meta
+///   word per set, four bits per way, MRU at the LSB, beside the set's
+///   dirty bits and a 64 B tag row: a hit is a register-only
+///   move-to-front and a miss reads its victim from the top nibble.
+/// - LRU/FIFO at any other width (Table I's 32-way L1s, Table III's
+///   16-way L3) stores each set's tags MRU-first: the first match from
+///   the front is the hit, and the victim is the last entry.
 /// - Direct-mapped sets (Table I's L2 and L3) have no order to keep: one
 ///   word per set holds tag, valid and dirty bits, 0 meaning empty, so a
 ///   large cache starts as lazily mapped zero pages.
-/// - Random and tree-PLRU keep flat tags and let the policy choose.
+/// - Random keeps flat tags and lets the policy choose.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Flat tag array, `ways` per set (`Packed`, `Row` and `Policy`; a
-    /// `Row` set lists its tags MRU first).
+    /// Flat tag array, `ways` per set (`Row` and `Policy`; a `Row` set
+    /// lists its tags MRU first).
     tags: Vec<u64>,
     /// One 64 B tag row per set (`Packed8` only; `tags` is empty).
     tags8: Vec<[u64; 8]>,
@@ -265,14 +235,10 @@ pub struct Cache {
     line_shift: u32,
     ways: usize,
     mode: ProbeMode,
-    /// One packed recency word per set (`ProbeMode::Packed` only).
-    order: Vec<u64>,
-    /// Dirty bitmask words, `dirty_words` per set (`Packed`: bit `w` is
-    /// way `w`; `Row`: bit `p` is recency position `p`).
+    /// Dirty bitmask words, `dirty_words` per set (`Row` only; bit `p` is
+    /// recency position `p`).
     dirty_mask: Vec<u64>,
     dirty_words: usize,
-    /// Mask selecting the `4 * ways` live bits of an order word.
-    order_mask: u64,
     policy: PolicyState,
 }
 
@@ -281,12 +247,7 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets() as usize;
         let ways = config.ways as usize;
-        let policy = PolicyState::new(
-            config.policy,
-            sets,
-            config.ways,
-            0xCAC4E ^ config.size_bytes,
-        );
+        let policy = PolicyState::new(config.policy, 0xCAC4E ^ config.size_bytes);
         let refresh = policy.refresh_on_hit();
         let mode = if ways == 1 && config.size_bytes >= 4 {
             ProbeMode::Direct
@@ -294,16 +255,12 @@ impl Cache {
             ProbeMode::Policy
         } else if ways == 8 {
             ProbeMode::Packed8 { refresh }
-        } else if ways <= 16 {
-            ProbeMode::Packed { refresh }
         } else {
             ProbeMode::Row { refresh }
         };
-        let packed = matches!(mode, ProbeMode::Packed { .. });
         let packed8 = matches!(mode, ProbeMode::Packed8 { .. });
-        let flat = packed || matches!(mode, ProbeMode::Row { .. } | ProbeMode::Policy);
+        let flat = matches!(mode, ProbeMode::Row { .. } | ProbeMode::Policy);
         let dirty_words = match mode {
-            ProbeMode::Packed { .. } => 1,
             ProbeMode::Row { .. } => ways.div_ceil(64),
             _ => 0,
         };
@@ -317,7 +274,7 @@ impl Cache {
             } else {
                 Vec::new()
             },
-            meta: if_mode(packed8, sets, initial_order(8)),
+            meta: if_mode(packed8, sets, INITIAL_ORDER8),
             lines: if_mode(mode == ProbeMode::Direct, sets, 0),
             dirty: if mode == ProbeMode::Policy {
                 vec![false; sets * ways]
@@ -330,18 +287,8 @@ impl Cache {
             line_shift: config.line_bytes.trailing_zeros(),
             ways,
             mode,
-            order: if packed {
-                vec![initial_order(ways); sets]
-            } else {
-                Vec::new()
-            },
             dirty_mask: vec![0; sets * dirty_words],
             dirty_words,
-            order_mask: if ways >= 16 {
-                u64::MAX
-            } else {
-                (1u64 << (4 * ways)) - 1
-            },
             policy,
         }
     }
@@ -366,12 +313,9 @@ impl Cache {
     pub fn flush(&mut self) {
         self.tags.fill(INVALID);
         self.tags8.fill([INVALID; 8]);
-        self.meta.fill(initial_order(8));
+        self.meta.fill(INITIAL_ORDER8);
         self.lines.fill(0);
         self.dirty.fill(false);
-        if !self.order.is_empty() {
-            self.order.fill(initial_order(self.ways));
-        }
         self.dirty_mask.fill(0);
         self.reset_stats();
     }
@@ -397,18 +341,11 @@ impl Cache {
             ProbeMode::Packed8 { refresh } => {
                 self.access_packed8(line, set, is_write, count, refresh)
             }
-            ProbeMode::Packed { refresh } => {
-                let base = set * self.ways;
-                self.access_packed(line, set, base, is_write, count, refresh)
-            }
             ProbeMode::Row { refresh: true } => self.access_row::<true>(line, set, is_write, count),
             ProbeMode::Row { refresh: false } => {
                 self.access_row::<false>(line, set, is_write, count)
             }
-            ProbeMode::Policy => {
-                let base = set * self.ways;
-                self.access_policy(line, set, base, is_write, count)
-            }
+            ProbeMode::Policy => self.access_policy(line, set * self.ways, is_write, count),
         }
     }
 
@@ -510,57 +447,7 @@ impl Cache {
         hit
     }
 
-    /// The packed LRU/FIFO fast path for `ways <= 16` (8-way sets take
-    /// [`Cache::access_packed8`] instead): branchless tag scan,
-    /// register-only order maintenance, no victim scan on misses.
-    #[inline]
-    fn access_packed(
-        &mut self,
-        tag: u64,
-        set: usize,
-        base: usize,
-        is_write: bool,
-        count: bool,
-        refresh: bool,
-    ) -> bool {
-        let ways = self.ways;
-        let set_tags = &self.tags[base..base + ways];
-        let mut found = 0u32;
-        for (w, &t) in set_tags.iter().enumerate() {
-            found |= u32::from(t == tag) << w;
-        }
-        if found != 0 {
-            let w = found.trailing_zeros() as usize;
-            if refresh {
-                let order = self.order[set];
-                let p = nibble_position(order, w as u64, ways);
-                if p != 0 {
-                    // Nibbles above p stay, 0..p shift up one slot, w
-                    // lands at the MRU front.
-                    let low_mask = (1u64 << (4 * p)) - 1;
-                    let keep_mask = !(low_mask | (0xF << (4 * p)));
-                    self.order[set] = (order & keep_mask) | ((order & low_mask) << 4) | w as u64;
-                }
-            }
-            if is_write {
-                self.dirty_mask[set] |= 1u64 << w;
-            }
-            return true;
-        }
-        self.stats.misses += u64::from(count);
-        let order = self.order[set];
-        let victim = ((order >> (4 * (ways - 1))) & 0xF) as usize;
-        self.order[set] = ((order << 4) & self.order_mask) | victim as u64;
-        let slot = base + victim;
-        let dirty = self.dirty_mask[set];
-        let evict_dirty = self.tags[slot] != INVALID && (dirty >> victim) & 1 != 0;
-        self.stats.writebacks += u64::from(evict_dirty && count);
-        self.dirty_mask[set] = (dirty & !(1u64 << victim)) | (u64::from(is_write) << victim);
-        self.tags[slot] = tag;
-        false
-    }
-
-    /// LRU/FIFO above 16 ways: the set's tags sit in recency order, MRU
+    /// LRU/FIFO at every width but 8: the set's tags sit in recency order, MRU
     /// first, so the first match from the front is the hit and the victim
     /// is the last entry. An LRU hit moves its entry to the front and a
     /// FIFO hit leaves it; a miss shifts the row one slot, dropping the
@@ -619,20 +506,11 @@ impl Cache {
         hit
     }
 
-    /// Random / tree-PLRU: victims come from the policy; recency state
-    /// lives in [`PolicyState`] (tree bits) or nowhere (random).
+    /// Random: victims come from the policy, and no recency state is kept.
     #[inline(never)]
-    fn access_policy(
-        &mut self,
-        tag: u64,
-        set: usize,
-        base: usize,
-        is_write: bool,
-        count: bool,
-    ) -> bool {
+    fn access_policy(&mut self, tag: u64, base: usize, is_write: bool, count: bool) -> bool {
         let ways = self.ways;
         if let Some(w) = self.tags[base..base + ways].iter().position(|&t| t == tag) {
-            self.policy.touch(set, w, ways);
             if is_write {
                 self.dirty[base + w] = true;
             }
@@ -643,7 +521,7 @@ impl Cache {
         }
         let victim = self
             .policy
-            .victim(set, ways)
+            .victim(ways)
             .expect("non-stamp policies select their own victims");
         let slot = base + victim;
         if self.tags[slot] != INVALID && self.dirty[slot] && count {
@@ -651,7 +529,6 @@ impl Cache {
         }
         self.tags[slot] = tag;
         self.dirty[slot] = is_write;
-        self.policy.touch(set, victim, ways);
         false
     }
 
@@ -814,15 +691,6 @@ mod policy_tests {
         c.access(0, true); // exercising the random-eviction path must not panic
         let s = c.stats();
         assert!(s.accesses >= 4);
-    }
-
-    #[test]
-    fn plru_behaves_like_lru_on_sequential_fill() {
-        let mut c = filled(ReplacementPolicy::TreePlru);
-        // Next conflicting fill should evict one of the earliest ways,
-        // never the most recently inserted one.
-        c.access(4 * 64, true);
-        assert!(c.peek(3 * 64), "most recent line survives under PLRU");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::cache::CacheConfig;
 use crate::hierarchy::HierarchyConfig;
-use crate::tlb::TlbConfig;
 
 /// Table I — the `allcache` simulator configuration used for the
 /// instruction-mix/miss-rate studies (Figs. 3, 8, 10):
@@ -19,8 +18,6 @@ pub fn allcache_table1() -> HierarchyConfig {
         l1d: CacheConfig::new(32 << 10, 32, 32, 4),
         l2: CacheConfig::new(2 << 20, 1, 32, 12),
         l3: CacheConfig::new(16 << 20, 1, 32, 36),
-        itlb: TlbConfig::typical(),
-        dtlb: TlbConfig::typical(),
         mem_latency: 220,
         next_line_prefetch: false,
     }
@@ -41,8 +38,6 @@ pub fn i7_table3() -> HierarchyConfig {
         l1d: CacheConfig::new(32 << 10, 8, 64, 4),
         l2: CacheConfig::new(256 << 10, 8, 64, 10),
         l3: CacheConfig::new(8 << 20, 16, 64, 30),
-        itlb: TlbConfig::typical(),
-        dtlb: TlbConfig::typical(),
         mem_latency: 200,
         next_line_prefetch: false,
     }

@@ -1,17 +1,15 @@
-//! The multi-level hierarchy: L1I + L1D, unified L2, unified L3, plus
-//! instruction and data TLBs.
+//! The multi-level hierarchy: L1I + L1D, unified L2, unified L3.
 //!
 //! The model is a demand-fill, non-inclusive hierarchy: a miss at level *N*
 //! probes level *N+1*, and the line is installed at every level on the way
 //! back. Only demand traffic is counted (no write-back traffic), matching
 //! the `allcache` Pintool's reported statistics.
 //!
-//! [`Hierarchy`] composes two halves that share no structure: the
-//! [`FetchHalf`] (ITLB, L1I) and the [`SharedHalf`] (DTLB, L1D, L2, L3,
-//! prefetcher), which also takes the L2/L3 tail of every L1I miss.
+//! [`Hierarchy`] composes two parts that share no structure: the L1I
+//! and the [`SharedHalf`] (L1D, L2, L3, prefetcher), which also takes the
+//! L2/L3 tail of every L1I miss.
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
-use crate::tlb::{Tlb, TlbConfig, TlbStats};
 
 /// Where an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,10 +37,6 @@ pub struct HierarchyConfig {
     pub l2: CacheConfig,
     /// Unified L3 (LLC).
     pub l3: CacheConfig,
-    /// Instruction TLB.
-    pub itlb: TlbConfig,
-    /// Data TLB.
-    pub dtlb: TlbConfig,
     /// Main-memory latency in cycles (timing model input).
     pub mem_latency: u32,
     /// Next-line prefetch into L2 on L2 demand misses.
@@ -60,10 +54,6 @@ pub struct HierarchyStats {
     pub l2: CacheStats,
     /// L3 counters.
     pub l3: CacheStats,
-    /// Instruction TLB counters.
-    pub itlb: TlbStats,
-    /// Data TLB counters.
-    pub dtlb: TlbStats,
     /// Next-line prefetches issued.
     pub prefetches: u64,
 }
@@ -75,68 +65,19 @@ impl HierarchyStats {
         self.l1d.merge(&other.l1d);
         self.l2.merge(&other.l2);
         self.l3.merge(&other.l3);
-        self.itlb.merge(&other.itlb);
-        self.dtlb.merge(&other.dtlb);
         self.prefetches += other.prefetches;
     }
 }
 
-/// The instruction side of the hierarchy: the ITLB and the L1I.
+/// Everything past the L1I: the L1D, the unified L2 and L3, the
+/// next-line prefetcher, and the L2/L3 tail of an L1I miss.
 ///
-/// An L1I miss continues at L2 through [`SharedHalf::fetch_miss`]. The
-/// halves never touch each other's structures, so a walk may drive them
-/// on different threads as long as the shared half sees every L1I miss
-/// and data access in program order (the profiling pass's two stages do).
-#[derive(Debug, Clone)]
-pub struct FetchHalf {
-    itlb: Tlb,
-    l1i: Cache,
-}
-
-impl FetchHalf {
-    /// An empty ITLB and L1I for `config`.
-    pub fn new(config: &HierarchyConfig) -> Self {
-        Self {
-            itlb: Tlb::new(config.itlb),
-            l1i: Cache::new(config.l1i),
-        }
-    }
-
-    /// An instruction fetch at `pc` through the ITLB and the L1I. Returns
-    /// `true` on an L1I hit; on a miss the caller continues with
-    /// [`SharedHalf::fetch_miss`]. When `count` is false the access
-    /// updates state but no counters (warmup).
-    // Always inlined, like `fetch_miss`: `Hierarchy::fetch` composes the
-    // two on every instruction, and with plain `#[inline]` the serial
-    // profiling walk lost 9 of 10 paired runs, by a few percent.
-    #[inline(always)]
-    pub fn fetch(&mut self, pc: u64, count: bool) -> bool {
-        self.itlb.access(pc, count);
-        self.l1i.access(pc, count)
-    }
-
-    /// The ITLB and L1I counters; every other field is zero.
-    pub fn stats(&self) -> HierarchyStats {
-        HierarchyStats {
-            l1i: self.l1i.stats(),
-            itlb: self.itlb.stats(),
-            ..HierarchyStats::default()
-        }
-    }
-
-    /// Resets counters, preserving contents.
-    pub fn reset_stats(&mut self) {
-        self.l1i.reset_stats();
-        self.itlb.reset_stats();
-    }
-}
-
-/// Everything past the instruction side: the DTLB, the L1D, the unified
-/// L2 and L3, the next-line prefetcher, and the L2/L3 tail of an L1I
-/// miss.
+/// The L1I shares no structure with this half, so a walk may probe the
+/// L1I on one thread and drive this half on another, as long as this half
+/// sees every L1I miss and data access in program order (the profiling
+/// pass's two stages do).
 #[derive(Debug, Clone)]
 pub struct SharedHalf {
-    dtlb: Tlb,
     l1d: Cache,
     l2: Cache,
     l3: Cache,
@@ -145,10 +86,9 @@ pub struct SharedHalf {
 }
 
 impl SharedHalf {
-    /// An empty DTLB, L1D, L2 and L3 for `config`.
+    /// An empty L1D, L2 and L3 for `config`.
     pub fn new(config: &HierarchyConfig) -> Self {
         Self {
-            dtlb: Tlb::new(config.dtlb),
             l1d: Cache::new(config.l1d),
             l2: Cache::new(config.l2),
             l3: Cache::new(config.l3),
@@ -162,7 +102,6 @@ impl SharedHalf {
     /// access updates state but no counters (warmup).
     #[inline]
     pub fn access_data(&mut self, addr: u64, is_write: bool, count: bool) -> Level {
-        self.dtlb.access(addr, count);
         if self.l1d.access_rw(addr, is_write, count) {
             return Level::L1D;
         }
@@ -201,14 +140,12 @@ impl SharedHalf {
         Level::Mem
     }
 
-    /// The DTLB, L1D, L2, L3 and prefetch counters; the ITLB and L1I
-    /// fields are zero.
+    /// The L1D, L2, L3 and prefetch counters; the L1I field is zero.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
             l1d: self.l1d.stats(),
             l2: self.l2.stats(),
             l3: self.l3.stats(),
-            dtlb: self.dtlb.stats(),
             prefetches: self.prefetches,
             ..HierarchyStats::default()
         }
@@ -219,17 +156,16 @@ impl SharedHalf {
         self.l1d.reset_stats();
         self.l2.reset_stats();
         self.l3.reset_stats();
-        self.dtlb.reset_stats();
         self.prefetches = 0;
     }
 }
 
-/// The simulated cache hierarchy: a [`FetchHalf`] and a [`SharedHalf`]
-/// driven in program order on one thread.
+/// The simulated cache hierarchy: the L1I and a [`SharedHalf`] driven in
+/// program order on one thread.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     config: HierarchyConfig,
-    fetch: FetchHalf,
+    l1i: Cache,
     shared: SharedHalf,
     warmup: bool,
 }
@@ -239,7 +175,7 @@ impl Hierarchy {
     pub fn new(config: HierarchyConfig) -> Self {
         Self {
             config,
-            fetch: FetchHalf::new(&config),
+            l1i: Cache::new(config.l1i),
             shared: SharedHalf::new(&config),
             warmup: false,
         }
@@ -270,10 +206,14 @@ impl Hierarchy {
     }
 
     /// An instruction fetch at `pc`. Returns the level that satisfied it.
+    // The L1I probe sits in this body, not behind a wrapper, and
+    // `fetch_miss` is always inlined: this runs on every instruction, and
+    // a probe behind a plain `#[inline]` wrapper cost the serial
+    // profiling walk 9 of 10 paired runs, by a few percent.
     #[inline]
     pub fn fetch(&mut self, pc: u64) -> Level {
         let count = !self.warmup;
-        if self.fetch.fetch(pc, count) {
+        if self.l1i.access(pc, count) {
             return Level::L1I;
         }
         self.shared.fetch_miss(pc, count)
@@ -293,14 +233,15 @@ impl Hierarchy {
 
     /// Snapshot of all counters.
     pub fn stats(&self) -> HierarchyStats {
-        let mut stats = self.fetch.stats();
-        stats.merge(&self.shared.stats());
-        stats
+        HierarchyStats {
+            l1i: self.l1i.stats(),
+            ..self.shared.stats()
+        }
     }
 
     /// Resets counters, preserving cache contents.
     pub fn reset_stats(&mut self) {
-        self.fetch.reset_stats();
+        self.l1i.reset_stats();
         self.shared.reset_stats();
     }
 }
@@ -318,7 +259,6 @@ mod tests {
         assert_eq!(s.l1d.misses, 1);
         assert_eq!(s.l2.misses, 1);
         assert_eq!(s.l3.misses, 1);
-        assert_eq!(s.dtlb.misses, 1);
         // Second access hits L1D and never reaches L2/L3.
         assert_eq!(h.access_data(0x100, true), Level::L1D);
         let s = h.stats();
@@ -334,7 +274,6 @@ mod tests {
         let s = h.stats();
         assert_eq!(s.l1i.accesses, 2);
         assert_eq!(s.l1d.accesses, 0);
-        assert_eq!(s.itlb.accesses, 2);
     }
 
     #[test]
@@ -395,8 +334,6 @@ impl sampsim_util::codec::Encode for HierarchyStats {
         self.l1d.encode(enc);
         self.l2.encode(enc);
         self.l3.encode(enc);
-        self.itlb.encode(enc);
-        self.dtlb.encode(enc);
         enc.put_u64(self.prefetches);
     }
 }
@@ -410,8 +347,6 @@ impl sampsim_util::codec::Decode for HierarchyStats {
             l1d: crate::cache::CacheStats::decode(dec)?,
             l2: crate::cache::CacheStats::decode(dec)?,
             l3: crate::cache::CacheStats::decode(dec)?,
-            itlb: crate::tlb::TlbStats::decode(dec)?,
-            dtlb: crate::tlb::TlbStats::decode(dec)?,
             prefetches: dec.take_u64()?,
         })
     }

@@ -1,11 +1,13 @@
 //! Multi-level cache hierarchy simulator.
 //!
 //! This crate is the stand-in for the paper's `allcache` Pintool — a
-//! functional (timing-free) simulator of instruction/data TLBs and a
-//! four-level cache hierarchy (L1I, L1D, unified L2, unified L3). It
-//! reports the access/miss statistics behind Figs. 8 and 10 of the paper,
-//! and doubles as the memory system of the `sampsim-uarch` timing model
-//! (which consumes the hit level + latencies).
+//! functional (timing-free) simulator of a four-level cache hierarchy
+//! (L1I, L1D, unified L2, unified L3) with an optional next-line
+//! prefetcher. It reports the access/miss statistics behind Figs. 8 and
+//! 10 of the paper, and doubles as the memory system of the
+//! `sampsim-uarch` timing model (which consumes the hit level +
+//! latencies). The Pintool also models TLBs, but the paper reports no TLB
+//! figure, so none is simulated here.
 //!
 //! Two configurations from the paper are provided as presets:
 //! [`configs::allcache_table1`] (Table I) and [`configs::i7_table3`]
@@ -36,10 +38,8 @@ pub mod configs;
 pub mod hierarchy;
 pub mod policy;
 pub mod reference;
-pub mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use hierarchy::{FetchHalf, Hierarchy, HierarchyConfig, HierarchyStats, Level, SharedHalf};
+pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyStats, Level, SharedHalf};
 pub use policy::ReplacementPolicy;
-pub use reference::{ReferenceCache, ReferenceTlb};
-pub use tlb::{Tlb, TlbConfig, TlbStats};
+pub use reference::ReferenceCache;

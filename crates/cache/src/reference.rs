@@ -1,23 +1,18 @@
-//! The pre-optimization cache and TLB models, frozen as differential
-//! oracles.
+//! The pre-optimization cache model, frozen as a differential oracle.
 //!
 //! [`ReferenceCache`] is the original zipped tag+stamp implementation of
-//! [`crate::Cache`], kept verbatim so every probe mode can be checked
+//! [`crate::Cache`], kept so every probe mode can be checked
 //! against it access-by-access (see `tests/differential.rs`) and so
 //! `sampsim perf` can time the pre-optimization kernel as
 //! `cache_access_rw_reference`. It holds the only stamp scan left:
 //! `Cache` keeps each LRU/FIFO set's recency order instead (packed
-//! nibbles up to 16 ways, a recency-ordered row above), and one word per
-//! direct-mapped set. Counters, per-access hit/miss results and eviction
-//! choices are contractual between the two models; internal bookkeeping
-//! (stamps vs. recency order) is not.
-//!
-//! [`ReferenceTlb`] plays the same role for [`crate::Tlb`]: the original
-//! stamp/clock scan, checked against the rank LRU access-by-access.
+//! nibbles at 8 ways, a recency-ordered row at every other width), and
+//! one word per direct-mapped set. Counters, per-access hit/miss results
+//! and eviction choices are contractual between the two models; internal
+//! bookkeeping (stamps vs. recency order) is not.
 
 use crate::cache::{CacheConfig, CacheStats};
 use crate::policy::PolicyState;
-use crate::tlb::{TlbConfig, TlbStats};
 
 const INVALID: u64 = u64::MAX;
 
@@ -53,12 +48,7 @@ impl ReferenceCache {
             set_mask: sets - 1,
             line_shift: config.line_bytes.trailing_zeros(),
             ways: config.ways as usize,
-            policy: PolicyState::new(
-                config.policy,
-                sets as usize,
-                config.ways,
-                0xCAC4E ^ config.size_bytes,
-            ),
+            policy: PolicyState::new(config.policy, 0xCAC4E ^ config.size_bytes),
         }
     }
 
@@ -127,7 +117,6 @@ impl ReferenceCache {
             if self.policy.refresh_on_hit() {
                 self.stamps[base + w] = self.clock;
             }
-            self.policy.touch(set, w, self.ways);
             if is_write {
                 self.dirty[base + w] = true;
             }
@@ -136,7 +125,7 @@ impl ReferenceCache {
         if count {
             self.stats.misses += 1;
         }
-        let victim = self.policy.victim(set, self.ways).unwrap_or(stamp_victim);
+        let victim = self.policy.victim(self.ways).unwrap_or(stamp_victim);
         if self.tags[base + victim] != INVALID && self.dirty[base + victim] {
             if count {
                 self.stats.writebacks += 1;
@@ -146,7 +135,6 @@ impl ReferenceCache {
         self.tags[base + victim] = tag;
         self.stamps[base + victim] = self.clock;
         self.dirty[base + victim] = is_write;
-        self.policy.touch(set, victim, self.ways);
         false
     }
 
@@ -157,76 +145,5 @@ impl ReferenceCache {
         let set = (line & self.set_mask) as usize;
         let base = set * self.ways;
         self.tags[base..base + self.ways].contains(&line)
-    }
-}
-
-/// The original fully associative LRU TLB: one stamp per entry from a
-/// global access clock, and a scan that stops at the hit or remembers the
-/// minimum-stamp victim on the way.
-#[derive(Debug, Clone)]
-pub struct ReferenceTlb {
-    config: TlbConfig,
-    pages: Vec<u64>,
-    stamps: Vec<u64>,
-    clock: u64,
-    stats: TlbStats,
-    page_shift: u32,
-}
-
-impl ReferenceTlb {
-    /// Creates an empty TLB.
-    pub fn new(config: TlbConfig) -> Self {
-        Self {
-            config,
-            pages: vec![INVALID; config.entries as usize],
-            stamps: vec![0; config.entries as usize],
-            clock: 0,
-            stats: TlbStats::default(),
-            page_shift: config.page_bytes.trailing_zeros(),
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TlbConfig {
-        &self.config
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> TlbStats {
-        self.stats
-    }
-
-    /// Resets counters, keeping translations resident.
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
-    /// Translates `addr`. Returns `true` on a hit; misses install the page.
-    /// When `count` is false the access is not counted (warmup).
-    #[inline]
-    pub fn access(&mut self, addr: u64, count: bool) -> bool {
-        let page = addr >> self.page_shift;
-        self.clock += 1;
-        if count {
-            self.stats.accesses += 1;
-        }
-        let mut victim = 0usize;
-        let mut victim_stamp = u64::MAX;
-        for (i, &p) in self.pages.iter().enumerate() {
-            if p == page {
-                self.stamps[i] = self.clock;
-                return true;
-            }
-            if self.stamps[i] < victim_stamp {
-                victim_stamp = self.stamps[i];
-                victim = i;
-            }
-        }
-        if count {
-            self.stats.misses += 1;
-        }
-        self.pages[victim] = page;
-        self.stamps[victim] = self.clock;
-        false
     }
 }

@@ -491,8 +491,9 @@ fn positive<T: FromStr + Default + PartialEq>(flag: &str, value: &str) -> Result
 }
 
 /// Parses an argument iterator into the command and its arguments.
-/// Without `--scale`, the scale comes from `SAMPSIM_SCALE` when it is
-/// set; that default is never refused.
+/// `--help` or `-h` anywhere makes the command `help`. Without
+/// `--scale`, the scale comes from `SAMPSIM_SCALE` when it is set; that
+/// default is never refused.
 ///
 /// # Errors
 ///
@@ -500,16 +501,19 @@ fn positive<T: FromStr + Default + PartialEq>(flag: &str, value: &str) -> Result
 /// flag value (naming where a bad scale came from), a flag the command
 /// does not read, or more operands than it takes.
 pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<(&'static Command, Args), String> {
+    let argv: Vec<String> = argv.into_iter().collect();
+    // `--help` or `-h` anywhere asks for the usage text, whatever else the
+    // line holds.
+    if argv.iter().any(|word| word == "--help" || word == "-h") {
+        let help = COMMANDS.iter().find(|c| c.name == "help");
+        return Ok((help.expect("help is a command"), Args::default()));
+    }
     let mut args = Args::default();
     let mut scale: Option<Scale> = None;
     let mut words: Vec<String> = Vec::new();
     let mut argv = argv.into_iter();
     while let Some(word) = argv.next() {
         let flag = match word.as_str() {
-            "--help" | "-h" => {
-                words.insert(0, "help".into());
-                continue;
-            }
             "--out" => "-o",
             w if !w.starts_with('-') => {
                 words.push(word);
@@ -626,6 +630,16 @@ mod tests {
         );
         assert_eq!(operands(""), ("help", vec![]));
         assert_eq!(operands("-h"), ("help", vec![]));
+        // Anywhere on the line, whatever else it holds.
+        for line in [
+            "run --help",
+            "run mcf_r -h",
+            "--scale 1 --help",
+            "list --wat -h",
+        ] {
+            let (name, args) = parse_str(line).unwrap();
+            assert_eq!((name, args), ("help", Args::default()), "{line}");
+        }
     }
 
     #[test]

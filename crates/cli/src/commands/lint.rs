@@ -15,8 +15,9 @@ use std::path::Path;
 /// errors — or, with `--deny-warnings`, warnings — were reported).
 pub fn lint(args: &Args) -> Result<u8, Box<dyn std::error::Error>> {
     // `--explain` answers from the rule registry alone — no benchmarks
-    // are built, no lint pass runs.
+    // are built, no lint pass runs, so it refuses every other flag.
     if let Some(id) = &args.explain {
+        super::only_mode(args, "lint", "--explain")?;
         explain(id)?;
         return Ok(0);
     }

@@ -55,15 +55,25 @@ fn create_report_file(path: &str) -> Result<std::fs::File, UsageError> {
     std::fs::File::create(path).map_err(|e| UsageError(format!("cannot write {path}: {e}")))
 }
 
-/// The `--validate FILE` of `compare` or `plan`, which takes no
-/// benchmark: that command runs nothing.
+/// The `--validate FILE` of `compare`, `plan` or `perf`. The mode runs
+/// nothing, so it refuses every other flag and any benchmark.
 fn validating<'a>(args: &'a Args, command: &str) -> Result<Option<&'a str>, UsageError> {
-    match (args.validate.as_deref(), args.operand(0)) {
-        (Some(_), Some(_)) => Err(UsageError(format!(
-            "{command} --validate takes no benchmark"
-        ))),
-        (validate, _) => Ok(validate),
+    if args.validate.is_some() {
+        only_mode(args, command, "--validate")?;
     }
+    Ok(args.validate.as_deref())
+}
+
+/// Refuses every operand and every flag but `mode` for a mode of
+/// `command` that reads only `mode`'s value (`compare --validate FILE`,
+/// `lint --explain ID`): `<command> <mode> refuses <flag>`, exit 2.
+fn only_mode(args: &Args, command: &str, mode: &str) -> Result<(), UsageError> {
+    let who = format!("{command} {mode}");
+    if args.operand(0).is_some() {
+        return Err(UsageError(format!("{who} takes no benchmark")));
+    }
+    args.refuse_unread(&who, |flag| flag == mode, "the mode never reads it")
+        .map_err(UsageError)
 }
 
 /// `--validate FILE` for every report command: checks one saved report

@@ -2,13 +2,13 @@
 
 use crate::args::Args;
 
-use super::{validate_file, CmdResult};
+use super::{validate_file, validating, CmdResult};
 use sampsim_perf::{compare_reports, run_kernels, validate_report, PerfOptions, SCHEMA};
 use sampsim_util::scale::Scale;
 
 /// `sampsim perf [--quick] [-o FILE] [--baseline FILE]`,
 /// or `sampsim perf --validate FILE` to only schema-check an existing
-/// report (a violation exits 2).
+/// report (a violation, or any other flag beside it, exits 2).
 ///
 /// The report JSON goes to stdout and, with `-o`, to `FILE`; progress
 /// lines go to stderr. Every freshly produced report is validated before
@@ -18,7 +18,7 @@ use sampsim_util::scale::Scale;
 /// fails) — the regression check `scripts/check.sh` runs against the
 /// committed `BENCH_kernels.json`.
 pub fn perf(args: &Args) -> CmdResult {
-    if let Some(path) = &args.validate {
+    if let Some(path) = validating(args, "perf")? {
         return validate_file(path, SCHEMA, validate_report);
     }
     let perf_options = PerfOptions {

@@ -50,7 +50,8 @@ pub fn serve(args: &Args) -> CmdResult {
 /// honoring the daemon's `retry_after_ms` hint; `--retries N` bounds the
 /// attempts (`--retries 1` disables retry). `--suite` sends the batch op
 /// (benchmarks from the comma-separated operand, or the whole suite) and
-/// streams one envelope line per benchmark as the fleet produces them.
+/// streams one envelope line per benchmark as the fleet produces them; it
+/// retries only until the first line arrives, so none prints twice.
 pub fn request(args: &Args) -> CmdResult {
     let (bench, op, addr) = (args.operand(0), args.op, args.addr.as_str());
     match op {
@@ -71,6 +72,10 @@ pub fn request(args: &Args) -> CmdResult {
         _ => {}
     }
     let mut sink = args.out.as_deref().map(create_report_file).transpose()?;
+    let policy = RetryPolicy {
+        attempts: args.retries.unwrap_or(client::DEFAULT_RETRY.attempts),
+        ..client::DEFAULT_RETRY
+    };
     let template = |bench: &str| RunRequest {
         bench: bench.to_string(),
         scale: args.scale.factor(),
@@ -85,12 +90,16 @@ pub fn request(args: &Args) -> CmdResult {
             .map(|list| list.split(',').map(str::trim).collect())
             .unwrap_or_default();
         let line = protocol::suite_request_line(&benches, &template(""));
-        let summary = client::request_stream(addr, &line, |item| {
+        let got = client::request_stream_with_retry(addr, &line, &policy, |item| {
             println!("{item}");
             if let Some(file) = &mut sink {
                 let _ = writeln!(file, "{item}");
             }
         })?;
+        if got.attempts > 1 {
+            eprintln!("(succeeded after {} attempts)", got.attempts);
+        }
+        let summary = got.reply;
         if protocol::is_error_reply(&summary) {
             eprintln!("{summary}");
             return Err(format!("the server at {addr} rejected the request").into());
@@ -120,10 +129,6 @@ pub fn request(args: &Args) -> CmdResult {
         RequestOp::Stats => "{\"op\":\"stats\"}".to_string(),
         RequestOp::Shutdown => "{\"op\":\"shutdown\"}".to_string(),
         RequestOp::Suite => unreachable!("handled above"),
-    };
-    let policy = RetryPolicy {
-        attempts: args.retries.unwrap_or(client::DEFAULT_RETRY.attempts),
-        ..client::DEFAULT_RETRY
     };
     let got = client::request_line_with_retry(addr, &line, &policy)?;
     if got.attempts > 1 {

@@ -1141,6 +1141,116 @@ fn every_command_refuses_a_flag_it_never_reads() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// `request --suite` retries a refused connection as a run request does:
+/// `--retries 4` backs off for at least the policy's whole schedule, and
+/// `--retries 1` gives up at once.
+#[test]
+fn request_suite_honours_retries() {
+    use sampsim_serve::client::{RetryPolicy, DEFAULT_RETRY};
+    use std::time::{Duration, Instant};
+    // Bind then drop: nothing listens on the port.
+    let addr = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.local_addr().unwrap().to_string()
+    };
+    let policy = RetryPolicy {
+        attempts: 4,
+        ..DEFAULT_RETRY
+    };
+    let backoff = Duration::from_millis(policy.backoff_schedule_ms().iter().sum());
+    let timed = |retries: &str| {
+        let started = Instant::now();
+        let output = sampsim()
+            .args(["request", "--suite", "--addr", &addr, "--retries", retries])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "--retries {retries}: {err}");
+        started.elapsed()
+    };
+    let patient = timed("4");
+    assert!(patient >= backoff, "{patient:?} < {backoff:?}");
+    let hasty = timed("1");
+    assert!(hasty < backoff, "{hasty:?} >= {backoff:?}");
+}
+
+/// A mode that reads one flag's value (`--validate FILE` of compare, plan
+/// and perf, `lint --explain ID`) refuses every other flag and any
+/// benchmark: exit 2 naming the mode, before it reads, writes or prints
+/// anything.
+#[test]
+fn every_mode_refuses_what_it_never_reads() {
+    let root = std::env::temp_dir().join(format!("sampsim-refuse-mode-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let out = root.join("out");
+    let o = out.to_str().unwrap();
+    let kernels = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
+    // (command line, what stderr must name)
+    let cases = [
+        (
+            vec!["compare", "--validate", "r.json", "--reps", "3", "-o", o],
+            "compare --validate refuses --reps",
+        ),
+        (
+            vec!["compare", "--validate", "r.json", "-o", o],
+            "compare --validate refuses -o",
+        ),
+        (
+            vec!["plan", "--validate", "p.json", "--strategy", "rss"],
+            "plan --validate refuses --strategy",
+        ),
+        (
+            vec!["perf", "--validate", kernels, "--quick", "-o", o],
+            "perf --validate refuses --quick",
+        ),
+        (
+            vec!["perf", "--validate", kernels, "--baseline", "missing.json"],
+            "perf --validate refuses --baseline",
+        ),
+        (
+            vec!["lint", "--explain", "SA140", "--format", "json"],
+            "lint --explain refuses --format",
+        ),
+        (
+            vec!["lint", "--explain", "SA140", "--maxk", "0"],
+            "lint --explain refuses --maxk",
+        ),
+        (
+            vec!["lint", "--explain", "SA140", "omnetpp_s"],
+            "lint --explain takes no benchmark",
+        ),
+    ];
+    for (line, named) in cases {
+        let output = output_within_a_minute(sampsim().args(&line));
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{line:?}: {err}");
+        assert!(err.contains(named), "{line:?}: {err}");
+        assert!(output.stdout.is_empty(), "{line:?} printed to stdout");
+        assert!(!out.exists(), "{line:?} wrote its -o path");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `--help` or `-h` prints the usage text and exits 0 wherever it stands,
+/// after a command, its operand or any flag.
+#[test]
+fn help_flag_prints_usage_wherever_it_stands() {
+    let usage = sampsim().arg("help").output().unwrap().stdout;
+    for line in [
+        vec!["run", "--help"],
+        vec!["run", "mcf_r", "--help"],
+        vec!["--scale", "1", "--help"],
+        vec!["compare", "--validate", "r.json", "-h"],
+        vec!["figure", "fig3a", "--maxk", "6", "-h"],
+    ] {
+        let output = output_within_a_minute(sampsim().args(&line));
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{line:?}: {err}");
+        assert_eq!(output.stdout, usage, "{line:?}");
+        assert!(err.is_empty(), "{line:?}: {err}");
+    }
+}
+
 /// `--validate FILE` is one front door for every report command: a valid
 /// report prints `FILE: valid <schema> report` and exits 0; the same
 /// report with one key deleted exits 2 with the key named on stderr.

@@ -355,10 +355,10 @@ impl Pipeline {
     ///
     /// - **One worker:** the serial walk, the reference semantics.
     /// - **A profiled cache:** one executor walk as two stages on two
-    ///   workers. The fetch stage runs the executor, the BBV and mix tools,
-    ///   the ITLB and the L1I on the caller's worker, and forwards each
+    ///   workers. The fetch stage runs the executor, the BBV and mix tools
+    ///   and the L1I on the caller's worker, and forwards each
     ///   instruction's L1I miss, read and write in program order to the
-    ///   data stage, which runs the DTLB, L1D, L2, L3 and prefetcher on a
+    ///   data stage, which runs the L1D, L2, L3 and prefetcher on a
     ///   reserved worker ([`sampsim_exec::join`]). Each structure sees the
     ///   serial walk's access sequence, so every counter is the same.
     ///   Workers beyond two stay idle.

@@ -56,8 +56,9 @@ use std::sync::Mutex;
 
 /// Magic number identifying an encoded [`ProfileStage`].
 pub const PROFILE_MAGIC: u32 = 0x5053_7467; // "PStg"
-/// Format version for [`ProfileStage`] encodings.
-pub const PROFILE_VERSION: u16 = 1;
+/// Format version for [`ProfileStage`] encodings (v2: the cache counters
+/// lost their two TLB counter pairs).
+pub const PROFILE_VERSION: u16 = 2;
 
 /// A pluggable byte store memoizing pipeline stages.
 ///
@@ -147,9 +148,13 @@ pub fn hierarchy_fingerprint(config: &HierarchyConfig) -> u64 {
         h.write_u64(u64::from(level.latency));
         h.write_str(level.policy.label());
     }
-    for tlb in [&config.itlb, &config.dtlb] {
-        h.write_u64(u64::from(tlb.entries));
-        h.write_u64(tlb.page_bytes);
+    // The ITLB's and DTLB's geometry (64 entries of 4 KiB pages each), from
+    // when the hierarchy simulated them. It stays because keys name
+    // disk-tier entries and place requests on fleet shards: a moved key
+    // cold-starts every persisted cache.
+    for _ in 0..2 {
+        h.write_u64(64);
+        h.write_u64(4096);
     }
     h.write_u64(u64::from(config.mem_latency));
     h.write_u64(u64::from(config.next_line_prefetch));
@@ -209,7 +214,8 @@ pub fn response_key(program: &Program, config: &PinPointsConfig) -> u64 {
 /// the key.
 pub fn whole_walk_key(program: &Program, machine: &Machine) -> u64 {
     let mut h = Fnv64::new();
-    h.write_str("sampsim/stage/whole-walk/v1");
+    // v2: the encoded `RunMetrics` lost the TLB counters.
+    h.write_str("sampsim/stage/whole-walk/v2");
     h.write_u64(program.digest());
     match machine {
         Machine::Functional(hierarchy) => {
@@ -485,8 +491,8 @@ mod tests {
         let p = program();
         let table1 = Machine::Functional(configs::allcache_table1());
         let table3 = Machine::Timing(CoreConfig::table3(), configs::i7_table3());
-        assert_eq!(whole_walk_key(&p, &table1), 0x51c6_19a4_69cb_8090);
-        assert_eq!(whole_walk_key(&p, &table3), 0x97ab_b880_7fd5_fa70);
+        assert_eq!(whole_walk_key(&p, &table1), 0x335f_31f6_5118_fd79);
+        assert_eq!(whole_walk_key(&p, &table3), 0xc9ed_0f1a_ae3e_32b3);
         // The machine's kind, its hierarchy and its core all enter the key.
         let functional3 = Machine::Functional(configs::i7_table3());
         let wide = Machine::Timing(CoreConfig::wide(), configs::i7_table3());
@@ -494,6 +500,39 @@ mod tests {
         for (i, a) in keys.iter().enumerate() {
             assert!(keys[i + 1..].iter().all(|b| a != b), "{keys:x?}");
         }
+    }
+
+    #[test]
+    fn a_stage_in_the_previous_format_is_recomputed_and_overwritten() {
+        // An entry stored before the cache counters lost the TLBs carries
+        // the previous version. Even a body that would decode is a miss:
+        // the pass runs again and overwrites the entry, so a stale entry
+        // never supplies a number.
+        let p = program();
+        let pipe = Pipeline::new(config());
+        let fresh = pipe.run(&p, &RunOptions::default()).unwrap();
+        let (bbvs, starts, mut metrics) = pipe.profile_jobs(&p, sampsim_exec::SERIAL);
+        metrics.instructions += 1;
+        let mut stale = Encoder::with_header(PROFILE_MAGIC, PROFILE_VERSION - 1);
+        bbvs.encode(&mut stale);
+        starts.encode(&mut stale);
+        metrics.encode(&mut stale);
+        let cache = MemoryStageCache::new();
+        let key = profile_stage_key(&p, &config());
+        cache.put(key, &stale.into_bytes());
+        let options = RunOptions {
+            stage_cache: &cache,
+            ..RunOptions::default()
+        };
+        let run = pipe.run(&p, &options).unwrap();
+        assert!(fresh.whole_metrics.deterministic_eq(&run.whole_metrics));
+        assert_eq!(
+            (run.simpoints, run.regional),
+            (fresh.simpoints, fresh.regional)
+        );
+        let stored = ProfileStage::from_bytes(&cache.get(key).unwrap()).unwrap();
+        assert!(stored.metrics.deterministic_eq(&fresh.whole_metrics));
+        assert_eq!(stored.bbvs, bbvs);
     }
 
     #[test]

@@ -5,17 +5,17 @@
 //! executor walk as a pipeline:
 //!
 //! - the **fetch stage**, on the caller's worker, runs the executor, the
-//!   BBV and mix tools, the ITLB and the L1I ([`FetchStage`]), and
-//!   forwards each instruction's L1I miss, read and write, in that order;
+//!   BBV and mix tools and the L1I ([`FetchStage`]), and forwards each
+//!   instruction's L1I miss, read and write, in that order;
 //! - the **data stage**, on a reserved worker ([`data_stage`]), runs the
-//!   DTLB, L1D, L2, L3 and prefetcher over those events.
+//!   L1D, L2, L3 and prefetcher over those events.
 //!
-//! The counters equal the serial walk's: the ITLB and L1I see only fetch
-//! PCs, only an L1I miss reaches L2/L3, the TLBs never touch a cache and
-//! the prefetcher fires only on data-side L2 misses, so every structure
-//! sees exactly the access sequence it sees in the serial walk.
+//! The counters equal the serial walk's: the L1I sees only fetch PCs,
+//! only an L1I miss reaches L2/L3, and the prefetcher fires only on
+//! data-side L2 misses, so every structure sees exactly the access
+//! sequence it sees in the serial walk.
 
-use sampsim_cache::{FetchHalf, HierarchyConfig, HierarchyStats, SharedHalf};
+use sampsim_cache::{Cache, HierarchyConfig, HierarchyStats, SharedHalf};
 use sampsim_exec::Jobs;
 use sampsim_pin::engine::Pintool;
 use sampsim_workload::Retired;
@@ -106,33 +106,35 @@ where
     (a, b)
 }
 
-/// The fetch stage's cache tool: the ITLB and L1I, forwarding each
-/// instruction's L1I miss, read and write to the data stage in program
-/// order.
+/// The fetch stage's cache tool: the L1I, forwarding each instruction's
+/// L1I miss, read and write to the data stage in program order.
 pub(crate) struct FetchStage<'a> {
-    half: FetchHalf,
+    l1i: Cache,
     out: &'a mut Forwarder,
 }
 
 impl<'a> FetchStage<'a> {
-    /// A cold ITLB and L1I for `config`, forwarding through `out`.
+    /// A cold L1I for `config`, forwarding through `out`.
     pub(crate) fn new(config: &HierarchyConfig, out: &'a mut Forwarder) -> Self {
         Self {
-            half: FetchHalf::new(config),
+            l1i: Cache::new(config.l1i),
             out,
         }
     }
 
-    /// The ITLB and L1I counters.
+    /// The L1I counters; every other field is zero.
     pub(crate) fn stats(&self) -> HierarchyStats {
-        self.half.stats()
+        HierarchyStats {
+            l1i: self.l1i.stats(),
+            ..HierarchyStats::default()
+        }
     }
 }
 
 impl Pintool for FetchStage<'_> {
     #[inline]
     fn on_inst(&mut self, inst: &Retired) {
-        if !self.half.fetch(inst.pc, true) {
+        if !self.l1i.access(inst.pc, true) {
             self.out.push(Event::FetchMiss(inst.pc));
         }
         if inst.mem.reads() {

@@ -1,6 +1,7 @@
 //! A minimal blocking client for the serve protocol: one connection, one
-//! request line, one reply line — plus a bounded-retry wrapper for the
-//! two *transient* failure shapes a fleet client meets in practice:
+//! request line, one reply line or a stream of them — plus one
+//! bounded-retry loop, for both shapes, over the two *transient* failure
+//! shapes a fleet client meets in practice:
 //! connection-level errors (a shard restarting, a router not yet bound)
 //! and typed `busy` replies (admission queue full).
 //!
@@ -12,6 +13,7 @@
 
 use crate::protocol;
 use sampsim_util::rng::SplitMix64;
+use std::cell::Cell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -87,7 +89,8 @@ pub fn request_stream(
     }
 }
 
-/// Bounded-retry policy for [`request_line_with_retry`].
+/// Bounded-retry policy for [`request_line_with_retry`] and
+/// [`request_stream_with_retry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (>= 1); `1` disables retries entirely.
@@ -170,41 +173,68 @@ pub fn request_line_with_retry(
     line: &str,
     policy: &RetryPolicy,
 ) -> std::io::Result<RetriedReply> {
+    retry(policy, || true, || request_line(addr, line))
+}
+
+/// [`request_stream`] with the retries of [`request_line_with_retry`],
+/// taken only while no item line has reached `on_line`: a connection
+/// error or a lone `busy` reply before the first item is retried, and
+/// anything after it is returned as it is, so no item is delivered twice.
+///
+/// # Errors
+///
+/// As [`request_line_with_retry`]; an I/O error after the first item is
+/// returned at once.
+pub fn request_stream_with_retry(
+    addr: &str,
+    line: &str,
+    policy: &RetryPolicy,
+    mut on_line: impl FnMut(&str),
+) -> std::io::Result<RetriedReply> {
+    let delivered = Cell::new(false);
+    retry(
+        policy,
+        || !delivered.get(),
+        || {
+            request_stream(addr, line, |item| {
+                delivered.set(true);
+                on_line(item);
+            })
+        },
+    )
+}
+
+/// The retry loop under both reply shapes: repeats `attempt` after an I/O
+/// error or a `busy` reply, sleeping the policy's backoff (or the busy
+/// hint, when longer), while attempts remain and `may_retry` allows it.
+fn retry(
+    policy: &RetryPolicy,
+    may_retry: impl Fn() -> bool,
+    mut attempt: impl FnMut() -> std::io::Result<String>,
+) -> std::io::Result<RetriedReply> {
     let schedule = policy.backoff_schedule_ms();
     let attempts = policy.attempts.max(1);
-    let mut last_err: Option<std::io::Error> = None;
-    for attempt in 0..attempts {
-        match request_line(addr, line) {
-            Ok(reply) => {
-                let hint = protocol::busy_retry_after(&reply);
-                let is_last = attempt + 1 == attempts;
-                match hint {
-                    Some(hint_ms) if !is_last => {
-                        let backoff = schedule.get(attempt as usize).copied().unwrap_or(0);
-                        std::thread::sleep(Duration::from_millis(backoff.max(hint_ms)));
-                    }
-                    _ => {
-                        return Ok(RetriedReply {
-                            reply,
-                            attempts: attempt + 1,
-                        })
-                    }
-                }
+    let mut made = 1;
+    loop {
+        let outcome = attempt();
+        let hint_ms = match &outcome {
+            Ok(reply) => protocol::busy_retry_after(reply),
+            Err(_) => Some(0),
+        };
+        match hint_ms {
+            Some(hint_ms) if made < attempts && may_retry() => {
+                let backoff = schedule.get(made as usize - 1).copied().unwrap_or(0);
+                std::thread::sleep(Duration::from_millis(backoff.max(hint_ms)));
+                made += 1;
             }
-            Err(e) => {
-                let is_last = attempt + 1 == attempts;
-                if is_last {
-                    return Err(e);
-                }
-                last_err = Some(e);
-                let backoff = schedule.get(attempt as usize).copied().unwrap_or(0);
-                std::thread::sleep(Duration::from_millis(backoff));
+            _ => {
+                return outcome.map(|reply| RetriedReply {
+                    reply,
+                    attempts: made,
+                })
             }
         }
     }
-    // attempts >= 1, so the loop always returns; keep the compiler and
-    // future refactors honest.
-    Err(last_err.unwrap_or_else(|| std::io::Error::other("retry budget exhausted")))
 }
 
 #[cfg(test)]
@@ -309,6 +339,39 @@ mod tests {
             request_line_with_retry(&addr, "{\"op\":\"ping\"}", &quick_policy(3)).unwrap_err();
         // Three connect attempts, all refused; the last error surfaces.
         assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+    }
+
+    #[test]
+    fn a_stream_retries_a_lone_busy_reply_and_delivers_each_item_once() {
+        let summary = protocol::suite_summary_line(2, 0);
+        let (addr, server) = scripted_server(vec![
+            protocol::busy_reply(1),
+            format!("{{\"item\":1}}\n{{\"item\":2}}\n{summary}"),
+        ]);
+        let mut items = Vec::new();
+        let got = request_stream_with_retry(&addr, "{}", &quick_policy(4), |item| {
+            items.push(item.to_string())
+        })
+        .unwrap();
+        assert_eq!((got.reply, got.attempts), (summary, 2));
+        assert_eq!(items, ["{\"item\":1}", "{\"item\":2}"]);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_stream_is_never_retried_after_its_first_item() {
+        // One item, then a busy line: retrying would deliver the item
+        // again, so the busy line is the answer.
+        let busy = protocol::busy_reply(1);
+        let (addr, server) = scripted_server(vec![format!("{{\"item\":1}}\n{busy}")]);
+        let mut items = Vec::new();
+        let got = request_stream_with_retry(&addr, "{}", &quick_policy(4), |item| {
+            items.push(item.to_string())
+        })
+        .unwrap();
+        assert_eq!((got.reply, got.attempts), (busy, 1));
+        assert_eq!(items, ["{\"item\":1}"]);
+        server.join().unwrap();
     }
 
     #[test]

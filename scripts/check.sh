@@ -213,6 +213,16 @@ done
 cmp "$serve_dir/bwaves-jobs1.json" "$serve_dir/bwaves-jobs3.json" \
     || { echo "run smoke: bwaves_r --jobs 3 != --jobs 1" >&2; exit 1; }
 
+echo "==> e2e-bench --digests (every output the benchmark checks is unchanged)"
+# The end-to-end benchmark pins an FNV-64 digest of every study document,
+# compare report and served reply its workloads produce; a change that
+# moves one changes what the benchmark measures. --locked fails the step
+# if Cargo would rewrite the benchmark's own Cargo.lock.
+cargo run --release -q --offline --locked --manifest-path src/bin/e2e-bench/Cargo.toml \
+    -- --digests > "$serve_dir/digests.txt"
+grep -v '^#' src/bin/e2e-bench/digests.txt | diff - "$serve_dir/digests.txt" \
+    || { echo "digests: an e2e-bench output no longer matches digests.txt" >&2; exit 1; }
+
 echo "==> sampsim perf --quick (kernel smoke + regression gate)"
 # Times the optimized kernels against their naive references at smoke
 # sizes — every timed pair is asserted identical — and gates the

@@ -14,7 +14,7 @@
 //! exercises fewer-workers-than-shards, more-workers-than-regions and
 //! the two-stage cache walk regardless of the host's core count.
 
-use sampsim::cache::{configs, CacheConfig, HierarchyConfig, HierarchyStats, TlbConfig};
+use sampsim::cache::{configs, CacheConfig, HierarchyConfig, HierarchyStats};
 use sampsim::core::compare::compare_strategies;
 use sampsim::core::metrics::{aggregate_weighted, RunMetrics};
 use sampsim::core::runs::{run_regions_functional_jobs, run_regions_timing_jobs, WarmupMode};
@@ -93,8 +93,6 @@ fn small_hierarchy(next_line_prefetch: bool) -> HierarchyConfig {
         l1d: CacheConfig::new(512, 4, 32, 4),
         l2: CacheConfig::new(2 << 10, 2, 32, 12),
         l3: CacheConfig::new(8 << 10, 4, 32, 36),
-        itlb: TlbConfig::new(4, 4096),
-        dtlb: TlbConfig::new(8, 4096),
         mem_latency: 220,
         next_line_prefetch,
     }
