@@ -73,8 +73,6 @@ pub struct CacheStats {
     pub accesses: u64,
     /// Demand accesses that missed.
     pub misses: u64,
-    /// Dirty lines evicted (write-backs produced).
-    pub writebacks: u64,
 }
 
 impl CacheStats {
@@ -91,7 +89,6 @@ impl CacheStats {
     pub fn merge(&mut self, other: &CacheStats) {
         self.accesses += other.accesses;
         self.misses += other.misses;
-        self.writebacks += other.writebacks;
     }
 }
 
@@ -103,19 +100,18 @@ const INVALID: u64 = u64::MAX;
 enum ProbeMode {
     /// One way per set, under every policy (one way leaves no choice):
     /// one word per set holds the line (see [`Cache::access_direct`]).
-    /// Every direct-mapped cache of 4 bytes or more takes it; a 1- or
-    /// 2-byte one has no spare bits for the flags and takes the mode its
+    /// Every direct-mapped cache of 2 bytes or more takes it; a 1-byte
+    /// one has no spare bit for the valid flag and takes the mode its
     /// policy would give any other width.
     Direct,
     /// LRU/FIFO at exactly 8 ways (the perf-kernel and i7 L1 and L2
     /// shape): tags live in `[u64; 8]` rows (one 64 B line per set) and
-    /// recency order + dirty bits share a single meta word per set.
-    /// `refresh` is true for LRU (hits move the way to the MRU front) and
-    /// false for FIFO (insertion order only).
+    /// the recency order in one word per set. `refresh` is true for LRU
+    /// (hits move the way to the MRU front) and false for FIFO (insertion
+    /// order only).
     Packed8 { refresh: bool },
     /// LRU/FIFO at every other width: each set's tags in exact recency
-    /// order, MRU first, their dirty bits moving with them (see
-    /// [`Cache::access_row`]).
+    /// order, MRU first (see [`Cache::access_row`]).
     Row { refresh: bool },
     /// Random: the policy selects victims itself and no recency state is
     /// kept in the cache.
@@ -127,27 +123,7 @@ enum ProbeMode {
 /// first victim — the nibble at position 7 — is way 0. That matches the
 /// stamp scan's tie-break on an all-invalid set (lowest index wins), and
 /// by induction the whole cold-fill sequence (way 0, 1, ...).
-const INITIAL_ORDER8: u64 = 0x0123_4567;
-
-/// Moves bit `p` of one `Row` set's dirty words to bit 0 and shifts bits
-/// `0..p` up one place, as the set's move-to-front does to its tags.
-/// Returns the moved bit.
-#[inline]
-fn dirty_to_front(words: &mut [u64], p: usize) -> u64 {
-    let (below, rest) = words.split_at_mut(p / 64);
-    let word = &mut rest[0];
-    let bit = p % 64;
-    let moved = (*word >> bit) & 1;
-    let mut carry = moved;
-    for w in below {
-        let out = *w >> 63;
-        *w = (*w << 1) | carry;
-        carry = out;
-    }
-    let low = (1u64 << bit) - 1;
-    *word = (*word & !(low | (1 << bit))) | ((*word & low) << 1) | carry;
-    moved
-}
+const INITIAL_ORDER8: u32 = 0x0123_4567;
 
 /// Position of the first entry of `row` equal to `tag`, or `row.len()`
 /// when there is none. The first 64 entries are compared into a bit mask
@@ -180,21 +156,14 @@ fn shift_in(row: &mut [u64], p: usize, tag: u64) {
     }
 }
 
-/// `Packed8` meta-word layout: recency nibbles in bits 0..32, dirty
-/// bitmask in bits 48..56.
-const META_DIRTY_SHIFT: u32 = 48;
-const META_ORDER_MASK: u64 = 0xFFFF_FFFF;
-
-/// `Direct` word layout: bit 0 marks a valid line, bit 1 a dirty one, and
-/// the bits above hold the line's tag bits above the set index. An empty
-/// set is 0.
+/// `Direct` word layout: bit 0 marks a valid line, and the bits above
+/// hold the line's tag bits above the set index. An empty set is 0.
 const DIRECT_VALID: u64 = 1;
-const DIRECT_DIRTY: u64 = 2;
 
 /// A set-associative cache.
 ///
-/// Every probe mode is exact: per-access results, counters, write-backs
-/// and residency (`peek`) equal those of the stamp model,
+/// Every probe mode is exact: per-access results, counters and residency
+/// (`peek`) equal those of the stamp model,
 /// [`crate::reference::ReferenceCache`], enforced access by access in
 /// `tests/differential.rs`. That model stamps each line from a strictly
 /// increasing clock and evicts the minimum stamp, so its stamps are unique
@@ -203,16 +172,16 @@ const DIRECT_DIRTY: u64 = 2;
 /// modes keep the order instead of the stamps, chosen once from the
 /// policy and the geometry:
 ///
-/// - LRU/FIFO at 8 ways (Table III's L1s and L2) packs it into one meta
-///   word per set, four bits per way, MRU at the LSB, beside the set's
-///   dirty bits and a 64 B tag row: a hit is a register-only
-///   move-to-front and a miss reads its victim from the top nibble.
+/// - LRU/FIFO at 8 ways (Table III's L1s and L2) packs it into one order
+///   word per set, four bits per way, MRU at the LSB, beside a 64 B tag
+///   row: a hit is a register-only move-to-front and a miss reads its
+///   victim from the top nibble.
 /// - LRU/FIFO at any other width (Table I's 32-way L1s, Table III's
 ///   16-way L3) stores each set's tags MRU-first: the first match from
 ///   the front is the hit, and the victim is the last entry.
 /// - Direct-mapped sets (Table I's L2 and L3) have no order to keep: one
-///   word per set holds tag, valid and dirty bits, 0 meaning empty, so a
-///   large cache starts as lazily mapped zero pages.
+///   word per set holds tag and valid bits, 0 meaning empty, so a large
+///   cache starts as lazily mapped zero pages.
 /// - Random keeps flat tags and lets the policy choose.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -222,12 +191,10 @@ pub struct Cache {
     tags: Vec<u64>,
     /// One 64 B tag row per set (`Packed8` only; `tags` is empty).
     tags8: Vec<[u64; 8]>,
-    /// Combined order+dirty meta word per set (`Packed8` only).
-    meta: Vec<u64>,
+    /// Recency-order word per set (`Packed8` only).
+    order: Vec<u32>,
     /// One word per set (`Direct` only; see [`DIRECT_VALID`]).
     lines: Vec<u64>,
-    /// Per-way dirty flags (`Policy` only).
-    dirty: Vec<bool>,
     stats: CacheStats,
     set_mask: u64,
     /// log2 of the set count: a `Direct` word drops the set-index bits.
@@ -235,10 +202,6 @@ pub struct Cache {
     line_shift: u32,
     ways: usize,
     mode: ProbeMode,
-    /// Dirty bitmask words, `dirty_words` per set (`Row` only; bit `p` is
-    /// recency position `p`).
-    dirty_mask: Vec<u64>,
-    dirty_words: usize,
     policy: PolicyState,
 }
 
@@ -249,7 +212,7 @@ impl Cache {
         let ways = config.ways as usize;
         let policy = PolicyState::new(config.policy, 0xCAC4E ^ config.size_bytes);
         let refresh = policy.refresh_on_hit();
-        let mode = if ways == 1 && config.size_bytes >= 4 {
+        let mode = if ways == 1 && config.size_bytes >= 2 {
             ProbeMode::Direct
         } else if !policy.stamp_based() {
             ProbeMode::Policy
@@ -260,35 +223,25 @@ impl Cache {
         };
         let packed8 = matches!(mode, ProbeMode::Packed8 { .. });
         let flat = matches!(mode, ProbeMode::Row { .. } | ProbeMode::Policy);
-        let dirty_words = match mode {
-            ProbeMode::Row { .. } => ways.div_ceil(64),
-            _ => 0,
-        };
-        let if_mode =
-            |on: bool, len: usize, fill: u64| if on { vec![fill; len] } else { Vec::new() };
+        fn if_mode<T: Clone>(on: bool, len: usize, fill: T) -> Vec<T> {
+            if on {
+                vec![fill; len]
+            } else {
+                Vec::new()
+            }
+        }
         Self {
             config,
             tags: if_mode(flat, sets * ways, INVALID),
-            tags8: if packed8 {
-                vec![[INVALID; 8]; sets]
-            } else {
-                Vec::new()
-            },
-            meta: if_mode(packed8, sets, INITIAL_ORDER8),
+            tags8: if_mode(packed8, sets, [INVALID; 8]),
+            order: if_mode(packed8, sets, INITIAL_ORDER8),
             lines: if_mode(mode == ProbeMode::Direct, sets, 0),
-            dirty: if mode == ProbeMode::Policy {
-                vec![false; sets * ways]
-            } else {
-                Vec::new()
-            },
             stats: CacheStats::default(),
             set_mask: sets as u64 - 1,
             set_shift: sets.trailing_zeros(),
             line_shift: config.line_bytes.trailing_zeros(),
             ways,
             mode,
-            dirty_mask: vec![0; sets * dirty_words],
-            dirty_words,
             policy,
         }
     }
@@ -309,48 +262,25 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Invalidates all lines and resets counters.
-    pub fn flush(&mut self) {
-        self.tags.fill(INVALID);
-        self.tags8.fill([INVALID; 8]);
-        self.meta.fill(INITIAL_ORDER8);
-        self.lines.fill(0);
-        self.dirty.fill(false);
-        self.dirty_mask.fill(0);
-        self.reset_stats();
-    }
-
-    /// Probes and updates the cache for `addr`. Returns `true` on a hit.
-    /// When `count` is false the access updates state but not counters
-    /// (warmup mode).
+    /// Probes and updates the cache for `addr`, a load or a store alike.
+    /// Returns `true` on a hit. When `count` is false the access updates
+    /// state but not counters (warmup mode).
     #[inline]
     pub fn access(&mut self, addr: u64, count: bool) -> bool {
-        self.access_rw(addr, false, count)
-    }
-
-    /// [`Cache::access`] with an explicit write flag: writes mark the line
-    /// dirty (write-allocate, write-back), and evicting a dirty line
-    /// counts a write-back.
-    #[inline]
-    pub fn access_rw(&mut self, addr: u64, is_write: bool, count: bool) -> bool {
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
         self.stats.accesses += u64::from(count);
         match self.mode {
-            ProbeMode::Direct => self.access_direct(line, is_write, count),
-            ProbeMode::Packed8 { refresh } => {
-                self.access_packed8(line, set, is_write, count, refresh)
-            }
-            ProbeMode::Row { refresh: true } => self.access_row::<true>(line, set, is_write, count),
-            ProbeMode::Row { refresh: false } => {
-                self.access_row::<false>(line, set, is_write, count)
-            }
-            ProbeMode::Policy => self.access_policy(line, set * self.ways, is_write, count),
+            ProbeMode::Direct => self.access_direct(line, count),
+            ProbeMode::Packed8 { refresh } => self.access_packed8(line, count, refresh),
+            ProbeMode::Row { refresh: true } => self.access_row::<true>(line, set, count),
+            ProbeMode::Row { refresh: false } => self.access_row::<false>(line, set, count),
+            ProbeMode::Policy => self.access_policy(line, set * self.ways, count),
         }
     }
 
     /// The `Direct` key of `line`: its tag bits above the set index,
-    /// shifted past the flag bits, plus [`DIRECT_VALID`]. The all-ones
+    /// shifted past the valid bit, plus [`DIRECT_VALID`]. The all-ones
     /// line (1-byte lines, address `u64::MAX`) is the stamp model's
     /// `INVALID` sentinel, which that model cannot tell from an empty
     /// slot: it hits an empty set and leaves one behind on a miss. Its key
@@ -360,60 +290,46 @@ impl Cache {
         if line == INVALID {
             0
         } else {
-            ((line >> self.set_shift) << 2) | DIRECT_VALID
+            ((line >> self.set_shift) << 1) | DIRECT_VALID
         }
     }
 
     /// A direct-mapped set: one word compare decides the hit, and a miss
-    /// overwrites the word, counting a write-back when it held a dirty
-    /// line. Only a valid key takes a dirty bit, so an empty set stays 0.
+    /// overwrites the word.
     #[inline(always)]
-    fn access_direct(&mut self, line: u64, is_write: bool, count: bool) -> bool {
+    fn access_direct(&mut self, line: u64, count: bool) -> bool {
         let key = self.direct_key(line);
         let set = (line as usize) & (self.lines.len() - 1);
         let slot = &mut self.lines[set];
-        let word = *slot;
-        let dirty = (u64::from(is_write) & key) * DIRECT_DIRTY;
-        if word & !DIRECT_DIRTY == key {
-            *slot = word | dirty;
+        if *slot == key {
             return true;
         }
-        let counted = u64::from(count);
-        self.stats.misses += counted;
-        self.stats.writebacks += counted & ((word & DIRECT_DIRTY) >> 1);
-        *slot = key | dirty;
+        self.stats.misses += u64::from(count);
+        *slot = key;
         false
     }
 
     /// The 8-way specialization: the tag row is a `[u64; 8]` (one cache
-    /// line), the recency order and dirty bits share one meta word, and
-    /// the whole access is branchless — a hit and a miss are the same
-    /// operation, "move the way at recency position `p` to the MRU
-    /// front", with `p` the matched way's position on a hit and the LRU
-    /// position (7) on a miss. Set indices are derived by masking with
-    /// `len - 1` so the optimizer drops the bounds checks.
+    /// line), the recency order is one word, and the whole access is
+    /// branchless — a hit and a miss are the same operation, "move the
+    /// way at recency position `p` to the MRU front", with `p` the matched
+    /// way's position on a hit and the LRU position (7) on a miss. Set
+    /// indices are derived by masking with `len - 1` so the optimizer
+    /// drops the bounds checks.
     #[inline(always)]
-    fn access_packed8(
-        &mut self,
-        tag: u64,
-        _set: usize,
-        is_write: bool,
-        count: bool,
-        refresh: bool,
-    ) -> bool {
+    fn access_packed8(&mut self, tag: u64, count: bool, refresh: bool) -> bool {
         let set = (tag as usize) & (self.tags8.len() - 1);
         let row = &mut self.tags8[set];
         let mut found = 0u32;
         for (w, &t) in row.iter().enumerate() {
             found |= u32::from(t == tag) << w;
         }
-        let mset = (tag as usize) & (self.meta.len() - 1);
-        let meta = self.meta[mset];
+        let oset = (tag as usize) & (self.order.len() - 1);
         let hit = found != 0;
         let hit_mask = u32::from(hit).wrapping_neg();
         // Way index of the hit; 32 (garbage, masked out below) on a miss.
         let w = found.trailing_zeros();
-        let ord = (meta & META_ORDER_MASK) as u32;
+        let ord = self.order[oset];
         // Branchless position-of-way-w: XOR broadcasts w into every
         // nibble, then the zero-nibble trick flags the (unique) match.
         // Flags above the lowest zero nibble can be borrow artifacts, so
@@ -427,23 +343,13 @@ impl Cache {
         let low_mask = (1u32 << sh) - 1;
         let keep_mask = !(low_mask | (0xF << sh));
         let moved = (ord & keep_mask) | ((ord & low_mask) << 4) | way;
-        // FIFO read/write hits leave the order untouched.
+        // FIFO hits leave the order untouched.
         let reorder_mask = u32::from(refresh || !hit).wrapping_neg();
         let new_ord = (moved & reorder_mask) | (ord & !reorder_mask);
-        let dirty_shift = META_DIRTY_SHIFT + way;
-        let way_slot = (way & 7) as usize;
-        let missed = u64::from(!hit);
-        let counted = u64::from(count);
-        let valid_dirty = u64::from(row[way_slot] != INVALID) & (meta >> dirty_shift) & 1;
-        self.stats.misses += missed & counted;
-        self.stats.writebacks += missed & valid_dirty & counted;
-        // A miss clears the victim's dirty bit before the install sets it.
-        let clear = missed << dirty_shift;
-        self.meta[mset] = (meta & !(META_ORDER_MASK | clear))
-            | u64::from(new_ord)
-            | (u64::from(is_write) << dirty_shift);
+        self.stats.misses += u64::from(!hit) & u64::from(count);
+        self.order[oset] = new_ord;
         // On a hit this rewrites the same tag; on a miss it installs.
-        row[way_slot] = tag;
+        row[(way & 7) as usize] = tag;
         hit
     }
 
@@ -451,8 +357,7 @@ impl Cache {
     /// first, so the first match from the front is the hit and the victim
     /// is the last entry. An LRU hit moves its entry to the front and a
     /// FIFO hit leaves it; a miss shifts the row one slot, dropping the
-    /// last entry, and installs at the front. Dirty bits move with their
-    /// tags.
+    /// last entry, and installs at the front.
     ///
     /// The stamp model's victim is the minimum stamp, which is the last
     /// entry here, and its never-filled slots (stamp 0, tag `INVALID`)
@@ -465,20 +370,11 @@ impl Cache {
     /// empty slots here, and an empty slot otherwise — in both cases the
     /// first `INVALID` entry of the row.
     #[inline]
-    fn access_row<const REFRESH: bool>(
-        &mut self,
-        tag: u64,
-        set: usize,
-        is_write: bool,
-        count: bool,
-    ) -> bool {
+    fn access_row<const REFRESH: bool>(&mut self, tag: u64, set: usize, count: bool) -> bool {
         let ways = self.ways;
         let row = &mut self.tags[set * ways..(set + 1) * ways];
-        let dirty = &mut self.dirty_mask[set * self.dirty_words..(set + 1) * self.dirty_words];
-        let write = u64::from(is_write);
         // A hit on the MRU entry moves nothing: the fetch side's usual case.
         if row[0] == tag {
-            dirty[0] |= write;
             return true;
         }
         let found = first_match(row, tag);
@@ -487,33 +383,21 @@ impl Cache {
         // Tested at run time, it compiled to a branch on `hit`, which is
         // unpredictable on a data stream.
         if !REFRESH && hit {
-            dirty[found / 64] |= write << (found % 64);
             return true;
         }
         // An LRU hit and a miss are one move, without a branch between
         // them: the entry at `p` (the last one on a miss) leaves and `tag`
         // enters at the front.
-        let p = found.min(ways - 1);
-        let leaving = row[p];
-        shift_in(row, p, tag);
-        let leaving_dirty = dirty_to_front(dirty, p);
-        let missed = u64::from(!hit);
-        let counted = u64::from(count);
-        self.stats.misses += missed & counted;
-        self.stats.writebacks += missed & counted & leaving_dirty & u64::from(leaving != INVALID);
-        // A hit keeps its dirty bit; a miss installs a clean line.
-        dirty[0] = (dirty[0] & !missed) | write;
+        shift_in(row, found.min(ways - 1), tag);
+        self.stats.misses += u64::from(!hit) & u64::from(count);
         hit
     }
 
     /// Random: victims come from the policy, and no recency state is kept.
     #[inline(never)]
-    fn access_policy(&mut self, tag: u64, base: usize, is_write: bool, count: bool) -> bool {
+    fn access_policy(&mut self, tag: u64, base: usize, count: bool) -> bool {
         let ways = self.ways;
-        if let Some(w) = self.tags[base..base + ways].iter().position(|&t| t == tag) {
-            if is_write {
-                self.dirty[base + w] = true;
-            }
+        if self.tags[base..base + ways].contains(&tag) {
             return true;
         }
         if count {
@@ -523,12 +407,7 @@ impl Cache {
             .policy
             .victim(ways)
             .expect("non-stamp policies select their own victims");
-        let slot = base + victim;
-        if self.tags[slot] != INVALID && self.dirty[slot] && count {
-            self.stats.writebacks += 1;
-        }
-        self.tags[slot] = tag;
-        self.dirty[slot] = is_write;
+        self.tags[base + victim] = tag;
         false
     }
 
@@ -538,7 +417,7 @@ impl Cache {
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
         match self.mode {
-            ProbeMode::Direct => self.lines[set] & !DIRECT_DIRTY == self.direct_key(line),
+            ProbeMode::Direct => self.lines[set] == self.direct_key(line),
             ProbeMode::Packed8 { .. } => self.tags8[set].contains(&line),
             _ => self.tags[set * self.ways..(set + 1) * self.ways].contains(&line),
         }
@@ -602,20 +481,10 @@ mod tests {
     }
 
     #[test]
-    fn flush_clears_state() {
-        let mut c = small();
-        c.access(0x40, true);
-        c.flush();
-        assert!(!c.peek(0x40));
-        assert_eq!(c.stats().accesses, 0);
-    }
-
-    #[test]
     fn miss_rate_pct() {
         let s = CacheStats {
             accesses: 200,
             misses: 50,
-            writebacks: 0,
         };
         assert_eq!(s.miss_rate_pct(), 25.0);
         assert_eq!(CacheStats::default().miss_rate_pct(), 0.0);
@@ -640,7 +509,6 @@ impl sampsim_util::codec::Encode for CacheStats {
     fn encode(&self, enc: &mut sampsim_util::codec::Encoder) {
         enc.put_u64(self.accesses);
         enc.put_u64(self.misses);
-        enc.put_u64(self.writebacks);
     }
 }
 
@@ -651,7 +519,6 @@ impl sampsim_util::codec::Decode for CacheStats {
         Ok(Self {
             accesses: dec.take_u64()?,
             misses: dec.take_u64()?,
-            writebacks: dec.take_u64()?,
         })
     }
 }
@@ -713,42 +580,5 @@ mod policy_tests {
             random.misses < random.accesses,
             "random replacement gets some hits on a cyclic scan"
         );
-    }
-}
-
-#[cfg(test)]
-mod writeback_tests {
-    use super::*;
-
-    #[test]
-    fn dirty_eviction_counts_writeback() {
-        // 1 set x 2 ways x 32B.
-        let mut c = Cache::new(CacheConfig::new(64, 2, 32, 1));
-        c.access_rw(0x000, true, true); // dirty fill
-        c.access_rw(0x040, false, true); // clean fill
-        assert_eq!(c.stats().writebacks, 0);
-        c.access_rw(0x080, false, true); // evicts dirty 0x000
-        assert_eq!(c.stats().writebacks, 1);
-        c.access_rw(0x0C0, false, true); // evicts clean 0x040
-        assert_eq!(c.stats().writebacks, 1);
-    }
-
-    #[test]
-    fn write_hit_marks_dirty() {
-        let mut c = Cache::new(CacheConfig::new(64, 2, 32, 1));
-        c.access_rw(0x000, false, true); // clean fill
-        c.access_rw(0x000, true, true); // write hit -> dirty
-        c.access_rw(0x040, false, true);
-        c.access_rw(0x080, false, true); // evicts 0x000 (dirty)
-        assert_eq!(c.stats().writebacks, 1);
-    }
-
-    #[test]
-    fn warmup_evictions_not_counted() {
-        let mut c = Cache::new(CacheConfig::new(64, 2, 32, 1));
-        c.access_rw(0x000, true, false);
-        c.access_rw(0x040, true, false);
-        c.access_rw(0x080, true, false); // dirty eviction in warmup
-        assert_eq!(c.stats().writebacks, 0);
     }
 }

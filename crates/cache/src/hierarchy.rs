@@ -2,7 +2,8 @@
 //!
 //! The model is a demand-fill, non-inclusive hierarchy: a miss at level *N*
 //! probes level *N+1*, and the line is installed at every level on the way
-//! back. Only demand traffic is counted (no write-back traffic), matching
+//! back. A store allocates exactly like a load, and only demand accesses
+//! and misses are counted (no write-back traffic is simulated), matching
 //! the `allcache` Pintool's reported statistics.
 //!
 //! [`Hierarchy`] composes two parts that share no structure: the L1I
@@ -54,8 +55,6 @@ pub struct HierarchyStats {
     pub l2: CacheStats,
     /// L3 counters.
     pub l3: CacheStats,
-    /// Next-line prefetches issued.
-    pub prefetches: u64,
 }
 
 impl HierarchyStats {
@@ -65,7 +64,6 @@ impl HierarchyStats {
         self.l1d.merge(&other.l1d);
         self.l2.merge(&other.l2);
         self.l3.merge(&other.l3);
-        self.prefetches += other.prefetches;
     }
 }
 
@@ -82,7 +80,6 @@ pub struct SharedHalf {
     l2: Cache,
     l3: Cache,
     next_line_prefetch: bool,
-    prefetches: u64,
 }
 
 impl SharedHalf {
@@ -93,16 +90,15 @@ impl SharedHalf {
             l2: Cache::new(config.l2),
             l3: Cache::new(config.l3),
             next_line_prefetch: config.next_line_prefetch,
-            prefetches: 0,
         }
     }
 
-    /// A data access (load when `is_write` is false, store when true).
-    /// Returns the level that satisfied it. When `count` is false the
-    /// access updates state but no counters (warmup).
+    /// A data access, a load or a store alike. Returns the level that
+    /// satisfied it. When `count` is false the access updates state but no
+    /// counters (warmup).
     #[inline]
-    pub fn access_data(&mut self, addr: u64, is_write: bool, count: bool) -> Level {
-        if self.l1d.access_rw(addr, is_write, count) {
+    pub fn access_data(&mut self, addr: u64, count: bool) -> Level {
+        if self.l1d.access(addr, count) {
             return Level::L1D;
         }
         if self.l2.access(addr, count) {
@@ -115,9 +111,6 @@ impl SharedHalf {
             if !self.l2.peek(next) {
                 self.l2.access(next, false);
                 self.l3.access(next, false);
-                if count {
-                    self.prefetches += 1;
-                }
             }
         }
         if self.l3.access(addr, count) {
@@ -140,13 +133,12 @@ impl SharedHalf {
         Level::Mem
     }
 
-    /// The L1D, L2, L3 and prefetch counters; the L1I field is zero.
+    /// The L1D, L2 and L3 counters; the L1I field is zero.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
             l1d: self.l1d.stats(),
             l2: self.l2.stats(),
             l3: self.l3.stats(),
-            prefetches: self.prefetches,
             ..HierarchyStats::default()
         }
     }
@@ -156,7 +148,6 @@ impl SharedHalf {
         self.l1d.reset_stats();
         self.l2.reset_stats();
         self.l3.reset_stats();
-        self.prefetches = 0;
     }
 }
 
@@ -193,16 +184,11 @@ impl Hierarchy {
         self.warmup = warmup;
     }
 
-    /// Whether warmup mode is active.
-    pub fn warmup(&self) -> bool {
-        self.warmup
-    }
-
-    /// A data access (load when `is_write` is false, store when true).
-    /// Returns the level that satisfied it.
+    /// A data access, a load or a store alike. Returns the level that
+    /// satisfied it.
     #[inline]
-    pub fn access_data(&mut self, addr: u64, is_write: bool) -> Level {
-        self.shared.access_data(addr, is_write, !self.warmup)
+    pub fn access_data(&mut self, addr: u64) -> Level {
+        self.shared.access_data(addr, !self.warmup)
     }
 
     /// An instruction fetch at `pc`. Returns the level that satisfied it.
@@ -254,13 +240,13 @@ mod tests {
     #[test]
     fn miss_propagates_to_all_levels() {
         let mut h = Hierarchy::new(configs::allcache_table1());
-        assert_eq!(h.access_data(0x100, false), Level::Mem);
+        assert_eq!(h.access_data(0x100), Level::Mem);
         let s = h.stats();
         assert_eq!(s.l1d.misses, 1);
         assert_eq!(s.l2.misses, 1);
         assert_eq!(s.l3.misses, 1);
         // Second access hits L1D and never reaches L2/L3.
-        assert_eq!(h.access_data(0x100, true), Level::L1D);
+        assert_eq!(h.access_data(0x100), Level::L1D);
         let s = h.stats();
         assert_eq!(s.l2.accesses, 1);
         assert_eq!(s.l3.accesses, 1);
@@ -280,11 +266,11 @@ mod tests {
     fn warmup_fills_without_counting() {
         let mut h = Hierarchy::new(configs::allcache_table1());
         h.set_warmup(true);
-        h.access_data(0x5000, false);
+        h.access_data(0x5000);
         h.set_warmup(false);
         let s = h.stats();
         assert_eq!(s.l1d.accesses, 0);
-        assert_eq!(h.access_data(0x5000, false), Level::L1D);
+        assert_eq!(h.access_data(0x5000), Level::L1D);
     }
 
     #[test]
@@ -293,12 +279,12 @@ mod tests {
         let mut h = Hierarchy::new(configs::allcache_table1());
         let ws = 256 << 10;
         for addr in (0..ws).step_by(32) {
-            h.access_data(addr, false);
+            h.access_data(addr);
         }
         h.reset_stats();
         // Second pass: misses L1D (capacity) but the L3 holds the set.
         for addr in (0..ws).step_by(32) {
-            let lvl = h.access_data(addr, false);
+            let lvl = h.access_data(addr);
             assert_ne!(lvl, Level::Mem, "L3 should hold the working set");
         }
         let s = h.stats();
@@ -334,7 +320,6 @@ impl sampsim_util::codec::Encode for HierarchyStats {
         self.l1d.encode(enc);
         self.l2.encode(enc);
         self.l3.encode(enc);
-        enc.put_u64(self.prefetches);
     }
 }
 
@@ -347,7 +332,6 @@ impl sampsim_util::codec::Decode for HierarchyStats {
             l1d: crate::cache::CacheStats::decode(dec)?,
             l2: crate::cache::CacheStats::decode(dec)?,
             l3: crate::cache::CacheStats::decode(dec)?,
-            prefetches: dec.take_u64()?,
         })
     }
 }
@@ -364,14 +348,13 @@ mod prefetch_tests {
             let mut h = Hierarchy::new(cfg);
             // Sequential 8-byte walk over 1 MB.
             for addr in (0..(1u64 << 20)).step_by(8) {
-                h.access_data(addr, false);
+                h.access_data(addr);
             }
             h.stats()
         };
         let base = run(cfg);
         cfg.next_line_prefetch = true;
         let pf = run(cfg);
-        assert!(pf.prefetches > 0);
         assert!(
             pf.l3.misses < base.l3.misses,
             "prefetching should cut demand misses beyond L2 ({} vs {})",
@@ -384,12 +367,18 @@ mod prefetch_tests {
 
     #[test]
     fn prefetch_stats_roundtrip_codec() {
-        let s = HierarchyStats {
-            prefetches: 42,
-            ..HierarchyStats::default()
-        };
+        // The counters of a prefetching hierarchy: every level nonzero.
+        let mut cfg = configs::i7_table3();
+        cfg.next_line_prefetch = true;
+        let mut h = Hierarchy::new(cfg);
+        for addr in (0..(1u64 << 16)).step_by(40) {
+            h.fetch(addr);
+            h.access_data(addr);
+        }
+        let s = h.stats();
+        assert!(s.l3.misses > 0 && s.l1i.misses > 0, "{s:?}");
         let bytes = sampsim_util::codec::to_bytes(&s);
         let back: HierarchyStats = sampsim_util::codec::from_bytes(&bytes).unwrap();
-        assert_eq!(back.prefetches, 42);
+        assert_eq!(back, s);
     }
 }

@@ -7,7 +7,9 @@
 //! 10 of the paper, and doubles as the memory system of the
 //! `sampsim-uarch` timing model (which consumes the hit level +
 //! latencies). The Pintool also models TLBs, but the paper reports no TLB
-//! figure, so none is simulated here.
+//! figure, so none is simulated here. Likewise a store probes exactly
+//! like a load and no write-back traffic is simulated: the figures read
+//! demand accesses and misses only.
 //!
 //! Two configurations from the paper are provided as presets:
 //! [`configs::allcache_table1`] (Table I) and [`configs::i7_table3`]
@@ -23,8 +25,8 @@
 //! use sampsim_cache::{configs, Hierarchy};
 //!
 //! let mut h = Hierarchy::new(configs::allcache_table1());
-//! h.access_data(0x1000, false); // load
-//! h.access_data(0x1000, true);  // store to the same line: L1D hit
+//! h.access_data(0x1000); // a load: misses every level
+//! h.access_data(0x1000); // a store to the same line: L1D hit
 //! let stats = h.stats();
 //! assert_eq!(stats.l1d.accesses, 2);
 //! assert_eq!(stats.l1d.misses, 1);

@@ -3,8 +3,9 @@
 //! [`ReferenceCache`] is the original zipped tag+stamp implementation of
 //! [`crate::Cache`], kept so every probe mode can be checked
 //! against it access-by-access (see `tests/differential.rs`) and so
-//! `sampsim perf` can time the pre-optimization kernel as
-//! `cache_access_rw_reference`. It holds the only stamp scan left:
+//! `sampsim perf` can time the pre-optimization kernel beside it (the
+//! reference side of its `cache_access_rw` kernel). It holds the only
+//! stamp scan left:
 //! `Cache` keeps each LRU/FIFO set's recency order instead (packed
 //! nibbles at 8 ways, a recency-ordered row at every other width), and
 //! one word per direct-mapped set. Counters, per-access hit/miss results
@@ -16,7 +17,7 @@ use crate::policy::PolicyState;
 
 const INVALID: u64 = u64::MAX;
 
-/// The original set-associative cache: flat tag/stamp/dirty arrays and a
+/// The original set-associative cache: flat tag/stamp arrays and a
 /// zipped scan that derives the hit way and the min-stamp victim candidate
 /// in one pass.
 #[derive(Debug, Clone)]
@@ -24,7 +25,6 @@ pub struct ReferenceCache {
     config: CacheConfig,
     tags: Vec<u64>,
     stamps: Vec<u64>,
-    dirty: Vec<bool>,
     clock: u64,
     stats: CacheStats,
     set_mask: u64,
@@ -42,7 +42,6 @@ impl ReferenceCache {
             config,
             tags: vec![INVALID; entries],
             stamps: vec![0; entries],
-            dirty: vec![false; entries],
             clock: 0,
             stats: CacheStats::default(),
             set_mask: sets - 1,
@@ -67,25 +66,9 @@ impl ReferenceCache {
         self.stats = CacheStats::default();
     }
 
-    /// Invalidates all lines and resets counters.
-    pub fn flush(&mut self) {
-        self.tags.fill(INVALID);
-        self.stamps.fill(0);
-        self.dirty.fill(false);
-        self.clock = 0;
-        self.reset_stats();
-    }
-
     /// Probes and updates the cache for `addr`. Returns `true` on a hit.
     #[inline]
     pub fn access(&mut self, addr: u64, count: bool) -> bool {
-        self.access_rw(addr, false, count)
-    }
-
-    /// [`ReferenceCache::access`] with an explicit write flag
-    /// (write-allocate, write-back).
-    #[inline]
-    pub fn access_rw(&mut self, addr: u64, is_write: bool, count: bool) -> bool {
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
         let tag = line;
@@ -117,24 +100,14 @@ impl ReferenceCache {
             if self.policy.refresh_on_hit() {
                 self.stamps[base + w] = self.clock;
             }
-            if is_write {
-                self.dirty[base + w] = true;
-            }
             return true;
         }
         if count {
             self.stats.misses += 1;
         }
         let victim = self.policy.victim(self.ways).unwrap_or(stamp_victim);
-        if self.tags[base + victim] != INVALID && self.dirty[base + victim] {
-            if count {
-                self.stats.writebacks += 1;
-            }
-            self.dirty[base + victim] = false;
-        }
         self.tags[base + victim] = tag;
         self.stamps[base + victim] = self.clock;
-        self.dirty[base + victim] = is_write;
         false
     }
 

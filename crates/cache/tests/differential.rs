@@ -1,18 +1,18 @@
 //! Differential suite: every probe mode of [`Cache`] (packed 8-way
 //! recency words, recency-ordered rows, one word per direct-mapped set,
 //! and policy-chosen victims) must be bit-identical to the frozen stamp
-//! model ([`ReferenceCache`]) — per-access hit/miss results, counters,
-//! write-backs and residency (`peek`) — across policies, geometries and
-//! seeded access mixes. Stamps vs. recency order is internal
-//! representation; everything observable is contractual.
+//! model ([`ReferenceCache`]) — per-access hit/miss results, counters
+//! and residency (`peek`) — across policies, geometries and seeded access
+//! mixes. Stamps vs. recency order is internal representation;
+//! everything observable is contractual.
 
 use sampsim_cache::policy::ReplacementPolicy;
 use sampsim_cache::{Cache, CacheConfig, CacheStats, ReferenceCache};
 use sampsim_util::rng::SplitMix64;
 
-/// Drives both models through an identical seeded stream of reads,
-/// writes, warmup accesses, flushes and stat resets, asserting
-/// equivalence after every access and at every checkpoint. Addresses fall
+/// Drives both models through an identical seeded stream of counted and
+/// warmup accesses and a stat reset, asserting equivalence after every
+/// access and at every checkpoint. Addresses fall
 /// in `0..ws_bytes`, except that every 23rd access and every other `peek`
 /// go to the all-ones address: with 1-byte lines that line equals the
 /// sentinel both models mark empty slots with.
@@ -26,10 +26,9 @@ fn drive(config: CacheConfig, seed: u64, accesses: usize, ws_bytes: u64) -> Cach
             5 => u64::MAX,
             _ => rng.next_u64() & ws_mask,
         };
-        let is_write = i % 4 == 3;
         let count = i % 97 != 0; // sprinkle warmup accesses through the run
-        let a = fast.access_rw(addr, is_write, count);
-        let b = reference.access_rw(addr, is_write, count);
+        let a = fast.access(addr, count);
+        let b = reference.access(addr, count);
         assert_eq!(
             a, b,
             "access #{i} diverged ({:?}, addr {addr:#x})",
@@ -51,10 +50,6 @@ fn drive(config: CacheConfig, seed: u64, accesses: usize, ws_bytes: u64) -> Cach
         if i == accesses / 2 {
             fast.reset_stats();
             reference.reset_stats();
-        }
-        if i == (3 * accesses) / 4 {
-            fast.flush();
-            reference.flush();
         }
     }
     assert_eq!(fast.stats(), reference.stats());
@@ -105,12 +100,12 @@ fn sixteen_way_sets_use_recency_rows() {
     }
     // Table III's L3 (8 MiB, 16-way, 64 B lines) under a working set of
     // twice its capacity: enough accesses to revisit each of its 8,192
-    // sets give hits, evictions and dirty write-backs alike.
+    // sets give hits and evictions alike.
     for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
         let config = CacheConfig::new(8 << 20, 16, 64, 30).with_policy(policy);
         let stats = drive(config, 0x7AB3 ^ 16, 600_000, 16 << 20);
         assert!(
-            stats.misses > 0 && stats.misses < stats.accesses && stats.writebacks > 0,
+            stats.misses > 0 && stats.misses < stats.accesses,
             "{policy:?}: {stats:?}"
         );
     }
@@ -126,8 +121,9 @@ fn wide_associativity_uses_recency_rows() {
             drive(config, 0x3232 ^ ws, 30_000, ws);
         }
     }
-    // Every width above 16 takes it: 17 (odd), 64 (one full dirty word),
-    // 65 and 96 (a second, partial word) and 128 (two full words).
+    // Every width above 16 takes it: 17 (odd), 64 (exactly the
+    // branch-free compare's reach), and 65, 96 and 128 (a scanned tail
+    // past it).
     for ways in [17, 64, 65, 96, 128] {
         for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
             let config =
@@ -141,14 +137,14 @@ fn wide_associativity_uses_recency_rows() {
 fn table1_direct_mapped_levels_match_reference() {
     // Table I's direct-mapped L2 (2 MiB) and L3 (16 MiB), 32 B lines, take
     // one word per set under every policy. Working sets of twice the
-    // capacity, and enough accesses to revisit each set, give hits,
-    // conflict misses and dirty evictions alike.
+    // capacity, and enough accesses to revisit each set, give hits and
+    // conflict misses alike.
     for (size, accesses) in [(2u64 << 20, 400_000), (16 << 20, 2_000_000)] {
         for policy in POLICIES {
             let config = CacheConfig::new(size, 1, 32, 1).with_policy(policy);
             let stats = drive(config, 0xD1 ^ size, accesses, 2 * size);
             assert!(
-                stats.misses > 0 && stats.misses < stats.accesses && stats.writebacks > 0,
+                stats.misses > 0 && stats.misses < stats.accesses,
                 "{size} B {policy:?}: {stats:?}"
             );
         }
@@ -160,10 +156,10 @@ fn all_ones_line_matches_reference() {
     // With 1-byte lines, address u64::MAX is line u64::MAX, the sentinel
     // the stamp model marks empty slots with: it hits an empty slot and
     // leaves an empty-looking one when installed. Direct-mapped sets
-    // (including the 1- and 2-byte caches, which have no room for the
-    // one-word encoding and take the recency row under LRU and FIFO, and
-    // the 4-byte one, which has exactly enough) and 32-way rows, one set
-    // or many, must read it the same way.
+    // (including the 1-byte cache, which has no room for the one-word
+    // encoding and takes the recency row under LRU and FIFO, and the
+    // 2-byte one, which has exactly enough) and 32-way rows, one set or
+    // many, must read it the same way.
     for (size, ways) in [
         (1, 1),
         (2, 1),
@@ -179,23 +175,21 @@ fn all_ones_line_matches_reference() {
         }
     }
     // A one-word encoding that treats the all-ones line as an ordinary tag
-    // counts 4 misses and 1 write-back here.
+    // counts 4 misses here.
     let config = CacheConfig::new(8, 1, 1, 1);
     let stream = [u64::MAX, 3, u64::MAX, u64::MAX - 8, u64::MAX];
     let mut fast = Cache::new(config);
     let mut reference = ReferenceCache::new(config);
     for (i, &addr) in stream.iter().enumerate() {
-        let is_write = i % 2 == 0;
         assert_eq!(
-            fast.access_rw(addr, is_write, true),
-            reference.access_rw(addr, is_write, true),
+            fast.access(addr, true),
+            reference.access(addr, true),
             "access #{i} diverged (addr {addr:#x})"
         );
     }
     let expected = CacheStats {
         accesses: 5,
         misses: 3,
-        writebacks: 0,
     };
     assert_eq!(reference.stats(), expected);
     assert_eq!(fast.stats(), expected);

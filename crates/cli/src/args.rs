@@ -491,9 +491,10 @@ fn positive<T: FromStr + Default + PartialEq>(flag: &str, value: &str) -> Result
 }
 
 /// Parses an argument iterator into the command and its arguments.
-/// `--help` or `-h` anywhere makes the command `help`. Without
-/// `--scale`, the scale comes from `SAMPSIM_SCALE` when it is set; that
-/// default is never refused.
+/// `--help` or `-h` anywhere makes the command `help`. A command that
+/// reads `--scale` and is not given it takes its scale from
+/// `SAMPSIM_SCALE` when that is set; that default is never refused, and
+/// no other command reads it.
 ///
 /// # Errors
 ///
@@ -578,11 +579,6 @@ pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<(&'static Command
         }
         args.given.push(flag);
     }
-    args.scale = match (scale, std::env::var("SAMPSIM_SCALE")) {
-        (Some(scale), _) => scale,
-        (None, Ok(v)) => parse_scale("SAMPSIM_SCALE", &v)?,
-        (None, Err(_)) => Scale::FULL,
-    };
     let mut words = words.into_iter();
     let name = words.next().unwrap_or_else(|| "help".into());
     let command = COMMANDS
@@ -594,6 +590,11 @@ pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<(&'static Command
         |flag| command.flags.contains(&flag),
         "the command never reads it",
     )?;
+    args.scale = match (scale, std::env::var("SAMPSIM_SCALE")) {
+        (Some(scale), _) => scale,
+        (None, Ok(v)) if command.flags.contains(&"--scale") => parse_scale("SAMPSIM_SCALE", &v)?,
+        (None, _) => Scale::FULL,
+    };
     args.operands = words.collect();
     if let Some(extra) = args.operands.get(command.operands) {
         return Err(format!("unexpected argument: {extra}"));

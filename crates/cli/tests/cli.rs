@@ -377,6 +377,17 @@ fn a_bad_sampsim_scale_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("bad SAMPSIM_SCALE value: 0.01x"), "{err}");
+    // A command that never reads a scale never reads the variable either.
+    for (command, shows) in [("list", "505.mcf_r"), ("help", "usage: sampsim")] {
+        let out = sampsim()
+            .arg(command)
+            .env("SAMPSIM_SCALE", "0.01x")
+            .output()
+            .unwrap();
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(out.status.code(), Some(0), "{command}: {text}");
+        assert!(text.contains(shows), "{command}: {text}");
+    }
 }
 
 #[test]

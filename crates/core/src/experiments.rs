@@ -80,10 +80,11 @@ impl Study {
     /// workload, so a suite re-calibration misses instead of reading a
     /// stale result. Bump the tag when the `BenchResult` encoding or the
     /// meaning of a hashed field changes (v2: the configuration is hashed
-    /// at the study's scale; v3: the cache counters lost the TLBs).
+    /// at the study's scale; v3: the cache counters lost the TLBs; v4:
+    /// their write-back and prefetch counters).
     fn memo_key(&self, bench: &Bench<'_>) -> u64 {
         let mut h = Fnv64::new();
-        h.write_str("sampsim/study/bench-result/v3");
+        h.write_str("sampsim/study/bench-result/v4");
         h.write_str(bench.id.name());
         h.write_str(&format!("{:?}", self.config));
         h.write_f64(self.scale.factor());

@@ -209,14 +209,12 @@ mod tests {
             l3: CacheStats {
                 accesses: l3_acc,
                 misses: l3_miss,
-                writebacks: 0,
             },
             ..HierarchyStats::default()
         };
         cache.l1d = CacheStats {
             accesses: reads,
             misses: l3_acc,
-            writebacks: 0,
         };
         RunMetrics {
             instructions: insts,

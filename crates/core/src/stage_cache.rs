@@ -57,8 +57,9 @@ use std::sync::Mutex;
 /// Magic number identifying an encoded [`ProfileStage`].
 pub const PROFILE_MAGIC: u32 = 0x5053_7467; // "PStg"
 /// Format version for [`ProfileStage`] encodings (v2: the cache counters
-/// lost their two TLB counter pairs).
-pub const PROFILE_VERSION: u16 = 2;
+/// lost their two TLB counter pairs; v3: their write-back and prefetch
+/// counters).
+pub const PROFILE_VERSION: u16 = 3;
 
 /// A pluggable byte store memoizing pipeline stages.
 ///
@@ -214,8 +215,9 @@ pub fn response_key(program: &Program, config: &PinPointsConfig) -> u64 {
 /// the key.
 pub fn whole_walk_key(program: &Program, machine: &Machine) -> u64 {
     let mut h = Fnv64::new();
-    // v2: the encoded `RunMetrics` lost the TLB counters.
-    h.write_str("sampsim/stage/whole-walk/v2");
+    // v2: the encoded `RunMetrics` lost the TLB counters; v3: the
+    // write-back and prefetch counters.
+    h.write_str("sampsim/stage/whole-walk/v3");
     h.write_u64(program.digest());
     match machine {
         Machine::Functional(hierarchy) => {
@@ -491,8 +493,8 @@ mod tests {
         let p = program();
         let table1 = Machine::Functional(configs::allcache_table1());
         let table3 = Machine::Timing(CoreConfig::table3(), configs::i7_table3());
-        assert_eq!(whole_walk_key(&p, &table1), 0x335f_31f6_5118_fd79);
-        assert_eq!(whole_walk_key(&p, &table3), 0xc9ed_0f1a_ae3e_32b3);
+        assert_eq!(whole_walk_key(&p, &table1), 0xfec5_4715_c25f_ef4a);
+        assert_eq!(whole_walk_key(&p, &table3), 0xf213_9d3c_e272_74a6);
         // The machine's kind, its hierarchy and its core all enter the key.
         let functional3 = Machine::Functional(configs::i7_table3());
         let wide = Machine::Timing(CoreConfig::wide(), configs::i7_table3());
@@ -504,10 +506,10 @@ mod tests {
 
     #[test]
     fn a_stage_in_the_previous_format_is_recomputed_and_overwritten() {
-        // An entry stored before the cache counters lost the TLBs carries
-        // the previous version. Even a body that would decode is a miss:
-        // the pass runs again and overwrites the entry, so a stale entry
-        // never supplies a number.
+        // An entry stored before the cache counters lost their write-back
+        // and prefetch counters carries the previous version. Even a body
+        // that would decode is a miss: the pass runs again and overwrites
+        // the entry, so a stale entry never supplies a number.
         let p = program();
         let pipe = Pipeline::new(config());
         let fresh = pipe.run(&p, &RunOptions::default()).unwrap();

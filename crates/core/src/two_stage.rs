@@ -6,7 +6,8 @@
 //!
 //! - the **fetch stage**, on the caller's worker, runs the executor, the
 //!   BBV and mix tools and the L1I ([`FetchStage`]), and forwards each
-//!   instruction's L1I miss, read and write, in that order;
+//!   instruction's L1I miss, then its data accesses (a read-modify-write
+//!   makes two);
 //! - the **data stage**, on a reserved worker ([`data_stage`]), runs the
 //!   L1D, L2, L3 and prefetcher over those events.
 //!
@@ -33,10 +34,8 @@ const DEPTH: usize = 4;
 pub(crate) enum Event {
     /// An L1I miss at this PC; it continues at L2.
     FetchMiss(u64),
-    /// A load from this address.
-    Read(u64),
-    /// A store to this address.
-    Write(u64),
+    /// A load or a store at this address.
+    Data(u64),
 }
 
 /// The fetch stage's end of the channel: fills a batch and sends it when
@@ -107,7 +106,7 @@ where
 }
 
 /// The fetch stage's cache tool: the L1I, forwarding each instruction's
-/// L1I miss, read and write to the data stage in program order.
+/// L1I miss and data accesses to the data stage in program order.
 pub(crate) struct FetchStage<'a> {
     l1i: Cache,
     out: &'a mut Forwarder,
@@ -138,10 +137,10 @@ impl Pintool for FetchStage<'_> {
             self.out.push(Event::FetchMiss(inst.pc));
         }
         if inst.mem.reads() {
-            self.out.push(Event::Read(inst.addr));
+            self.out.push(Event::Data(inst.addr));
         }
         if inst.mem.writes() {
-            self.out.push(Event::Write(inst.addr));
+            self.out.push(Event::Data(inst.addr));
         }
     }
 }
@@ -158,8 +157,7 @@ pub(crate) fn data_stage(
         for &event in &batch {
             match event {
                 Event::FetchMiss(pc) => half.fetch_miss(pc, true),
-                Event::Read(addr) => half.access_data(addr, false, true),
-                Event::Write(addr) => half.access_data(addr, true, true),
+                Event::Data(addr) => half.access_data(addr, true),
             };
         }
     }
@@ -196,14 +194,14 @@ mod tests {
             two(),
             |out| {
                 for i in 0..n {
-                    out.push(Event::Read(i));
+                    out.push(Event::Data(i));
                 }
                 n
             },
             |batches| batches.into_iter().flatten().collect::<Vec<_>>(),
         );
         assert_eq!(seen.len() as u64, pushed);
-        assert!(seen.iter().zip(0..).all(|(&e, i)| e == Event::Read(i)));
+        assert!(seen.iter().zip(0..).all(|(&e, i)| e == Event::Data(i)));
     }
 
     #[test]
@@ -220,7 +218,7 @@ mod tests {
                 |out| {
                     wait_hang_up.recv().unwrap();
                     for i in 0..(DEPTH as u64 + 2) * BATCH as u64 {
-                        out.push(Event::Write(i));
+                        out.push(Event::Data(i));
                     }
                     fetch_finished = true;
                 },
@@ -250,7 +248,7 @@ mod tests {
                     two(),
                     |out| {
                         for i in 0..BATCH as u64 {
-                            out.push(Event::Read(i));
+                            out.push(Event::Data(i));
                         }
                         wait_batch.recv().unwrap();
                         panic!("fetch stage exploded")

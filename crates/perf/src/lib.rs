@@ -3,7 +3,7 @@
 //! The optimized kernels this repo ships — bounds-pruned k-means
 //! ([`mod@sampsim_simpoint::kmeans`]), sparse cached-row BBV projection
 //! ([`sampsim_simpoint::project`]) and the packed single-pass cache probe
-//! ([`sampsim_cache::Cache::access_rw`]) — all promise *bit-identical*
+//! ([`sampsim_cache::Cache::access`]) — all promise *bit-identical*
 //! results to their naive counterparts. This crate times them against
 //! those counterparts on real pipeline inputs (BBVs regenerated from a
 //! fixed suite benchmark: `503.bwaves_r`, or `505.mcf_r` in quick mode)
@@ -367,8 +367,8 @@ pub fn projection_kernel(input: &PerfInput, reps: u32) -> Result<KernelTiming, P
     })
 }
 
-/// Times the [`Cache::access_rw`] probe loop: a seeded random
-/// read/write stream over a 128 KiB working set against a 32 KiB 8-way
+/// Times the [`Cache::access`] probe loop: a seeded random address
+/// stream over a 128 KiB working set against a 32 KiB 8-way
 /// LRU cache (misses exercise the victim path). The packed kernel is
 /// timed against the frozen pre-optimization [`ReferenceCache`] on the
 /// identical access stream, with the hit counters asserted equal — the
@@ -391,9 +391,9 @@ pub fn cache_kernel(accesses: u64, reps: u32) -> Result<KernelTiming, PerfError>
         let mut rng = SplitMix64::new(0xC0FF_EE00);
         let mut run_hits = 0u64;
         let (_, ms) = time_ms(|| {
-            for i in 0..accesses {
+            for _ in 0..accesses {
                 let addr = rng.next_u64() & 0x1_FFFF;
-                run_hits += u64::from(reference.access_rw(addr, i % 4 == 0, true));
+                run_hits += u64::from(reference.access(addr, true));
             }
         });
         reference_ms = reference_ms.min(ms);
@@ -406,12 +406,12 @@ pub fn cache_kernel(accesses: u64, reps: u32) -> Result<KernelTiming, PerfError>
         let mut rng = SplitMix64::new(0xC0FF_EE00);
         let mut run_hits = 0u64;
         let (_, ms) = time_ms(|| {
-            for i in 0..accesses {
+            for _ in 0..accesses {
                 let addr = rng.next_u64() & 0x1_FFFF;
                 // Branchless accumulation: a data-dependent branch here
                 // would mispredict on every fourth access and dominate
                 // the timing.
-                run_hits += u64::from(cache.access_rw(addr, i % 4 == 0, true));
+                run_hits += u64::from(cache.access(addr, true));
             }
         });
         optimized_ms = optimized_ms.min(ms);

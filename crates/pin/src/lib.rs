@@ -5,7 +5,6 @@
 //! retired instruction to one or more observation tools. The tools shipped
 //! here mirror the Pintools the paper used:
 //!
-//! * [`tools::InsCount`] — dynamic instruction counter (`inscount0`),
 //! * [`tools::LdStMix`] — instruction-mix profiler (`ldstmix`, Fig. 7),
 //! * [`tools::BbvTool`] — per-slice basic-block vector collector (the
 //!   front end of SimPoint/PinPoints),
@@ -21,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use sampsim_pin::{engine, tools::{InsCount, LdStMix}};
+//! use sampsim_pin::{engine, tools::LdStMix};
 //! use sampsim_workload::spec::{PhaseSpec, WorkloadSpec};
 //!
 //! let program = WorkloadSpec::builder("demo", 1)
@@ -30,10 +29,9 @@
 //!     .build()
 //!     .build();
 //! let mut exec = sampsim_workload::Executor::new(&program);
-//! let mut tools = (InsCount::default(), LdStMix::default());
-//! engine::run_one(&mut exec, u64::MAX, &mut tools);
-//! assert_eq!(tools.0.total(), program.total_insts());
-//! assert_eq!(tools.1.counts().total(), program.total_insts());
+//! let mut mix = LdStMix::default();
+//! engine::run_one(&mut exec, u64::MAX, &mut mix);
+//! assert_eq!(mix.counts().total(), program.total_insts());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -59,10 +59,10 @@ impl Pintool for CacheSim {
     fn on_inst(&mut self, inst: &Retired) {
         self.hierarchy.fetch(inst.pc);
         if inst.mem.reads() {
-            self.hierarchy.access_data(inst.addr, false);
+            self.hierarchy.access_data(inst.addr);
         }
         if inst.mem.writes() {
-            self.hierarchy.access_data(inst.addr, true);
+            self.hierarchy.access_data(inst.addr);
         }
     }
 }

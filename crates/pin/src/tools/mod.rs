@@ -3,14 +3,12 @@
 
 mod bbv;
 mod cachesim;
-mod inscount;
 mod ldstmix;
 mod trace;
 mod tracefile;
 
 pub use bbv::BbvTool;
 pub use cachesim::CacheSim;
-pub use inscount::InsCount;
 pub use ldstmix::{LdStMix, MixCounts};
 pub use trace::TraceRecorder;
 pub use tracefile::{TraceReader, TraceWriter};

@@ -124,10 +124,10 @@ impl Pintool for Sniper {
             // State-only pass.
             self.hierarchy.fetch(inst.pc);
             if inst.mem.reads() {
-                self.hierarchy.access_data(inst.addr, false);
+                self.hierarchy.access_data(inst.addr);
             }
             if inst.mem.writes() {
-                self.hierarchy.access_data(inst.addr, true);
+                self.hierarchy.access_data(inst.addr);
             }
             if inst.is_branch {
                 self.bpred.predict_and_update(inst.pc, inst.taken);
@@ -150,11 +150,11 @@ impl Pintool for Sniper {
 
         // Memory.
         if inst.mem.reads() {
-            let level = self.hierarchy.access_data(inst.addr, false);
+            let level = self.hierarchy.access_data(inst.addr);
             self.account_data(level, inst.dependent);
         }
         if inst.mem.writes() {
-            let level = self.hierarchy.access_data(inst.addr, true);
+            let level = self.hierarchy.access_data(inst.addr);
             // Stores retire from the store buffer; expose a fraction of the
             // read path cost.
             let before = self.stats.cycles;

@@ -5,12 +5,8 @@
 //! reports errors the same way:
 //!
 //! * [`Summary`] — streaming mean/variance/min/max.
-//! * [`pct_point_error`] — error between two percentages in *percentage
-//!   points* (used for instruction-mix comparisons, Fig. 7).
 //! * [`relative_error_pct`] — relative error in percent (used for miss-rate
 //!   and CPI comparisons, Figs. 8, 9, 12).
-//! * [`weighted_mean`] — weight-aware aggregation used when combining
-//!   per-simulation-point statistics.
 
 /// Streaming summary statistics (Welford's algorithm).
 ///
@@ -137,16 +133,6 @@ impl FromIterator<f64> for Summary {
     }
 }
 
-/// Absolute difference between two quantities expressed in the same unit
-/// (typically percentage points).
-///
-/// ```
-/// assert_eq!(sampsim_util::stats::pct_point_error(49.0, 50.0), 1.0);
-/// ```
-pub fn pct_point_error(measured: f64, reference: f64) -> f64 {
-    (measured - reference).abs()
-}
-
 /// Relative error of `measured` against `reference`, in percent.
 ///
 /// Returns `0.0` when both are zero, and `100.0 * measured.abs()` sign-safe
@@ -165,19 +151,6 @@ pub fn relative_error_pct(measured: f64, reference: f64) -> f64 {
     } else {
         100.0 * (measured - reference).abs() / reference.abs()
     }
-}
-
-/// Weighted arithmetic mean of `values` under `weights`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or the weights sum to a
-/// non-positive value.
-pub fn weighted_mean(values: &[f64], weights: &[f64]) -> f64 {
-    assert_eq!(values.len(), weights.len(), "length mismatch");
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "weights must sum to a positive value");
-    values.iter().zip(weights).map(|(v, w)| v * w).sum::<f64>() / total
 }
 
 /// Nearest-rank percentile of an unsorted sample (`p` in `[0, 100]`).
@@ -264,18 +237,6 @@ mod tests {
         assert_eq!(relative_error_pct(0.0, 0.0), 0.0);
         assert_eq!(relative_error_pct(0.5, 0.0), 50.0);
         assert!((relative_error_pct(0.9, 1.0) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mean_basic() {
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[1.0, 1.0]), 2.0);
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[3.0, 1.0]), 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn weighted_mean_length_mismatch() {
-        weighted_mean(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

@@ -14,38 +14,21 @@
 //! assert!(text.contains("505.mcf_r"));
 //! ```
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Align {
-    /// Left-justified (default; used for names).
-    #[default]
-    Left,
-    /// Right-justified (used for numbers).
-    Right,
-}
-
-/// A simple text table with a header row.
+/// A simple text table with a header row. Headers and the first column
+/// are left-justified (names), and every other cell right-justified
+/// (numbers).
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     headers: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
     title: Option<String>,
 }
 
 impl Table {
-    /// Creates a table with the given column headers. All columns after the
-    /// first default to right alignment (the common numeric case).
+    /// Creates a table with the given column headers.
     pub fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Self {
-        let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
-        let aligns = headers
-            .iter()
-            .enumerate()
-            .map(|(i, _)| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Self {
-            headers,
-            aligns,
+            headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
             title: None,
         }
@@ -54,17 +37,6 @@ impl Table {
     /// Sets a title printed above the table.
     pub fn title(&mut self, title: impl Into<String>) -> &mut Self {
         self.title = Some(title.into());
-        self
-    }
-
-    /// Overrides column alignments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aligns.len()` differs from the header count.
-    pub fn aligns(&mut self, aligns: Vec<Align>) -> &mut Self {
-        assert_eq!(aligns.len(), self.headers.len(), "alignment count mismatch");
-        self.aligns = aligns;
         self
     }
 
@@ -108,7 +80,7 @@ impl Table {
             .map(|w| "-".repeat(w + 2))
             .collect::<Vec<_>>()
             .join("+");
-        let fmt_row = |cells: &[String], aligns: &[Align], widths: &[usize]| -> String {
+        let fmt_row = |cells: &[String], header: bool| -> String {
             let mut line = String::new();
             for i in 0..cols {
                 if i > 0 {
@@ -116,27 +88,24 @@ impl Table {
                 }
                 let cell = &cells[i];
                 let pad = widths[i] - cell.len();
-                match aligns[i] {
-                    Align::Left => {
-                        line.push(' ');
-                        line.push_str(cell);
-                        line.push_str(&" ".repeat(pad + 1));
-                    }
-                    Align::Right => {
-                        line.push_str(&" ".repeat(pad + 1));
-                        line.push_str(cell);
-                        line.push(' ');
-                    }
+                if header || i == 0 {
+                    line.push(' ');
+                    line.push_str(cell);
+                    line.push_str(&" ".repeat(pad + 1));
+                } else {
+                    line.push_str(&" ".repeat(pad + 1));
+                    line.push_str(cell);
+                    line.push(' ');
                 }
             }
             line
         };
-        out.push_str(&fmt_row(&self.headers, &vec![Align::Left; cols], &widths));
+        out.push_str(&fmt_row(&self.headers, true));
         out.push('\n');
         out.push_str(&sep);
         out.push('\n');
         for row in &self.rows {
-            out.push_str(&fmt_row(row, &self.aligns, &widths));
+            out.push_str(&fmt_row(row, false));
             out.push('\n');
         }
         out

@@ -7,7 +7,6 @@
 //! [`CODE_BASE`].
 
 use crate::error::IrError;
-use crate::mem::MemClass;
 use sampsim_util::hash::Fnv64;
 
 /// Base address of the synthetic code segment.
@@ -54,16 +53,6 @@ pub struct StaticInst {
 }
 
 impl StaticInst {
-    /// The `ldstmix` category of this instruction.
-    pub fn mem_class(&self) -> MemClass {
-        match self.kind {
-            InstKind::Alu | InstKind::Branch { .. } => MemClass::NoMem,
-            InstKind::Load { .. } => MemClass::Read,
-            InstKind::Store { .. } => MemClass::Write,
-            InstKind::LoadStore { .. } => MemClass::ReadWrite,
-        }
-    }
-
     /// The stream index, if this instruction touches memory.
     pub fn stream(&self) -> Option<u16> {
         match self.kind {
@@ -195,39 +184,6 @@ mod tests {
             BasicBlock::new(0, vec![]).unwrap_err(),
             IrError::EmptyBlock { pc: 0 }
         );
-    }
-
-    #[test]
-    fn mem_class_mapping() {
-        assert_eq!(
-            StaticInst {
-                kind: InstKind::Alu
-            }
-            .mem_class(),
-            MemClass::NoMem
-        );
-        assert_eq!(
-            StaticInst {
-                kind: InstKind::Load { stream: 0 }
-            }
-            .mem_class(),
-            MemClass::Read
-        );
-        assert_eq!(
-            StaticInst {
-                kind: InstKind::Store { stream: 1 }
-            }
-            .mem_class(),
-            MemClass::Write
-        );
-        assert_eq!(
-            StaticInst {
-                kind: InstKind::LoadStore { stream: 2 }
-            }
-            .mem_class(),
-            MemClass::ReadWrite
-        );
-        assert_eq!(branch().mem_class(), MemClass::NoMem);
     }
 
     #[test]

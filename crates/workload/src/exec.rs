@@ -506,6 +506,28 @@ mod tests {
     }
 
     #[test]
+    fn mem_class_mapping() {
+        // Every instruction retires with its kind's `ldstmix` class, and
+        // the test program retires all four classes.
+        let p = test_program();
+        let mut e = Executor::new(&p);
+        let mut seen = [false; 4];
+        while let Some(r) = e.next_inst() {
+            let block = &p.blocks()[r.block as usize];
+            let i = (0..block.len()).find(|&i| block.pc_of(i) == r.pc).unwrap();
+            let expected = match block.insts[i].kind {
+                InstKind::Alu | InstKind::Branch { .. } => MemClass::NoMem,
+                InstKind::Load { .. } => MemClass::Read,
+                InstKind::Store { .. } => MemClass::Write,
+                InstKind::LoadStore { .. } => MemClass::ReadWrite,
+            };
+            assert_eq!(r.mem, expected, "{:?}", block.insts[i]);
+            seen[expected.index()] = true;
+        }
+        assert_eq!(seen, [true; 4]);
+    }
+
+    #[test]
     fn run_helper_counts() {
         let p = test_program();
         let mut e = Executor::new(&p);

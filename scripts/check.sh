@@ -213,6 +213,38 @@ done
 cmp "$serve_dir/bwaves-jobs1.json" "$serve_dir/bwaves-jobs3.json" \
     || { echo "run smoke: bwaves_r --jobs 3 != --jobs 1" >&2; exit 1; }
 
+echo "==> sampsim figure at scale 1.0 (three benchmarks reprint their docs/results rows)"
+# docs/results was printed at scale 1.0 (docs/run_figures.sh), and every
+# step above runs at scale 0.02 or below, where slices are too short for
+# the paper's regime. Three benchmarks' rows of six exhibits are re-run
+# at full scale into one scratch memo (each benchmark's first exhibit
+# computes it, the other five read it back) and must equal the committed
+# rows cell for cell, a missing row on either side included. Runs of
+# spaces are squeezed: a table filtered to one benchmark has a narrower
+# first column.
+# bench_rows NAME: the rows of the table text on stdin that belong to
+# NAME, i.e. each row whose first cell is NAME and the rows with an
+# empty first cell that continue it (cpi_stacks' sampled row).
+bench_rows() {
+    awk -F'|' -v name="$1" '
+        NF > 1 { first = $1; gsub(/ /, "", first) }
+        NF > 1 && first == name { keep = 1; print; next }
+        NF > 1 && first == "" && keep { print; next }
+        { keep = 0 }' | tr -s ' '
+}
+for bench in 505.mcf_r 623.xalancbmk_s 503.bwaves_r; do
+    for fig in table2 fig7 fig8 fig10 fig12 cpi_stacks; do
+        "$sampsim_bin" figure "$fig" "$bench" --scale 1 --jobs 2 \
+            --artifacts "$serve_dir/scale1-memo" 2> /dev/null \
+            | bench_rows "$bench" > "$serve_dir/scale1-got.txt"
+        bench_rows "$bench" < "docs/results/$fig.txt" > "$serve_dir/scale1-want.txt"
+        [ -s "$serve_dir/scale1-want.txt" ] && [ -s "$serve_dir/scale1-got.txt" ] \
+            || { echo "scale 1.0: $fig has no $bench row" >&2; exit 1; }
+        diff "$serve_dir/scale1-want.txt" "$serve_dir/scale1-got.txt" \
+            || { echo "scale 1.0: $fig rows of $bench != docs/results/$fig.txt" >&2; exit 1; }
+    done
+done
+
 echo "==> e2e-bench --digests (every output the benchmark checks is unchanged)"
 # The end-to-end benchmark pins an FNV-64 digest of every study document,
 # compare report and served reply its workloads produce; a change that

@@ -283,11 +283,7 @@ fn arb_region(g: &mut Gen) -> RunMetrics {
         } else {
             g.u64_in(0..accesses + 1)
         };
-        CacheStats {
-            accesses,
-            misses,
-            writebacks: 0,
-        }
+        CacheStats { accesses, misses }
     };
     let l1_accesses = g.u64_in(1..insts + 1);
     let l1d = level(g, l1_accesses);
